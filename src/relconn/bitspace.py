@@ -79,9 +79,26 @@ def bfs_levels(seed: int, space: int, n: int) -> list[int]:
         seen |= frontier
 
 
-def eccentricity(src_bit: int, space: int, n: int) -> int:
-    """Greatest BFS distance from one vertex to its component."""
-    return len(bfs_levels(src_bit, space, n)) - 1
+def locally_minimal(space: int, n: int) -> int:
+    """Members of `space` with no member below them at Hamming distance 1.
+
+    A neighbour is smaller exactly when it flips some 1 down to 0.
+    """
+    lowered = 0
+    for pos in range(n):
+        hi = coord_mask(n, pos)
+        lowered |= space & hi & ((space & ~hi) << (1 << pos))
+    return space & ~lowered
+
+
+def minimum(s: int, n: int) -> int | None:
+    """Coordinate-wise minimum (AND) of the members of s, when it is a member."""
+    lower = 0
+    for pos in range(n):
+        hi = coord_mask(n, pos)
+        if s & hi == s:
+            lower |= 1 << pos
+    return lower if (s >> lower) & 1 else None
 
 
 def iter_bits(s: int):

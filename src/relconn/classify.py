@@ -16,9 +16,10 @@ from dataclasses import dataclass, asdict
 from typing import Iterable, Sequence
 
 from .errors import ArityLimitError, RelationError
-from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, IHSB_MINUS,
-                        IHSB_PLUS, ONE_VALID, SAFE_CHECK_ARITY_MAX, ZERO_VALID,
-                        Relation, check_property, componentwise,
+from .relations import (_SAFE_CHECKS, AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
+                        DUAL_HORN, HORN, IHSB_MINUS, IHSB_PLUS,
+                        SAFE_CHECK_ARITY_MAX, SAFE_PROPERTIES, Relation,
+                        check_property, componentwise,
                         enumerate_identifications, is_nand_free, is_or_free)
 
 CPSS = "CPSS"
@@ -66,43 +67,20 @@ class RelationProfile:
 def profile(rel: Relation) -> RelationProfile:
     """Compute the full profile with a single identification sweep."""
     safe: dict[str, bool | None]
-    if rel.arity <= SAFE_CHECK_ARITY_MAX:
-        safe = {
-            "safely_componentwise_bijunctive": True,
-            "safely_or_free": True,
-            "safely_nand_free": True,
-            "safely_componentwise_ihsb_minus": True,
-            "safely_componentwise_ihsb_plus": True,
-        }
+    if rel.arity > SAFE_CHECK_ARITY_MAX:
+        safe = dict.fromkeys(SAFE_PROPERTIES)
+    else:
+        safe = dict.fromkeys(SAFE_PROPERTIES, True)
         for r in enumerate_identifications(rel):
-            if safe["safely_componentwise_bijunctive"] and not componentwise(r, BIJUNCTIVE):
-                safe["safely_componentwise_bijunctive"] = False
-            if safe["safely_or_free"] and not is_or_free(r):
-                safe["safely_or_free"] = False
-            if safe["safely_nand_free"] and not is_nand_free(r):
-                safe["safely_nand_free"] = False
-            if safe["safely_componentwise_ihsb_minus"] and not componentwise(r, IHSB_MINUS):
-                safe["safely_componentwise_ihsb_minus"] = False
-            if safe["safely_componentwise_ihsb_plus"] and not componentwise(r, IHSB_PLUS):
-                safe["safely_componentwise_ihsb_plus"] = False
+            for prop in SAFE_PROPERTIES:
+                if safe[prop] and not _SAFE_CHECKS[prop](r):
+                    safe[prop] = False
             if not any(safe.values()):
                 break
-    else:
-        safe = dict.fromkeys((
-            "safely_componentwise_bijunctive", "safely_or_free",
-            "safely_nand_free", "safely_componentwise_ihsb_minus",
-            "safely_componentwise_ihsb_plus"), None)
     return RelationProfile(
         name=rel.name,
         arity=rel.arity,
-        zero_valid=check_property(rel, ZERO_VALID),
-        one_valid=check_property(rel, ONE_VALID),
-        bijunctive=check_property(rel, BIJUNCTIVE),
-        horn=check_property(rel, HORN),
-        dual_horn=check_property(rel, DUAL_HORN),
-        affine=check_property(rel, AFFINE),
-        ihsb_minus=check_property(rel, IHSB_MINUS),
-        ihsb_plus=check_property(rel, IHSB_PLUS),
+        **{prop: check_property(rel, prop) for prop in BASE_PROPERTIES},
         or_free=is_or_free(rel),
         nand_free=is_nand_free(rel),
         componentwise_bijunctive=componentwise(rel, BIJUNCTIVE),

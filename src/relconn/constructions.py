@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import bitspace
 from . import horn as hornmod
 from .catalog import CATALOG
 from .classify import profile
 from .errors import ExpressionError, ReductionInputError, TriviallySatisfiableError
-from .formulas import Constraint, Formula, evaluate, make_formula
+from .formulas import Constraint, Formula, make_formula
 from .horn import HornClause, HornView
 from .relations import (IHSB_MINUS, ArgPattern, Relation, apply_pattern,
                         check_property, componentwise, components,
@@ -171,9 +172,8 @@ def _state_relation(rel: Relation, state: _State) -> Relation:
 
 
 def _check_sync(rel: Relation, state: _State) -> None:
-    from .bitspace import iter_bits
     want = _state_relation(rel, state).members
-    got = frozenset(iter_bits(hornmod.solution_space(state.view)))
+    got = frozenset(bitspace.iter_bits(hornmod.solution_space(state.view)))
     if want != got:
         raise ExpressionError("internal: clause view lost track of the relation")
 
@@ -225,17 +225,6 @@ def _initial_state(rel: Relation, pattern: ArgPattern) -> _State:
     return _normalized(rel, _State(slots, view))
 
 
-def _min_one_set(view: HornView, comp: Relation) -> frozenset[str] | None:
-    lower = ~0
-    for t in comp.members:
-        lower &= t
-    if lower not in comp.members:
-        return None
-    n = comp.arity
-    return frozenset(v for j, v in enumerate(view.variables)
-                     if (lower >> (n - 1 - j)) & 1)
-
-
 def _express_candidates(rel: Relation):
     """Deterministic stream of (pattern, component 1-set, c*, y) choices.
 
@@ -253,9 +242,10 @@ def _express_candidates(rel: Relation):
         for comp in components(identified):
             if check_property(comp, IHSB_MINUS):
                 continue
-            u = _min_one_set(base.view, comp)
-            if u is None:
+            lower = bitspace.minimum(sum(1 << t for t in comp.members), comp.arity)
+            if lower is None:
                 continue
+            u = hornmod.ones_set(base.view, lower)
             try:
                 state2 = _normalized(rel, _substitute(base, {v: 1 for v in u}))
             except ExpressionError:

@@ -329,7 +329,9 @@ def decide_connectivity(phi: Formula, method: str = "auto") -> ConnDecision:
 
     auto: the projection algorithm when the relation set is CPSS, otherwise
     brute force when the variable count permits, otherwise no answer (the
-    classification's prediction is still reported).
+    classification's prediction is still reported).  The brute route
+    answers connectivity only; solution_graph.report lists the components,
+    the diameter and the minima.
     """
     classification = classify_set(phi.used_relations())
     prediction = predict(classification)
@@ -341,14 +343,14 @@ def decide_connectivity(phi: Formula, method: str = "auto") -> ConnDecision:
                             prediction, report.to_json())
     if method == "brute" or method == "auto":
         try:
-            sg = solution_graph.report(phi)
+            connected = solution_graph.is_connected(phi)
         except VarsLimitError:
             if method == "brute":
                 raise
             return ConnDecision(None, "none", classification.set_class,
                                 prediction, {"reason": "too many variables"})
-        return ConnDecision(sg.connected, "brute", classification.set_class,
-                            prediction, sg.to_json())
+        return ConnDecision(connected, "brute", classification.set_class,
+                            prediction, {"n_variables": phi.n})
     raise AssertionError("unreachable")
 
 

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import bitspace
-from .errors import FormulaParseError, HornStructureError, VarsLimitError
+from .errors import FormulaParseError, HornStructureError
 from .formulas import VAR_RE, ClauseSet, CnfClause, Formula, to_clausal
 from .relations import HORN
-
-VARS_MAX = 24
+from .solution_graph import check_size
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,7 @@ def has_restraint_subset(view: HornView, subset: Iterable[str]) -> bool:
 
 def solution_space(view: HornView) -> int:
     """Bitmask of satisfying assignments, same index convention as formulas."""
-    n = view.n
-    if n > VARS_MAX:
-        raise VarsLimitError(f"{n} variables exceed the exhaustive bound {VARS_MAX}")
+    n = check_size(view.n)
     full = bitspace.full_mask(n)
     pos = {v: n - 1 - j for j, v in enumerate(view.variables)}
     space = full
@@ -258,29 +255,14 @@ def solution_space(view: HornView) -> int:
     return space
 
 
-def solutions(view: HornView) -> list[int]:
-    return list(bitspace.iter_bits(solution_space(view)))
-
-
 def locally_minimal_solutions(view: HornView) -> list[int]:
     """Solutions none of whose 1-coordinates can be flipped down."""
-    space = solution_space(view)
-    out = []
-    for idx in bitspace.iter_bits(space):
-        ones = idx
-        ok = True
-        while ones:
-            low = ones & -ones
-            if (space >> (idx ^ low)) & 1:
-                ok = False
-                break
-            ones ^= low
-        if ok:
-            out.append(idx)
-    return out
+    return list(bitspace.iter_bits(
+        bitspace.locally_minimal(solution_space(view), view.n)))
 
 
-def _ones_set(view: HornView, idx: int) -> frozenset[str]:
+def ones_set(view: HornView, idx: int) -> frozenset[str]:
+    """The variables set to 1 by assignment index idx."""
     n = view.n
     return frozenset(v for j, v in enumerate(view.variables)
                      if (idx >> (n - 1 - j)) & 1)
@@ -297,12 +279,10 @@ def maximal_self_implicating_sets(view: HornView) -> list[frozenset[str]]:
         raise HornStructureError("clause set has positive units")
     out = []
     for comp in bitspace.component_masks(solution_space(view), view.n):
-        lower = ~0
-        for idx in bitspace.iter_bits(comp):
-            lower &= idx
-        if not (comp >> lower) & 1:
+        lower = bitspace.minimum(comp, view.n)
+        if lower is None:
             raise HornStructureError("component without a minimum solution")
-        u = _ones_set(view, lower)
+        u = ones_set(view, lower)
         if not is_maximal_self_implicating(view, u) or has_restraint_subset(view, u):
             raise HornStructureError(
                 f"component minimum {sorted(u)} fails the structure check")

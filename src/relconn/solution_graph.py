@@ -1,15 +1,19 @@
 """Exhaustive analysis of the solution graph of a formula.
 
 The solution graph has the satisfying assignments as vertices, adjacent
-iff they differ in exactly one variable.  Everything here materialises the
-full assignment space as a bitmask (see bitspace), so it is exact and fast
-up to BRUTE_VARS_MAX variables.  An unsatisfiable formula counts as
-connected and as having diameter 0.
+iff they differ in exactly one variable.  This module is the one query
+layer over solution bitmasks: every query on a formula materialises the
+full assignment space once as a bitmask (see bitspace) and reads it here,
+and Horn views (see horn) build their own bitmask and share the size bound
+and the bitspace scans.  It is exact and fast up to BRUTE_VARS_MAX
+variables.  An unsatisfiable formula counts as connected and as having
+diameter 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import bitspace
 from .errors import NotASolutionError, VarsLimitError
@@ -19,8 +23,8 @@ from .relations import Relation
 BRUTE_VARS_MAX = 24
 
 
-def _check_size(phi: Formula) -> int:
-    n = phi.n
+def check_size(n: int) -> int:
+    """n itself, once it is known to be within the exhaustive bound."""
     if n > BRUTE_VARS_MAX:
         raise VarsLimitError(
             f"{n} variables exceed the exhaustive bound {BRUTE_VARS_MAX}")
@@ -33,7 +37,7 @@ def solution_space(phi: Formula) -> int:
     Assignment index i encodes phi.variables with the first variable as the
     most significant bit.
     """
-    n = _check_size(phi)
+    n = check_size(phi.n)
     full = bitspace.full_mask(n)
     space = full
     pos = {v: n - 1 - j for j, v in enumerate(phi.variables)}
@@ -74,18 +78,23 @@ def solution_strings(phi: Formula) -> list[str]:
     return [bitspace.tuple_of_index(i, n) for i in solutions(phi)]
 
 
-def formula_relation(phi: Formula) -> Relation:
-    """The set of solutions as a relation over the variables in name order."""
-    order = sorted(phi.variables)
+def _project(phi: Formula, order: Sequence[str]) -> Relation:
+    """The solutions restricted to the variables in `order`, in that order."""
     n = phi.n
-    perm = [phi.variables.index(v) for v in order]
+    src = [n - 1 - phi.variables.index(v) for v in order]
+    k = len(src)
     members = set()
     for idx in bitspace.iter_bits(solution_space(phi)):
-        out = 0
-        for j, src in enumerate(perm):
-            out |= ((idx >> (n - 1 - src)) & 1) << (n - 1 - j)
-        members.add(out)
-    return Relation(n, frozenset(members))
+        a = 0
+        for j, bitpos in enumerate(src):
+            a |= ((idx >> bitpos) & 1) << (k - 1 - j)
+        members.add(a)
+    return Relation(k, frozenset(members))
+
+
+def formula_relation(phi: Formula) -> Relation:
+    """The set of solutions as a relation over the variables in name order."""
+    return _project(phi, sorted(phi.variables))
 
 
 def component_spaces(phi: Formula) -> list[int]:
@@ -116,19 +125,28 @@ def _index_of(phi: Formula, assignment: str) -> int:
     return int(assignment, 2)
 
 
-def st_connected(phi: Formula, s: str, t: str) -> tuple[bool, list[str] | None]:
-    """Are two solutions in the same component?  Returns a shortest path too.
+def _search(phi: Formula, s: str, t: str) -> tuple[list[int], int, int | None]:
+    """BFS levels from solution s, the index of t, and the level holding t.
 
     The endpoints must satisfy the formula, otherwise NotASolutionError.
     """
-    n = _check_size(phi)
     space = solution_space(phi)
     si, ti = _index_of(phi, s), _index_of(phi, t)
     for name, idx in (("s", si), ("t", ti)):
         if not (space >> idx) & 1:
             raise NotASolutionError(f"{name} does not satisfy the formula")
-    levels = bitspace.bfs_levels(1 << si, space, n)
+    levels = bitspace.bfs_levels(1 << si, space, phi.n)
     hit = next((d for d, lv in enumerate(levels) if (lv >> ti) & 1), None)
+    return levels, ti, hit
+
+
+def st_connected(phi: Formula, s: str, t: str) -> tuple[bool, list[str] | None]:
+    """Are two solutions in the same component?  Returns a shortest path too.
+
+    The endpoints must satisfy the formula, otherwise NotASolutionError.
+    """
+    n = phi.n
+    levels, ti, hit = _search(phi, s, t)
     if hit is None:
         return False, None
     path = [ti]
@@ -143,58 +161,28 @@ def st_connected(phi: Formula, s: str, t: str) -> tuple[bool, list[str] | None]:
 
 def distance(phi: Formula, s: str, t: str) -> int | None:
     """Shortest-path distance between two solutions, None if disconnected."""
-    n = _check_size(phi)
-    space = solution_space(phi)
-    si, ti = _index_of(phi, s), _index_of(phi, t)
-    for name, idx in (("s", si), ("t", ti)):
-        if not (space >> idx) & 1:
-            raise NotASolutionError(f"{name} does not satisfy the formula")
-    for d, lv in enumerate(bitspace.bfs_levels(1 << si, space, n)):
-        if (lv >> ti) & 1:
-            return d
-    return None
+    return _search(phi, s, t)[2]
+
+
+def _diameter(comps: list[int], n: int) -> int:
+    """Largest BFS eccentricity of any vertex within its component."""
+    best = 0
+    for comp in comps:
+        for src in bitspace.iter_bits(comp):
+            best = max(best, len(bitspace.bfs_levels(1 << src, comp, n)) - 1)
+    return best
 
 
 def diameter(phi: Formula) -> int:
     """Max over components of the largest shortest-path distance inside it."""
-    n = _check_size(phi)
-    best = 0
-    for comp in component_spaces(phi):
-        for src in bitspace.iter_bits(comp):
-            ecc = bitspace.eccentricity(1 << src, comp, n)
-            if ecc > best:
-                best = ecc
-    return best
+    return _diameter(component_spaces(phi), phi.n)
 
 
 def locally_minimal(phi: Formula) -> list[str]:
-    """Solutions with no neighbouring solution of smaller Hamming weight.
-
-    A neighbour is smaller exactly when it flips some 1 down to 0.
-    """
+    """Solutions with no neighbouring solution of smaller Hamming weight."""
     n = phi.n
-    space = solution_space(phi)
-    out = []
-    for idx in bitspace.iter_bits(space):
-        ones = idx
-        minimal = True
-        while ones:
-            low = ones & -ones
-            if (space >> (idx ^ low)) & 1:
-                minimal = False
-                break
-            ones ^= low
-        if minimal:
-            out.append(bitspace.tuple_of_index(idx, n))
-    return out
-
-
-def component_minimum(comp_mask: int, n: int) -> str | None:
-    """Coordinate-wise minimum of a component, when it lies in the component."""
-    lower = ~0
-    for idx in bitspace.iter_bits(comp_mask):
-        lower &= idx
-    return bitspace.tuple_of_index(lower, n) if (comp_mask >> lower) & 1 else None
+    return [bitspace.tuple_of_index(i, n) for i in
+            bitspace.iter_bits(bitspace.locally_minimal(solution_space(phi), n))]
 
 
 @dataclass(frozen=True)
@@ -221,23 +209,24 @@ class SolutionGraphReport:
 
 def report(phi: Formula) -> SolutionGraphReport:
     n = phi.n
-    comps = component_spaces(phi)
-    loc_min = set(locally_minimal(phi))
+    space = solution_space(phi)
+    comps = bitspace.component_masks(space, n)
+    loc_min = bitspace.locally_minimal(space, n)
     comp_tuples = []
     minimums = []
     loc_by_comp = []
-    total = 0
     for m in comps:
-        items = [bitspace.tuple_of_index(i, n) for i in bitspace.iter_bits(m)]
-        total += len(items)
-        comp_tuples.append(tuple(items))
-        minimums.append(component_minimum(m, n))
-        loc_by_comp.append(tuple(s for s in items if s in loc_min))
+        comp_tuples.append(tuple(bitspace.tuple_of_index(i, n)
+                                 for i in bitspace.iter_bits(m)))
+        lower = bitspace.minimum(m, n)
+        minimums.append(None if lower is None else bitspace.tuple_of_index(lower, n))
+        loc_by_comp.append(tuple(bitspace.tuple_of_index(i, n)
+                                 for i in bitspace.iter_bits(m & loc_min)))
     return SolutionGraphReport(
         n_variables=n,
-        n_solutions=total,
+        n_solutions=space.bit_count(),
         connected=len(comps) <= 1,
-        diameter=diameter(phi),
+        diameter=_diameter(comps, n),
         components=tuple(comp_tuples),
         minimums=tuple(minimums),
         locally_minimal=tuple(loc_by_comp),
@@ -247,18 +236,8 @@ def report(phi: Formula) -> SolutionGraphReport:
 def project_enumerate(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation]:
     """Projection of the solution set onto constraint i's variables, by
     enumeration.  Tuple order: the constraint's distinct variables sorted."""
-    c = phi.constraints[i]
-    vars_ = tuple(sorted(c.variables()))
-    n = phi.n
-    src = [n - 1 - phi.variables.index(v) for v in vars_]
-    k = len(vars_)
-    members = set()
-    for idx in bitspace.iter_bits(solution_space(phi)):
-        a = 0
-        for j, bitpos in enumerate(src):
-            a |= ((idx >> bitpos) & 1) << (k - 1 - j)
-        members.add(a)
-    return vars_, Relation(k, frozenset(members))
+    vars_ = tuple(sorted(phi.constraints[i].variables()))
+    return vars_, _project(phi, vars_)
 
 
 def export_dot(phi: Formula) -> str:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relconn.catalog import CATALOG
 from relconn.classify import (CPSS, NOT_SAFELY_TIGHT,
                               SAFELY_TIGHT_NOT_SCHAEFER, SCHAEFER_NOT_CPSS,
                               classify_set, predict, profile)
 from relconn.errors import ArityLimitError
-from relconn.relations import Relation
+from relconn.relations import (BASE_PROPERTIES, SAFE_PROPERTIES, Relation,
+                               check_property, is_safely)
 
 
 def rel(arity, *tuples):
@@ -46,6 +49,18 @@ class TestProfiles:
         p = profile(Relation(11, frozenset({0}), "BIG"))
         assert p.horn is True
         assert p.safely_or_free is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_fields_match_single_property_checks(self, arity, data):
+        members = data.draw(st.frozensets(
+            st.integers(0, 2 ** arity - 1), max_size=2 ** arity))
+        r = Relation(arity, members)
+        p = profile(r)
+        for prop in BASE_PROPERTIES:
+            assert getattr(p, prop) == check_property(r, prop), prop
+        for prop in SAFE_PROPERTIES:
+            assert getattr(p, prop) == is_safely(r, prop), prop
 
 
 EXPECTED_CLASSES = {

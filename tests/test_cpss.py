@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -179,6 +180,23 @@ class TestDecideConnectivity:
         assert d.connected is None
         assert d.method == "none"
         assert d.prediction.conn == "coNP-complete"
+
+    def test_brute_route_is_fast_on_dense_16_variables(self):
+        # A connectivity answer must not pay for a BFS from every solution
+        rng = random.Random(3)
+        while True:
+            phi = random_formula(rng, [CATALOG["M"]], 16, 6, const_prob=0.0)
+            if phi.n == 16:
+                density = solution_graph.solution_space(phi).bit_count() / 2 ** 16
+                if 0.15 <= density <= 0.30:
+                    break
+        for method in ("brute", "auto"):
+            start = time.perf_counter()
+            d = decide_connectivity(phi, method=method)
+            assert time.perf_counter() - start < 2.0
+            assert d.method == "brute"
+            assert d.connected == (len(solution_graph.components(phi)) == 1)
+            assert "components" not in d.to_json()["detail"]
 
     def test_unknown_method(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)

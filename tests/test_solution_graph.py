@@ -116,6 +116,14 @@ class TestAgainstNetworkx:
             comps_pkg = sorted(sorted(c) for c in sg.components(phi))
             assert comps_pkg == comps_nx
             assert sg.is_connected(phi) == (len(comps_nx) == 1)
+            loc_nx = sorted(as_str(a) for a in g.nodes
+                            if all(sum(b) >= sum(a) for b in g.neighbors(a)))
+            assert sg.locally_minimal(phi) == loc_nx
+            mins_nx = []
+            for c in sorted(nx.connected_components(g), key=min):
+                low = tuple(min(col) for col in zip(*c))
+                mins_nx.append(as_str(low) if low in c else None)
+            assert list(sg.report(phi).minimums) == mins_nx
             if g.number_of_nodes():
                 dia = max(nx.diameter(g.subgraph(c))
                           for c in nx.connected_components(g))
@@ -137,6 +145,16 @@ class TestAgainstNetworkx:
                 except nx.NetworkXNoPath:
                     pass
                 assert sg.distance(phi, as_str(a), as_str(b)) == want
+                ok, path = sg.st_connected(phi, as_str(a), as_str(b))
+                assert ok == (want is not None)
+                if ok:
+                    assert len(path) == want + 1
+                    assert path[0] == as_str(a) and path[-1] == as_str(b)
+                    for u, v in zip(path, path[1:]):
+                        assert sum(x != y for x, y in zip(u, v)) == 1
+                    assert all(tuple(map(int, u)) in g for u in path)
+                else:
+                    assert path is None
                 checked += 1
         assert checked > 100
 
