@@ -4,7 +4,8 @@ A subset S of {0,1}^n is stored as a single Python int whose bit i is set
 iff the assignment with index i belongs to S.  Index convention: bit j of
 the index i (j = 0 is least significant) holds coordinate n - j, i.e. the
 first coordinate is the most significant bit.  All graph operations treat
-two indices as adjacent iff they differ in exactly one bit.
+two indices as adjacent iff they differ in exactly one bit.  Relations
+(relations.Relation.mask) and solution spaces share this format.
 """
 
 from __future__ import annotations
@@ -67,16 +68,18 @@ def component_masks(space: int, n: int) -> list[int]:
     return comps
 
 
-def bfs_levels(seed: int, space: int, n: int) -> list[int]:
-    """Level sets of a breadth-first search from the seed set inside `space`."""
+def bfs_levels(seed: int, space: int, n: int, stop: int = 0) -> list[int]:
+    """Level sets of a breadth-first search from the seed set inside `space`,
+    ending with the first level that meets `stop`."""
     levels = [seed & space]
     seen = levels[0]
-    while True:
+    while not levels[-1] & stop:
         frontier = neighbors(levels[-1], n) & space & ~seen
         if not frontier:
-            return levels
+            break
         levels.append(frontier)
         seen |= frontier
+    return levels
 
 
 def locally_minimal(space: int, n: int) -> int:
@@ -107,11 +110,6 @@ def iter_bits(s: int):
         low = s & -s
         yield low.bit_length() - 1
         s ^= low
-
-
-def index_of_tuple(bits: str) -> int:
-    """Index of a coordinate tuple written as a bitstring, first coordinate first."""
-    return int(bits, 2)
 
 
 def tuple_of_index(idx: int, n: int) -> str:

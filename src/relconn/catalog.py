@@ -87,7 +87,7 @@ def format_relation(rel: Relation, name: str | None = None) -> str:
     name = name or rel.name
     if not name:
         raise ValueError("relation has no name to format")
-    return f"rel {name} {rel.arity} : " + " ".join(rel.tuples()) if rel.members \
+    return f"rel {name} {rel.arity} : " + " ".join(rel.tuples()) if rel.mask \
         else f"rel {name} {rel.arity} :"
 
 

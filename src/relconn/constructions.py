@@ -39,8 +39,6 @@ from . import solution_graph
 _P = CATALOG["P"]
 _N = CATALOG["N"]
 _M = CATALOG["M"]
-_K = CATALOG["K"]
-_L = CATALOG["L"]
 
 
 @dataclass(frozen=True)
@@ -86,9 +84,9 @@ def reduce_sat_to_conn(psi: Formula) -> ReductionOutput:
         rel = psi.relation_of(c)
         if any(a in ("0", "1") for a in c.args):
             raise ReductionInputError(f"{c}: constants are not allowed here")
-        if rel.arity == 3 and rel.members == _P.members:
+        if rel == _P:
             p_indices.append(i)
-        elif rel.arity == 2 and rel.members == _N.members:
+        elif rel == _N:
             pass
         else:
             raise ReductionInputError(f"{c}: relation is neither P nor N")
@@ -172,9 +170,7 @@ def _state_relation(rel: Relation, state: _State) -> Relation:
 
 
 def _check_sync(rel: Relation, state: _State) -> None:
-    want = _state_relation(rel, state).members
-    got = frozenset(bitspace.iter_bits(hornmod.solution_space(state.view)))
-    if want != got:
+    if _state_relation(rel, state).mask != hornmod.solution_space(state.view):
         raise ExpressionError("internal: clause view lost track of the relation")
 
 
@@ -242,7 +238,7 @@ def _express_candidates(rel: Relation):
         for comp in components(identified):
             if check_property(comp, IHSB_MINUS):
                 continue
-            lower = bitspace.minimum(sum(1 << t for t in comp.members), comp.arity)
+            lower = bitspace.minimum(comp.mask, comp.arity)
             if lower is None:
                 continue
             u = hornmod.ones_set(base.view, lower)
@@ -362,8 +358,7 @@ def _shape_outcome(src: Relation, state: _State,
     roles = {x: "x", y: "y", z: "z"}
     slots = tuple(s if s in ("0", "1") else roles[s] for s in state.slots)
     pinned = apply_pattern(src, _pattern_of(list(slots), ("x", "y", "z")))
-    shapes = {"M": _M.members, "K": _K.members, "L": _L.members}
-    shape = next((nm for nm, mem in shapes.items() if pinned.members == mem), None)
+    shape = next((nm for nm in ("M", "K", "L") if pinned == CATALOG[nm]), None)
     if shape is None:
         return None
     constraints = [Constraint(src.name, slots)]
@@ -372,6 +367,6 @@ def _shape_outcome(src: Relation, state: _State,
         constraints.append(Constraint(
             src.name, tuple(s if s in ("0", "1") else fold[s] for s in slots)))
     phi = make_formula(constraints, {src.name: src}, ("x", "y", "z"))
-    if solution_graph.formula_relation(phi).members != _M.members:
+    if solution_graph.formula_relation(phi) != _M:
         raise ExpressionError(f"{shape}-shaped pin did not fold to M")
     return ExpressOutcome(phi, shape, slots)

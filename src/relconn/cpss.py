@@ -257,13 +257,13 @@ def project(phi: Formula, i: int, clause_set: ClauseSet | None = None,
     c = phi.constraints[i]
     vars_ = tuple(sorted(c.variables()))
     k = len(vars_)
-    members = set()
+    mask = 0
     for a in range(1 << k):
         assumption = {v: (a >> (k - 1 - j)) & 1 for j, v in enumerate(vars_)}
         ok, _ = sat_schaefer(clause_set, assumption)
         if ok:
-            members.add(a)
-    rel = Relation(k, frozenset(members))
+            mask |= 1 << a
+    rel = Relation(k, mask)
     return Projection(i, str(c), vars_, rel, len(rel_components(rel)))
 
 

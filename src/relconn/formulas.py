@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import catalog
+from .bitspace import iter_bits
 from .errors import ClauseExtractionError, FormulaError, FormulaParseError
 from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, ArgPattern,
                         Relation, apply_pattern, check_property)
@@ -188,7 +189,7 @@ def evaluate(phi: Formula, assignment: Mapping[str, int]) -> bool:
                 except KeyError:
                     raise FormulaError(f"assignment misses variable {a!r}") from None
             idx = (idx << 1) | (1 if bit else 0)
-        if idx not in rel.members:
+        if not (rel.mask >> idx) & 1:
             return False
     return True
 
@@ -247,7 +248,7 @@ class ClauseSet:
     equations: tuple[XorEquation, ...] = ()
 
 
-def _cnf_implicates(vars_: tuple[str, ...], members: frozenset[int],
+def _cnf_implicates(vars_: tuple[str, ...], mask: int,
                     shape: str) -> list[tuple[frozenset[str], frozenset[str]]]:
     """Prime implicates of the given shape, as (positive, negative) var sets.
 
@@ -256,6 +257,7 @@ def _cnf_implicates(vars_: tuple[str, ...], members: frozenset[int],
     """
     k = len(vars_)
     coords = list(range(k))
+    members = list(iter_bits(mask))
     valid: list[tuple[frozenset[str], frozenset[str]]] = []
 
     def clause_valid(pos_mask: int, neg_mask: int) -> bool:
@@ -311,11 +313,11 @@ def _cnf_implicates(vars_: tuple[str, ...], members: frozenset[int],
 
 
 def _xor_basis(vars_: tuple[str, ...],
-               members: frozenset[int]) -> list[tuple[frozenset[str], int]]:
+               mask: int) -> list[tuple[frozenset[str], int]]:
     """Basis of all GF(2) equations satisfied by every member tuple."""
     k = len(vars_)
     width = k + 1  # augmented column for the right-hand side
-    rows = [(t << 1) | 1 for t in members]
+    rows = [(t << 1) | 1 for t in iter_bits(mask)]
     # echelonize the rows, then read the nullspace off the free columns
     basis: list[int] = []
     for r in rows:
@@ -360,10 +362,10 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
             raise ClauseExtractionError(
                 f"constraint {phi.constraints[i]} is not {schaefer_class}")
         if schaefer_class == AFFINE:
-            for names, rhs in _xor_basis(vars_, rel.members):
+            for names, rhs in _xor_basis(vars_, rel.mask):
                 equations.append(XorEquation(names, rhs, i))
         else:
-            for pos, neg in _cnf_implicates(vars_, rel.members, schaefer_class):
+            for pos, neg in _cnf_implicates(vars_, rel.mask, schaefer_class):
                 clauses.append(CnfClause(pos, neg, i))
     cs = ClauseSet(schaefer_class, phi.variables, tuple(clauses), tuple(equations))
     _assert_clausal_equivalent(phi, cs)

@@ -22,9 +22,11 @@ def random_relation(rng: random.Random, arity: int, density: float = 0.5,
                     nonempty: bool = True) -> Relation:
     size = 1 << arity
     while True:
-        members = frozenset(i for i in range(size) if rng.random() < density)
-        if members or not nonempty:
-            return Relation(arity, members)
+        mask = 0
+        for i in range(size):
+            mask |= (rng.random() < density) << i
+        if mask or not nonempty:
+            return Relation(arity, mask)
 
 
 def close_under(rel: Relation, ops: Sequence[Callable[..., int]]) -> Relation:
@@ -43,7 +45,7 @@ def close_under(rel: Relation, ops: Sequence[Callable[..., int]]) -> Relation:
             if not new <= members:
                 members |= new
                 changed = True
-    return Relation(rel.arity, frozenset(members))
+    return Relation.from_tuples(rel.arity, members)
 
 
 def _pool(rng: random.Random, arity_max: int, count: int,

@@ -1,8 +1,9 @@
 """Finite Boolean relations and their structural properties.
 
-A relation of arity n is a set of tuples from {0,1}^n, held as a frozenset
-of tuple indices (binary encoding, first coordinate = most significant bit).
-On top of that sit the operations used throughout: substitution of
+A relation of arity n is a set of tuples from {0,1}^n, held as one
+indicator int in the bitspace format: bit i is set iff the tuple with index
+i belongs (binary encoding, first coordinate = most significant bit).  On
+top of that sit the operations used throughout: substitution of
 constants and identification of variables via argument patterns, connected
 components in the Hamming graph, closure under the polymorphisms that
 characterise the standard clause classes, OR/NAND expressibility, and the
@@ -12,10 +13,11 @@ characterise the standard clause classes, OR/NAND expressibility, and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .bitspace import component_masks, iter_bits, tuple_of_index
+from .bitspace import (component_masks, coord_mask, full_mask, iter_bits,
+                       tuple_of_index)
 from .errors import ArityLimitError, PatternError, RelationError
 
 ARITY_MAX = 16
@@ -80,58 +82,66 @@ def op_x_or_and(a: int, b: int, c: int) -> int:
 
 @dataclass(frozen=True)
 class Relation:
-    """Immutable membership table for a relation over {0,1}^arity."""
+    """Immutable subset of {0,1}^arity as a bitspace indicator mask."""
 
     arity: int
-    members: frozenset[int]
+    mask: int
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.arity <= ARITY_MAX:
             raise RelationError(f"arity must be in 1..{ARITY_MAX}, got {self.arity}")
-        limit = 1 << self.arity
-        for idx in self.members:
-            if not 0 <= idx < limit:
-                raise RelationError(f"tuple index {idx} out of range for arity {self.arity}")
+        if isinstance(self.mask, bool) or not isinstance(self.mask, int):
+            raise RelationError(f"mask must be an int, got {type(self.mask).__name__}")
+        if not 0 <= self.mask <= full_mask(self.arity):
+            raise RelationError(f"mask out of range for arity {self.arity}")
 
     @classmethod
     def from_tuples(cls, arity: int, tuples: Iterable[str | int | Sequence[int]],
                     name: str | None = None) -> "Relation":
-        members = set()
+        mask = 0
         for t in tuples:
             if isinstance(t, str):
                 if len(t) != arity or any(ch not in "01" for ch in t):
                     raise RelationError(f"bad tuple {t!r} for arity {arity}")
-                members.add(int(t, 2))
+                idx = int(t, 2)
             elif isinstance(t, int):
-                members.add(t)
+                if not 0 <= t < 1 << arity:
+                    raise RelationError(f"tuple index {t} out of range for arity {arity}")
+                idx = t
             else:
                 bits = list(t)
                 if len(bits) != arity or any(b not in (0, 1) for b in bits):
                     raise RelationError(f"bad tuple {t!r} for arity {arity}")
-                members.add(int("".join(map(str, bits)), 2))
-        return cls(arity, frozenset(members), name)
+                idx = int("".join(map(str, bits)), 2)
+            mask |= 1 << idx
+        return cls(arity, mask, name)
+
+    @property
+    def members(self) -> frozenset[int]:
+        """Member tuple indices, derived from the mask."""
+        return frozenset(iter_bits(self.mask))
 
     def tuples(self) -> list[str]:
         """Member tuples as bitstrings, ascending."""
-        return [tuple_of_index(i, self.arity) for i in sorted(self.members)]
+        return [tuple_of_index(i, self.arity) for i in iter_bits(self.mask)]
 
     def __contains__(self, idx: int) -> bool:
-        return idx in self.members
+        return idx >= 0 and (self.mask >> idx) & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     @property
     def is_empty(self) -> bool:
-        return not self.members
+        return not self.mask
 
     def bit(self, idx: int, coord: int) -> int:
         """Value of 1-based coordinate `coord` in the tuple with index `idx`."""
         return (idx >> (self.arity - coord)) & 1
 
     def renamed(self, name: str | None) -> "Relation":
-        return Relation(self.arity, self.members, name)
+        return Relation(self.arity, self.mask, name)
 
 
 @dataclass(frozen=True)
@@ -208,14 +218,15 @@ def apply_pattern(rel: Relation, pattern: ArgPattern) -> Relation:
             fixed |= 1 << tgt
         elif s != CONST0:
             shifts.append((m - 1 - s, tgt))
-    members = set()
+    mask = rel.mask
+    out = 0
     for a in range(1 << m):
         t = fixed
         for src, tgt in shifts:
             t |= ((a >> src) & 1) << tgt
-        if t in rel.members:
-            members.add(a)
-    return Relation(m, frozenset(members))
+        if (mask >> t) & 1:
+            out |= 1 << a
+    return Relation(m, out)
 
 
 def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -259,19 +270,13 @@ def enumerate_identifications(rel: Relation) -> Iterator[Relation]:
 
 def components(rel: Relation) -> list[Relation]:
     """Connected components of rel in the Hamming graph, by smallest tuple."""
-    space = 0
-    for idx in rel.members:
-        space |= 1 << idx
-    out = []
-    for mask in component_masks(space, rel.arity):
-        out.append(Relation(rel.arity, frozenset(iter_bits(mask))))
-    return out
+    return [Relation(rel.arity, m) for m in component_masks(rel.mask, rel.arity)]
 
 
 def is_closed(rel: Relation, op: str) -> bool:
     """Does applying op coordinate-wise to members stay inside rel?"""
-    mem = rel.members
-    items = sorted(mem)
+    items = list(iter_bits(rel.mask))
+    mem = set(items)
     if op == AND2:
         return all(a & b in mem for a, b in combinations_with_replacement(items, 2))
     if op == OR2:
@@ -305,9 +310,9 @@ _PROPERTY_OPS = {
 def check_property(rel: Relation, prop: str) -> bool:
     """Decide one base property (validity by membership, the rest by closure)."""
     if prop == ZERO_VALID:
-        return 0 in rel.members
+        return rel.mask & 1 == 1
     if prop == ONE_VALID:
-        return (1 << rel.arity) - 1 in rel.members
+        return rel.mask >> ((1 << rel.arity) - 1) == 1
     if prop in _PROPERTY_OPS:
         return is_closed(rel, _PROPERTY_OPS[prop])
     raise RelationError(f"unknown property {prop!r}")
@@ -318,43 +323,38 @@ def componentwise(rel: Relation, prop: str) -> bool:
     return all(check_property(c, prop) for c in components(rel))
 
 
-_OR_MEMBERS = frozenset({0b01, 0b10, 0b11})
-_NAND_MEMBERS = frozenset({0b00, 0b01, 0b10})
+# two-variable targets as arity-2 masks; both are symmetric in x and y
+_OR_MASK = 0b1110  # {01, 10, 11}
+_NAND_MASK = 0b0111  # {00, 01, 10}
 
 
-def _expresses_pair(rel: Relation, target: frozenset[int]) -> bool:
+def _expresses_pair(rel: Relation, target: int) -> bool:
     """Can constants in all but two coordinates carve `target` out of rel?
 
-    Ordered coordinate pairs: the two surviving coordinates may land on the
-    output variables in either order.
+    For each pair of bit positions p < q, a base (p and q clear) survives
+    when the four tuples base + xy agree with the target; shifting the mask
+    right by xy's offset brings the tuple base + xy onto bit `base`.  The
+    targets are symmetric, so unordered pairs suffice.
     """
-    n = rel.arity
-    if n < 2:
-        return False
-    for i, j in permutations(range(n), 2):
-        pi, pj = n - 1 - i, n - 1 - j
-        rest = [n - 1 - k for k in range(n) if k != i and k != j]
-        for c in range(1 << len(rest)):
-            base = 0
-            for b, pos in enumerate(rest):
-                base |= ((c >> b) & 1) << pos
-            got = frozenset(
-                (x << 1) | y
-                for x in (0, 1) for y in (0, 1)
-                if (base | (x << pi) | (y << pj)) in rel.members)
-            if got == target:
-                return True
+    k, mask = rel.arity, rel.mask
+    for p, q in combinations(range(k), 2):
+        bases = full_mask(k) ^ (coord_mask(k, p) | coord_mask(k, q))
+        for xy in range(4):
+            shifted = mask >> (((xy >> 1) << q) | ((xy & 1) << p))
+            bases &= shifted if (target >> xy) & 1 else ~shifted
+        if bases:
+            return True
     return False
 
 
 def is_or_free(rel: Relation) -> bool:
     """No substitution of constants leaves the two-variable relation {01,10,11}."""
-    return not _expresses_pair(rel, _OR_MEMBERS)
+    return not _expresses_pair(rel, _OR_MASK)
 
 
 def is_nand_free(rel: Relation) -> bool:
     """No substitution of constants leaves the two-variable relation {00,01,10}."""
-    return not _expresses_pair(rel, _NAND_MEMBERS)
+    return not _expresses_pair(rel, _NAND_MASK)
 
 
 SAFELY_CW_BIJUNCTIVE = "safely_componentwise_bijunctive"

@@ -45,7 +45,7 @@ def solution_space(phi: Formula) -> int:
         rel = phi.relation_of(c)
         arity = rel.arity
         indicator = 0
-        for t in rel.members:
+        for t in bitspace.iter_bits(rel.mask):
             term = full
             ok = True
             for slot, a in enumerate(c.args):
@@ -83,13 +83,13 @@ def _project(phi: Formula, order: Sequence[str]) -> Relation:
     n = phi.n
     src = [n - 1 - phi.variables.index(v) for v in order]
     k = len(src)
-    members = set()
+    mask = 0
     for idx in bitspace.iter_bits(solution_space(phi)):
         a = 0
         for j, bitpos in enumerate(src):
             a |= ((idx >> bitpos) & 1) << (k - 1 - j)
-        members.add(a)
-    return Relation(k, frozenset(members))
+        mask |= 1 << a
+    return Relation(k, mask)
 
 
 def formula_relation(phi: Formula) -> Relation:
@@ -135,8 +135,8 @@ def _search(phi: Formula, s: str, t: str) -> tuple[list[int], int, int | None]:
     for name, idx in (("s", si), ("t", ti)):
         if not (space >> idx) & 1:
             raise NotASolutionError(f"{name} does not satisfy the formula")
-    levels = bitspace.bfs_levels(1 << si, space, phi.n)
-    hit = next((d for d, lv in enumerate(levels) if (lv >> ti) & 1), None)
+    levels = bitspace.bfs_levels(1 << si, space, phi.n, 1 << ti)
+    hit = len(levels) - 1 if (levels[-1] >> ti) & 1 else None
     return levels, ti, hit
 
 

@@ -11,7 +11,8 @@ from relconn.classify import (CPSS, NOT_SAFELY_TIGHT,
                               SAFELY_TIGHT_NOT_SCHAEFER, SCHAEFER_NOT_CPSS,
                               classify_set, predict, profile)
 from relconn.errors import ArityLimitError
-from relconn.relations import (BASE_PROPERTIES, SAFE_PROPERTIES, Relation,
+from relconn.relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
+                               DUAL_HORN, HORN, SAFE_PROPERTIES, Relation,
                                check_property, is_safely)
 
 
@@ -46,7 +47,7 @@ class TestProfiles:
         assert p.safely_componentwise_ihsb_minus is False
 
     def test_high_arity_safely_flags_unknown(self):
-        p = profile(Relation(11, frozenset({0}), "BIG"))
+        p = profile(Relation.from_tuples(11, [0], "BIG"))
         assert p.horn is True
         assert p.safely_or_free is None
 
@@ -55,7 +56,7 @@ class TestProfiles:
     def test_fields_match_single_property_checks(self, arity, data):
         members = data.draw(st.frozensets(
             st.integers(0, 2 ** arity - 1), max_size=2 ** arity))
-        r = Relation(arity, members)
+        r = Relation.from_tuples(arity, members)
         p = profile(r)
         for prop in BASE_PROPERTIES:
             assert getattr(p, prop) == check_property(r, prop), prop
@@ -111,15 +112,16 @@ class TestSetClassification:
 
     def test_safely_tight_shortcut_skips_high_arity(self):
         # Schaefer implies safely tight, so no identification sweep is needed
-        big = Relation(12, frozenset({0, 1}), "BIG")  # Horn chain
+        big = Relation.from_tuples(12, [0, 1], "BIG")  # Horn chain
         cl = classify_set([big])
         assert cl.safely_tight
 
     def test_high_arity_requiring_sweep_raises(self):
         # not Schaefer and arity beyond the sweep bound: undecidable here
         full = set(range(2 ** 11))
-        r = Relation(11, frozenset(full - {0, 2 ** 11 - 1}), "BIG")
-        assert not classify_set([CATALOG["OR"]]).schaefer or True
+        r = Relation.from_tuples(11, full - {0, 2 ** 11 - 1}, "BIG")
+        for prop in (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE):
+            assert not check_property(r, prop), prop
         with pytest.raises(ArityLimitError):
             classify_set([r])
 

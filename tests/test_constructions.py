@@ -272,7 +272,7 @@ class TestExpressM:
             express_m(CATALOG["R_coNP"])
 
     def test_safe_relation_rejected(self):
-        eq = Relation(2, frozenset({0, 3}))
+        eq = Relation.from_tuples(2, [0, 3])
         with pytest.raises(ExpressionError):
             express_m(eq)
 

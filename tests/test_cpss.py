@@ -69,7 +69,7 @@ class TestSatSchaefer:
 
     def test_model_is_checked(self):
         phi = parse_formula("var x y\nIMP(x,y)",
-                            {"IMP": Relation(2, frozenset({0, 1, 3}))})
+                            {"IMP": Relation.from_tuples(2, [0, 1, 3])})
         cs = to_clausal(phi, BIJUNCTIVE)
         ok, model = sat_schaefer(cs, {"x": 1})
         assert ok and model["x"] == 1 and model["y"] == 1
@@ -157,7 +157,7 @@ class TestConnCpss:
 class TestDecideConnectivity:
     def test_auto_routes_cpss(self):
         phi = parse_formula("var x y z\nIMP(x,y)\nIMP(y,z)\nIMP(z,x)",
-                            {"IMP": Relation(2, frozenset({0, 1, 3}))})
+                            {"IMP": Relation.from_tuples(2, [0, 1, 3])})
         d = decide_connectivity(phi)
         assert d.method == "cpss"
         assert d.connected is False

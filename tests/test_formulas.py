@@ -148,9 +148,8 @@ class TestToClausal:
         cases = 0
         for _ in range(300):
             arity = rng.randint(1, 3)
-            members = frozenset(t for t in range(2 ** arity)
-                                if rng.random() < 0.5)
-            rel = Relation(arity, members, "R")
+            rel = Relation.from_tuples(
+                arity, [t for t in range(2 ** arity) if rng.random() < 0.5], "R")
             args = tuple(rng.choice(("a", "b", "c", "0", "1"))
                          for _ in range(arity))
             if not any(x not in "01" for x in args):

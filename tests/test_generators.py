@@ -59,7 +59,7 @@ class TestRandomFormula:
 
     def test_const_prob_zero_means_no_constants(self):
         rng = random.Random(53)
-        pool = [Relation(2, frozenset({0, 1, 3}), "IMP")]
+        pool = [Relation.from_tuples(2, [0, 1, 3], "IMP")]
         for _ in range(20):
             phi = random_formula(rng, pool, 4, 3, const_prob=0.0)
             for c in phi.constraints:

@@ -48,8 +48,14 @@ class TestRelation:
         assert r.bit(t, 1) == 1 and r.bit(t, 2) == 0 and r.bit(t, 3) == 0
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(RelationError):
-            Relation(2, frozenset({4}))
+        # non-int or bool masks (the frozenset is the old member-set form),
+        # negative masks and masks wider than 2^arity bits
+        for mask in (frozenset({4}), {1}, 1.0, "5", None, True, False, -1, 1 << 4):
+            with pytest.raises(RelationError):
+                Relation(2, mask)
+        for idx in (-1, 4, 1 << 40):
+            with pytest.raises(RelationError):
+                Relation.from_tuples(2, [idx])
 
     def test_name_ignored_in_equality(self):
         assert OR == OR.renamed("X")
@@ -144,7 +150,7 @@ class TestClosure:
         assert componentwise(R_CONP, IHSB_PLUS)
 
     def test_empty_relation_closed_not_valid(self):
-        empty = Relation(2, frozenset())
+        empty = Relation.from_tuples(2, [])
         for prop in (HORN, DUAL_HORN, BIJUNCTIVE, AFFINE, IHSB_MINUS, IHSB_PLUS):
             assert check_property(empty, prop)
         assert not check_property(empty, ZERO_VALID)
@@ -155,7 +161,7 @@ class TestClosure:
     def test_is_closed_matches_brute(self, arity, data):
         members = data.draw(st.frozensets(
             st.integers(0, 2 ** arity - 1), max_size=2 ** arity))
-        r = Relation(arity, members)
+        r = Relation.from_tuples(arity, members)
         from relconn.relations import _PROPERTY_OPS
         for prop, op in _PROPERTY_OPS.items():
             assert is_closed(r, op) == brute_closed(r, op), prop
@@ -171,6 +177,86 @@ class TestComponents:
     def test_single_point_components(self):
         r = rel(2, "00", "11")
         assert len(components(r)) == 2
+
+
+def expresses_pair_oracle(r, target):
+    """Ordered coordinate pairs over the member frozenset: the reference for
+    the mask scan behind is_or_free/is_nand_free."""
+    n = r.arity
+    members = r.members
+    for i, j in itertools.permutations(range(n), 2):
+        pi, pj = n - 1 - i, n - 1 - j
+        rest = [n - 1 - k for k in range(n) if k != i and k != j]
+        for c in range(1 << len(rest)):
+            base = 0
+            for b, pos in enumerate(rest):
+                base |= ((c >> b) & 1) << pos
+            got = frozenset(
+                (x << 1) | y
+                for x in (0, 1) for y in (0, 1)
+                if (base | (x << pi) | (y << pj)) in members)
+            if got == target:
+                return True
+    return False
+
+
+def apply_pattern_oracle(members, slots):
+    """Member set of the pattern's image, by bitstring substitution."""
+    m = 1 + max(s for s in slots if isinstance(s, int))
+    out = set()
+    for a in range(2 ** m):
+        bits = format(a, f"0{m}b")
+        t = "".join(s if isinstance(s, str) else bits[s] for s in slots)
+        if int(t, 2) in members:
+            out.add(a)
+    return frozenset(out)
+
+
+def components_oracle(members, k):
+    """Member sets of the Hamming-graph components, by smallest member."""
+    rest = set(members)
+    out = []
+    while rest:
+        start = min(rest)
+        comp, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for p in range(k):
+                v = u ^ (1 << p)
+                if v in rest and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        rest -= comp
+        out.append(frozenset(comp))
+    return out
+
+
+class TestMaskAgainstMembers:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_mask_operations_match_frozenset_definitions(self, arity, data):
+        members = data.draw(st.frozensets(
+            st.integers(0, 2 ** arity - 1), max_size=2 ** arity))
+        r = Relation.from_tuples(arity, members)
+        assert r.members == members
+        assert Relation.from_tuples(arity, r.members) == r
+        assert len(r) == len(members)
+        assert [t for t in range(2 ** arity) if t in r] == sorted(members)
+        assert r.tuples() == [format(t, f"0{arity}b") for t in sorted(members)]
+        assert is_or_free(r) == \
+            (not expresses_pair_oracle(r, frozenset({0b01, 0b10, 0b11})))
+        assert is_nand_free(r) == \
+            (not expresses_pair_oracle(r, frozenset({0b00, 0b01, 0b10})))
+        assert [c.members for c in components(r)] == components_oracle(members, arity)
+        raw = data.draw(st.lists(st.integers(-2, arity - 1),
+                                 min_size=arity, max_size=arity))
+        if all(v < 0 for v in raw):
+            raw[0] = 0
+        labels: dict[int, int] = {}
+        slots = tuple("01"[v + 2] if v < 0 else labels.setdefault(v, len(labels))
+                      for v in raw)
+        assert apply_pattern(r, ArgPattern(slots)).members == \
+            apply_pattern_oracle(members, slots)
 
 
 class TestFree:
@@ -210,7 +296,7 @@ class TestSafely:
         assert 0b100 not in comp.members
 
     def test_arity_guard(self):
-        big = Relation(SAFE_CHECK_ARITY_MAX + 1, frozenset({0}))
+        big = Relation.from_tuples(SAFE_CHECK_ARITY_MAX + 1, [0])
         with pytest.raises(ArityLimitError):
             is_safely(big, SAFELY_OR_FREE)
 
@@ -219,8 +305,8 @@ class TestSafely:
     def test_safely_implies_plain(self, data):
         rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
         arity = rng.randint(2, 4)
-        members = frozenset(t for t in range(2 ** arity) if rng.random() < 0.5)
-        r = Relation(arity, members)
+        r = Relation.from_tuples(
+            arity, [t for t in range(2 ** arity) if rng.random() < 0.5])
         if is_safely(r, SAFELY_OR_FREE):
             assert is_or_free(r)
         if is_safely(r, SAFELY_CW_BIJUNCTIVE):

@@ -8,6 +8,7 @@ import random
 import networkx as nx
 import pytest
 
+from relconn import bitspace
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG
 from relconn.errors import NotASolutionError, VarsLimitError
@@ -78,6 +79,19 @@ class TestFixtures:
         for a, b in zip(path, path[1:]):
             assert sum(x != y for x, y in zip(a, b)) == 1
             assert a in sg.solution_strings(phi) and b in sg.solution_strings(phi)
+
+    def test_bfs_stops_at_target_level(self):
+        # in the full 4-cube, 0011 lies two flips from 0000
+        n = 4
+        space = bitspace.full_mask(n)
+        exhausted = bitspace.bfs_levels(1 << 0b0000, space, n)
+        assert len(exhausted) == n + 1
+        levels = bitspace.bfs_levels(1 << 0b0000, space, n, 1 << 0b0011)
+        assert levels == exhausted[:3]
+        assert bitspace.bfs_levels(1, space, n, 1) == [1]
+        # 000 and 001 are adjacent in M's path 010 - 000 - 001 - 101 - 111
+        levels, ti, hit = sg._search(parse(M_PHI), "000", "001")
+        assert (len(levels), hit) == (2, 1) and (levels[-1] >> ti) & 1
 
     def test_st_rejects_non_solution(self):
         phi = parse(M_PHI)
