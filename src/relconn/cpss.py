@@ -4,26 +4,47 @@ For formulas over a CPSS set (every relation bijunctive, or every relation
 affine, or Horn with safe componentwise IHSB-, or dual Horn with safe
 componentwise IHSB+), the solution graph is connected iff no projection of
 the solution set onto the variables of a single constraint is disconnected.
-Each projection tuple is decided by one polynomial satisfiability call on
-the clause translation of the formula.  Outside CPSS the left-to-right
-direction still holds (a disconnected projection forces a disconnected
-graph), but the converse can fail, so conn_cpss guards its precondition.
+Outside CPSS the left-to-right direction still holds (a disconnected
+projection forces a disconnected graph), but the converse can fail, so
+conn_cpss guards its precondition.
+
+All projections of a formula come from one solver state built once on its
+clause translation, one engine per clause class:
+
+- Horn: clause-counter unit propagation (Dowling-Gallier 1984) of the
+  minimal model, then per tuple only its 1-assumptions from that state;
+- dual Horn: the Horn engine on the flipped clauses;
+- bijunctive: one SCC condensation of the implication graph
+  (Aspvall-Plass-Tarjan 1979) with reachability between components as
+  bitsets; a tuple is feasible iff none of its literals reaches the
+  negation of another (or of itself);
+- affine: one Gauss-Jordan elimination, a particular solution plus a
+  nullspace basis; a projection is the particular solution plus the span
+  of the basis restricted to the constraint's variables.
+
+Each engine checks its base model against every clause or equation, and
+every projection against the constraint's own relation.  sat_schaefer
+answers single satisfiability queries with its own per-call model check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .classify import SetClassification, classify_set, predict, Predictions
 from .errors import ArityLimitError, ClauseExtractionError, NonCpssError, VarsLimitError
-from .formulas import ClauseSet, CnfClause, Formula, XorEquation, to_clausal
+from .formulas import (ClauseSet, CnfClause, Formula, XorEquation,
+                       constraint_relation, to_clausal)
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
+from .relations import components as rel_components
 from . import solution_graph
+
+Clauses = list[tuple[frozenset[str], frozenset[str]]]
 
 
 def _condition_cnf(clauses: Sequence[CnfClause],
-                   assumptions: Mapping[str, int]) -> list[tuple[frozenset[str], frozenset[str]]] | None:
+                   assumptions: Mapping[str, int]) -> Clauses | None:
     """Clauses after substituting the assumptions; None when one is falsified."""
     out = []
     for c in clauses:
@@ -38,18 +59,12 @@ def _condition_cnf(clauses: Sequence[CnfClause],
     return out
 
 
-def _sat_2cnf(variables: Sequence[str],
-              clauses: list[tuple[frozenset[str], frozenset[str]]]) -> dict[str, int] | None:
-    """Implication-graph 2-SAT; returns a model or None."""
-    index = {v: i for i, v in enumerate(variables)}
-    nv = len(variables)
-
-    def lit(v: str, positive: bool) -> int:
-        return 2 * index[v] + (0 if positive else 1)
-
-    adj: list[list[int]] = [[] for _ in range(2 * nv)]
+def _implication_graph(index: Mapping[str, int], clauses: Clauses) -> list[list[int]]:
+    """Implication graph of non-empty 2-clauses; variable i has the literal
+    nodes 2i (true) and 2i + 1 (false)."""
+    adj: list[list[int]] = [[] for _ in range(2 * len(index))]
     for pos, neg in clauses:
-        lits = [lit(v, True) for v in pos] + [lit(v, False) for v in neg]
+        lits = [2 * index[v] for v in pos] + [2 * index[v] + 1 for v in neg]
         if len(lits) == 1:
             adj[lits[0] ^ 1].append(lits[0])
         elif len(lits) == 2:
@@ -58,17 +73,25 @@ def _sat_2cnf(variables: Sequence[str],
             adj[b ^ 1].append(a)
         else:
             raise ClauseExtractionError("clause too wide for the 2-SAT solver")
+    return adj
 
-    # iterative Tarjan; component ids increase from the sinks up
-    comp = [-1] * (2 * nv)
-    low = [0] * (2 * nv)
-    num = [0] * (2 * nv)
-    visited = [False] * (2 * nv)
-    on_stack = [False] * (2 * nv)
+
+def _tarjan(adj: list[list[int]]) -> tuple[list[int], int]:
+    """Strongly connected components by iterative Tarjan.
+
+    Returns (component id per node, number of components).  Ids increase
+    from the sinks up: an edge between two components goes to the lower id.
+    """
+    size = len(adj)
+    comp = [-1] * size
+    low = [0] * size
+    num = [0] * size
+    visited = [False] * size
+    on_stack = [False] * size
     stack: list[int] = []
     counter = 0
     n_comp = 0
-    for root in range(2 * nv):
+    for root in range(size):
         if visited[root]:
             continue
         work = [(root, 0)]
@@ -104,30 +127,91 @@ def _sat_2cnf(variables: Sequence[str],
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
+    return comp, n_comp
 
+
+def _model_2cnf(variables: Sequence[str], comp: list[int]) -> dict[str, int] | None:
+    """Model read off the condensation, or None when some x and -x share a
+    component."""
     model = {}
-    for v, i in index.items():
+    for i, v in enumerate(variables):
         if comp[2 * i] == comp[2 * i + 1]:
             return None
         model[v] = 1 if comp[2 * i] < comp[2 * i + 1] else 0
     return model
 
 
-def _sat_horn(variables: Sequence[str],
-              clauses: list[tuple[frozenset[str], frozenset[str]]]) -> dict[str, int] | None:
-    """Minimal-model Horn satisfiability (all-zero default)."""
-    ones: set[str] = set()
-    definite = [(next(iter(pos)), neg) for pos, neg in clauses if pos]
-    changed = True
-    while changed:
-        changed = False
-        for head, neg in definite:
-            if head not in ones and neg <= ones:
-                ones.add(head)
-                changed = True
-    for pos, neg in clauses:
-        if not pos and neg <= ones:
-            return None
+def _sat_2cnf(variables: Sequence[str], clauses: Clauses) -> dict[str, int] | None:
+    """Implication-graph 2-SAT; returns a model or None."""
+    adj = _implication_graph({v: i for i, v in enumerate(variables)}, clauses)
+    return _model_2cnf(variables, _tarjan(adj)[0])
+
+
+def _horn_propagate(seeds: Sequence[str], heads: list[str | None],
+                    occ: dict[str, list[int]], need: list[int],
+                    ones: frozenset[str] = frozenset()) -> tuple[set[str], dict[int, int]] | None:
+    """Unit propagation with clause counters (Dowling-Gallier).
+
+    Over a state where the variables in `ones` are 1 and need[j] body
+    literals of clause j are still unset, sets the seeds to 1 and follows
+    what they force.  Returns the newly forced variables and the changed
+    counters, or None when a goal clause fires.  `need` and `ones` are
+    only read, so one base state serves many queries.
+    """
+    new: set[str] = set()
+    left: dict[int, int] = {}
+    queue = list(seeds)
+    while queue:
+        v = queue.pop()
+        if v in ones or v in new:
+            continue
+        new.add(v)
+        for j in occ.get(v, ()):
+            r = left.get(j, need[j]) - 1
+            left[j] = r
+            if r == 0:
+                if heads[j] is None:
+                    return None
+                queue.append(heads[j])
+    return new, left
+
+
+HornState = tuple[list[str | None], list[int], dict[str, list[int]], frozenset[str]]
+
+
+def _horn_base(clauses: Clauses) -> HornState | None:
+    """Propagated state of a Horn clause list, or None when it is unsat.
+
+    The state is the clause heads (None for a goal clause), the counters
+    of body literals still unset, the clauses whose body holds each
+    variable, and the ones of the minimal model.
+    """
+    heads: list[str | None] = []
+    need: list[int] = []
+    occ: dict[str, list[int]] = {}
+    for j, (pos, neg) in enumerate(clauses):
+        if len(pos) > 1:
+            raise ClauseExtractionError("clause with two positive literals is not Horn")
+        heads.append(next(iter(pos)) if pos else None)
+        need.append(len(neg))
+        for v in neg:
+            occ.setdefault(v, []).append(j)
+    facts = [h for h, r in zip(heads, need) if r == 0]
+    if None in facts:
+        return None
+    base = _horn_propagate(facts, heads, occ, need)
+    if base is None:
+        return None
+    ones, left = base
+    return heads, [left.get(j, r) for j, r in enumerate(need)], occ, frozenset(ones)
+
+
+def _sat_horn(variables: Sequence[str], clauses: Clauses) -> dict[str, int] | None:
+    """Minimal-model Horn satisfiability (all-zero default), linear time."""
+    base = _horn_base(clauses)
+    if base is None:
+        return None
+    ones = base[-1]
     return {v: (1 if v in ones else 0) for v in variables}
 
 
@@ -203,13 +287,176 @@ def sat_schaefer(cs: ClauseSet,
             model.update(assumptions)
     if model is None:
         return False, None
+    _assert_model(cs, model)
+    return True, model
+
+
+def _assert_model(cs: ClauseSet, model: Mapping[str, int]) -> None:
     for c in cs.clauses:
         if not c.satisfied_by(model):
             raise AssertionError(f"solver returned a non-model at clause {c}")
     for e in cs.equations:
         if not e.satisfied_by(model):
             raise AssertionError("solver returned a non-model at an equation")
-    return True, model
+
+
+# --- projection engines ----------------------------------------------------
+#
+# Each builds one solver state for a whole clause set and returns a function
+# from a tuple of distinct variables to the projection of the solution set
+# onto them, as a mask (bit a set iff tuple a extends to a solution; the
+# first variable is the most significant).
+
+MaskOf = Callable[[tuple[str, ...]], int]
+
+
+def _no_solutions(vars_: tuple[str, ...]) -> int:
+    return 0
+
+
+def _horn_projector(cs: ClauseSet, flip: bool) -> MaskOf:
+    """Horn engine; with flip, dual Horn through the flipped clauses."""
+    clauses = [(c.neg, c.pos) if flip else (c.pos, c.neg) for c in cs.clauses]
+    base = _horn_base(clauses)
+    if base is None:
+        return _no_solutions
+    heads, need, occ, ones = base
+    _assert_model(cs, {v: int(v in ones) ^ flip for v in cs.variables})
+
+    def mask_of(vars_: tuple[str, ...]) -> int:
+        k = len(vars_)
+        out = 0
+        for a in range(1 << k):
+            up, down = [], []
+            for j, v in enumerate(vars_):
+                (up if ((a >> (k - 1 - j)) & 1) ^ flip else down).append(v)
+            if any(v in ones for v in down):
+                continue
+            forced = _horn_propagate(up, heads, occ, need, ones)
+            if forced is not None and not any(v in forced[0] for v in down):
+                out |= 1 << a
+        return out
+    return mask_of
+
+
+def _bijunctive_projector(cs: ClauseSet) -> MaskOf:
+    """2-SAT engine: a set of literals extends to a solution iff the formula
+    is satisfiable and no literal of the set reaches the negation of one of
+    them in the implication graph."""
+    clauses = _condition_cnf(cs.clauses, {})  # None: an empty clause
+    if clauses is None:
+        return _no_solutions
+    index = {v: i for i, v in enumerate(cs.variables)}
+    adj = _implication_graph(index, clauses)
+    comp, n_comp = _tarjan(adj)
+    model = _model_2cnf(cs.variables, comp)
+    if model is None:
+        return _no_solutions
+    _assert_model(cs, model)
+    # reach[c]: bitset of the components reachable from component c.  Edges
+    # go to lower ids, so visiting nodes by increasing id finishes every
+    # successor component first.
+    reach = [1 << c for c in range(n_comp)]
+    for node in sorted(range(len(adj)), key=comp.__getitem__):
+        c = comp[node]
+        r = reach[c]
+        for nxt in adj[node]:
+            r |= reach[comp[nxt]]
+        reach[c] = r
+
+    def mask_of(vars_: tuple[str, ...]) -> int:
+        k = len(vars_)
+        # literal slot 2j + b stands for "vars_[j] = b"; node 2i + 1 - b
+        nodes = [2 * index[v] + 1 - b for v in vars_ for b in (0, 1)]
+        clash = [0] * (2 * k)
+        for p, node_p in enumerate(nodes):
+            r = reach[comp[node_p]]
+            for q, node_q in enumerate(nodes):
+                if (r >> comp[node_q ^ 1]) & 1:
+                    clash[p] |= 1 << q
+        out = 0
+        for a in range(1 << k):
+            slots = [2 * j + ((a >> (k - 1 - j)) & 1) for j in range(k)]
+            chosen = sum(1 << s for s in slots)
+            if not any(clash[s] & chosen for s in slots):
+                out |= 1 << a
+        return out
+    return mask_of
+
+
+def _affine_projector(cs: ClauseSet) -> MaskOf:
+    """GF(2) engine: the solutions are x0 + span(nullspace), so projecting
+    onto k variables gives x0 restricted to them plus the span of their k
+    nullspace columns; a tuple belongs iff it meets every linear dependency
+    among those columns the way x0 does."""
+    index = {v: i for i, v in enumerate(cs.variables)}
+    rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (mask, rhs), reduced
+    pivots = 0
+    for eq in cs.equations:
+        mask = sum(1 << index[v] for v in eq.vars)
+        rhs = eq.rhs
+        hits = mask & pivots
+        while hits:
+            b = hits & -hits
+            rm, rr = rows[b.bit_length() - 1]
+            mask ^= rm
+            rhs ^= rr
+            hits ^= b
+        if not mask:
+            if rhs:
+                return _no_solutions
+            continue
+        piv = mask.bit_length() - 1
+        for q, (rm, rr) in rows.items():
+            if (rm >> piv) & 1:
+                rows[q] = (rm ^ mask, rr ^ rhs)
+        rows[piv] = (mask, rhs)
+        pivots |= 1 << piv
+    x0 = {v: 0 for v in cs.variables}
+    for piv, (_, rhs) in rows.items():
+        x0[cs.variables[piv]] = rhs
+    _assert_model(cs, x0)
+    # column of a free variable: itself; of a pivot: the free part of its row
+    column = {v: rows[i][0] ^ (1 << i) if i in rows else 1 << i
+              for v, i in index.items()}
+
+    def mask_of(vars_: tuple[str, ...]) -> int:
+        k = len(vars_)
+        shift = 0
+        deps = []  # k-bit tuples u: the columns picked by u sum to zero
+        basis: dict[int, tuple[int, int]] = {}
+        for j, v in enumerate(vars_):
+            tag = 1 << (k - 1 - j)
+            shift |= tag if x0[v] else 0
+            col = column[v]
+            while col:
+                top = col.bit_length() - 1
+                if top not in basis:
+                    basis[top] = (col, tag)
+                    break
+                bc, bt = basis[top]
+                col ^= bc
+                tag ^= bt
+            else:
+                deps.append(tag)
+        out = 0
+        for a in range(1 << k):
+            if all(((a ^ shift) & u).bit_count() % 2 == 0 for u in deps):
+                out |= 1 << a
+        return out
+    return mask_of
+
+
+def _projector(cs: ClauseSet) -> MaskOf:
+    if cs.schaefer_class == AFFINE:
+        return _affine_projector(cs)
+    if cs.schaefer_class == BIJUNCTIVE:
+        return _bijunctive_projector(cs)
+    if cs.schaefer_class in (HORN, DUAL_HORN):
+        return _horn_projector(cs, flip=cs.schaefer_class == DUAL_HORN)
+    raise ClauseExtractionError(f"unknown clause class {cs.schaefer_class!r}")
+
+
 
 
 def _pick_class(classification: SetClassification, check: bool) -> str:
@@ -250,20 +497,19 @@ def project(phi: Formula, i: int, clause_set: ClauseSet | None = None,
     to a, so this is the i-th constraint's view of the whole formula, not
     the constraint's own relation.
     """
-    from .relations import components as rel_components
     if clause_set is None:
         cls = _pick_class(classify_set(phi.used_relations()), check)
         clause_set = to_clausal(phi, cls)
+    return _project_with(phi, i, _projector(clause_set))
+
+
+def _project_with(phi: Formula, i: int, mask_of: MaskOf) -> Projection:
+    vars_, own = constraint_relation(phi, i)
+    mask = mask_of(vars_)
     c = phi.constraints[i]
-    vars_ = tuple(sorted(c.variables()))
-    k = len(vars_)
-    mask = 0
-    for a in range(1 << k):
-        assumption = {v: (a >> (k - 1 - j)) & 1 for j, v in enumerate(vars_)}
-        ok, _ = sat_schaefer(clause_set, assumption)
-        if ok:
-            mask |= 1 << a
-    rel = Relation(k, mask)
+    if mask & ~own.mask:
+        raise AssertionError(f"projection onto {c} leaves the constraint's relation")
+    rel = Relation(len(vars_), mask)
     return Projection(i, str(c), vars_, rel, len(rel_components(rel)))
 
 
@@ -289,21 +535,17 @@ def conn_cpss(phi: Formula, check: bool = True) -> CpssReport:
     answers outside CPSS); the relations must still be in a common Schaefer
     class so the clause translation exists.
     """
-    cls = _pick_class(classify_set(phi.used_relations()), check)
-    clause_set = to_clausal(phi, cls)
-    projections = []
-    satisfiable = True
-    disconnected = False
-    for i in range(len(phi.constraints)):
-        proj = project(phi, i, clause_set)
-        projections.append(proj)
-        if proj.relation.is_empty:
-            satisfiable = False
-        if proj.n_components > 1:
-            disconnected = True
-    if not satisfiable:
-        disconnected = False  # no solutions: connected by convention
-    return CpssReport(not disconnected, satisfiable, tuple(projections))
+    return _conn_cpss(phi, _pick_class(classify_set(phi.used_relations()), check))
+
+
+def _conn_cpss(phi: Formula, cls: str) -> CpssReport:
+    mask_of = _projector(to_clausal(phi, cls))
+    projections = tuple(_project_with(phi, i, mask_of)
+                        for i in range(len(phi.constraints)))
+    satisfiable = not any(p.relation.is_empty for p in projections)
+    # no solutions: connected by convention
+    connected = not satisfiable or all(p.n_components <= 1 for p in projections)
+    return CpssReport(connected, satisfiable, projections)
 
 
 @dataclass(frozen=True)
@@ -338,7 +580,7 @@ def decide_connectivity(phi: Formula, method: str = "auto") -> ConnDecision:
     if method not in ("auto", "brute", "cpss"):
         raise ValueError(f"unknown method {method!r}")
     if method == "cpss" or (method == "auto" and classification.cpss):
-        report = conn_cpss(phi)
+        report = _conn_cpss(phi, _pick_class(classification, True))
         return ConnDecision(report.connected, "cpss", classification.set_class,
                             prediction, report.to_json())
     if method == "brute" or method == "auto":

@@ -350,7 +350,8 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
     """Rewrite every constraint as clauses/equations of the given class.
 
     Raises ClauseExtractionError when some constraint relation is not
-    closed under the class's characteristic operation.
+    closed under the class's characteristic operation, or when a
+    constraint's clauses/equations do not define exactly its relation.
     """
     if schaefer_class not in SCHAEFER_CLASSES:
         raise ClauseExtractionError(f"unknown clause class {schaefer_class!r}")
@@ -362,27 +363,40 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
             raise ClauseExtractionError(
                 f"constraint {phi.constraints[i]} is not {schaefer_class}")
         if schaefer_class == AFFINE:
-            for names, rhs in _xor_basis(vars_, rel.mask):
-                equations.append(XorEquation(names, rhs, i))
+            group_eqs = [XorEquation(names, rhs, i)
+                         for names, rhs in _xor_basis(vars_, rel.mask)]
+            group_cls = []
         else:
-            for pos, neg in _cnf_implicates(vars_, rel.mask, schaefer_class):
-                clauses.append(CnfClause(pos, neg, i))
-    cs = ClauseSet(schaefer_class, phi.variables, tuple(clauses), tuple(equations))
-    _assert_clausal_equivalent(phi, cs)
-    return cs
+            group_eqs = []
+            group_cls = [CnfClause(pos, neg, i) for pos, neg
+                         in _cnf_implicates(vars_, rel.mask, schaefer_class)]
+        _assert_group_equivalent(phi, i, vars_, group_cls, group_eqs)
+        clauses.extend(group_cls)
+        equations.extend(group_eqs)
+    return ClauseSet(schaefer_class, phi.variables, tuple(clauses), tuple(equations))
 
 
-def _assert_clausal_equivalent(phi: Formula, cs: ClauseSet) -> None:
-    """Enumeration check that the clause set defines the same solutions."""
-    n = phi.n
-    if n > 16:
-        return  # too large to verify eagerly; covered by tests on small inputs
-    names = phi.variables
-    for a in range(1 << n):
-        asg = {v: (a >> (n - 1 - j)) & 1 for j, v in enumerate(names)}
-        lhs = evaluate(phi, asg)
-        rhs = (all(c.satisfied_by(asg) for c in cs.clauses)
-               and all(e.satisfied_by(asg) for e in cs.equations))
-        if lhs != rhs:
+def _assert_group_equivalent(phi: Formula, i: int, vars_: tuple[str, ...],
+                             clauses: list[CnfClause],
+                             equations: list[XorEquation]) -> None:
+    """Check that constraint i and its clauses/equations agree on all 2^k
+    assignments to its k distinct variables.
+
+    The constraint is read straight off its library relation's mask, not
+    through apply_pattern.  The formula and the clause set are conjunctions
+    of these per-constraint groups, so agreement on every group makes them
+    define the same solutions, at any number of variables.
+    """
+    c = phi.constraints[i]
+    mask = phi.relation_of(c).mask
+    k = len(vars_)
+    for a in range(1 << k):
+        asg = {v: (a >> (k - 1 - j)) & 1 for j, v in enumerate(vars_)}
+        idx = 0
+        for arg in c.args:
+            idx = (idx << 1) | (int(arg) if arg in ("0", "1") else asg[arg])
+        rhs = (all(cl.satisfied_by(asg) for cl in clauses)
+               and all(e.satisfied_by(asg) for e in equations))
+        if rhs != bool((mask >> idx) & 1):
             raise ClauseExtractionError(
-                f"clause conversion changed the solution set at {asg}")
+                f"clause conversion changed the solutions of {c} at {asg}")

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relconn import solution_graph
 from relconn.catalog import CATALOG
 from relconn.cpss import (conn_cpss, decide_connectivity, project,
                           sat_schaefer, search_separation_counterexample)
 from relconn.errors import NonCpssError, VarsLimitError
-from relconn.formulas import parse_formula, to_clausal
+from relconn.formulas import Constraint, make_formula, parse_formula, to_clausal
 from relconn.generators import random_cpss_pool, random_formula
 from relconn.relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
 from relconn.solution_graph import project_enumerate
@@ -39,6 +42,73 @@ def brute_sat(cs, assumptions):
                 all(e.satisfied_by(model) for e in cs.equations):
             return True
     return False
+
+
+def project_by_sat_oracle(phi, i, cs):
+    """Projection mask onto constraint i by one sat_schaefer call per tuple."""
+    vars_ = tuple(sorted(phi.constraints[i].variables()))
+    k = len(vars_)
+    mask = 0
+    for a in range(1 << k):
+        assumption = {v: (a >> (k - 1 - j)) & 1 for j, v in enumerate(vars_)}
+        if sat_schaefer(cs, assumption)[0]:
+            mask |= 1 << a
+    return mask
+
+
+def assert_projections_match_oracles(phi, kind):
+    """Every projection of the kind's engine against the per-tuple SAT loop
+    and against enumeration of the solution space."""
+    cs = to_clausal(phi, kind)
+    for i in range(len(phi.constraints)):
+        got = project(phi, i, cs)
+        vars_, enumerated = project_enumerate(phi, i)
+        assert got.variables == vars_
+        assert got.relation.mask == project_by_sat_oracle(phi, i, cs)
+        assert got.relation == enumerated
+        assert project(phi, i) == got  # the class conn_cpss would pick
+
+
+@functools.lru_cache(maxsize=None)
+def cached_pool(kind, seed):
+    return tuple(random_cpss_pool(random.Random(seed), kind, 4))
+
+
+@st.composite
+def cpss_formulas(draw):
+    """(kind, formula) over a CPSS pool of the kind; n <= 10, constants and
+    repeated arguments allowed."""
+    kind = draw(st.sampled_from(KINDS))
+    pool = cached_pool(kind, draw(st.integers(0, 5)))
+    library = {f"R{j}": rel.renamed(f"R{j}") for j, rel in enumerate(pool)}
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 10)))]
+    constraints = []
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from(sorted(library)))
+        args = draw(st.lists(st.sampled_from(variables + ["0", "1"]),
+                             min_size=library[name].arity,
+                             max_size=library[name].arity)
+                    .filter(lambda a: any(x not in ("0", "1") for x in a)))
+        constraints.append(Constraint(name, tuple(args)))
+    return kind, make_formula(constraints, library, variables)
+
+
+def planted_formula(kind, seed, n, m):
+    """m constraints over n variables from a CPSS pool, all satisfied by one
+    random assignment."""
+    rng = random.Random(seed)
+    library = {f"R{j}": rel.renamed(f"R{j}")
+               for j, rel in enumerate(random_cpss_pool(rng, kind, 4))}
+    names = [f"x{i}" for i in range(n)]
+    planted = {v: rng.randint(0, 1) for v in names}
+    constraints = []
+    while len(constraints) < m:
+        name = rng.choice(sorted(library))
+        args = tuple(rng.choice(names) for _ in range(library[name].arity))
+        idx = int("".join(str(planted[a]) for a in args), 2)
+        if (library[name].mask >> idx) & 1:
+            constraints.append(Constraint(name, args))
+    return make_formula(constraints, library, names)
 
 
 def pool_formulas(kind, seed, count, max_vars=8, max_constraints=4):
@@ -81,14 +151,24 @@ class TestProject:
     def test_matches_enumeration_oracle(self):
         rng = random.Random(5)
         for kind in KINDS:
-            pool = random_cpss_pool(rng, kind, 3)
-            for _ in range(15):
-                phi = random_formula(rng, pool, 6, 3)
-                for i in range(len(phi.constraints)):
-                    got = project(phi, i)
-                    vars_, oracle = project_enumerate(phi, i)
-                    assert got.variables == vars_
-                    assert got.relation == oracle
+            seen = {"unsat": 0, "sat": 0, "constants": 0, "repeats": 0}
+            for _ in range(8):
+                pool = random_cpss_pool(rng, kind, 4)
+                for _ in range(12):
+                    phi = random_formula(rng, pool, 10, 6, const_prob=0.2)
+                    assert_projections_match_oracles(phi, kind)
+                    sat = sat_schaefer(to_clausal(phi, kind))[0]
+                    seen["sat" if sat else "unsat"] += 1
+                    args = [c.args for c in phi.constraints]
+                    seen["constants"] += any(a in ("0", "1") for t in args for a in t)
+                    seen["repeats"] += any(len(set(t)) < len(t) for t in args)
+            assert min(seen.values()) > 0, (kind, seen)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cpss_formulas())
+    def test_engines_match_oracles(self, case):
+        kind, phi = case
+        assert_projections_match_oracles(phi, kind)
 
     def test_f_fixture_projections(self):
         phi = parse_formula(F_TEXT, CATALOG)
@@ -108,6 +188,17 @@ class TestConnCpss:
             sg = solution_graph.report(phi)
             assert report.connected == sg.connected
             assert report.satisfiable == (sg.n_solutions > 0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_800_variables_within_two_seconds(self, kind):
+        # one sat_schaefer call per tuple (project_by_sat_oracle) needs tens
+        # of seconds at this size
+        phi = planted_formula(kind, seed=8, n=800, m=800)
+        start = time.perf_counter()
+        report = conn_cpss(phi)
+        assert time.perf_counter() - start < 2.0
+        assert report.satisfiable
+        assert len(report.projections) == 800
 
     def test_equality_chain_disconnected(self):
         phi = parse_formula(

@@ -7,12 +7,14 @@ import random
 
 import pytest
 
+from relconn import formulas
 from relconn.catalog import CATALOG, parse_relations
 from relconn.errors import (ClauseExtractionError, FormulaError,
                             FormulaParseError)
 from relconn.formulas import (Constraint, constraint_relation, evaluate,
                               format_formula, make_formula, parse_formula,
                               to_clausal)
+from relconn.generators import random_cpss_pool, random_formula
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
                                check_property)
 
@@ -166,6 +168,39 @@ class TestToClausal:
                 assert clause_models(cs, phi.variables) == formula_models(phi)
                 cases += 1
         assert cases > 150
+
+    @pytest.mark.parametrize("kind", (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE))
+    def test_whole_formula_enumeration(self, kind):
+        # the enumeration oracle over all 2^n assignments of many-constraint
+        # formulas; to_clausal itself only checks one constraint at a time
+        rng = random.Random(40 + len(kind))
+        for _ in range(6):
+            pool = random_cpss_pool(rng, kind, 4)
+            for _ in range(10):
+                phi = random_formula(rng, pool, 10, 6, const_prob=0.2)
+                cs = to_clausal(phi, kind)
+                assert clause_models(cs, phi.variables) == formula_models(phi)
+
+    @pytest.mark.parametrize("n", (6, 20))
+    @pytest.mark.parametrize("kind, extractor, tuples", [
+        (HORN, "_cnf_implicates", ["00", "01", "11"]),
+        (AFFINE, "_xor_basis", ["00", "11"]),
+    ])
+    def test_dropped_clause_is_caught(self, monkeypatch, n, kind, extractor,
+                                      tuples):
+        # a chain R(x0,x1), ..., R(x_{n-2},x_{n-1}); each constraint has one
+        # clause or equation, so dropping it changes the solutions.  The
+        # whole-formula enumeration this check replaced stopped at n = 16.
+        rel = Relation.from_tuples(2, tuples, "R")
+        phi = make_formula([Constraint("R", (f"x{i}", f"x{i + 1}"))
+                            for i in range(n - 1)], {"R": rel})
+        cs = to_clausal(phi, kind)
+        assert len(cs.clauses) + len(cs.equations) == n - 1
+        original = getattr(formulas, extractor)
+        monkeypatch.setattr(formulas, extractor,
+                            lambda *args: original(*args)[1:])
+        with pytest.raises(ClauseExtractionError):
+            to_clausal(phi, kind)
 
     def test_empty_relation_gives_empty_clause(self):
         phi = parse("rel NONE 2 : \nvar x y\nNONE(x,y)")
