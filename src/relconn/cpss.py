@@ -18,9 +18,13 @@ clause translation, one engine per clause class:
   (Aspvall-Plass-Tarjan 1979) with reachability between components as
   bitsets; a tuple is feasible iff none of its literals reaches the
   negation of another (or of itself);
-- affine: one Gauss-Jordan elimination, a particular solution plus a
-  nullspace basis; a projection is the particular solution plus the span
-  of the basis restricted to the constraint's variables.
+- affine: one GF(2) elimination, a particular solution plus a nullspace
+  basis; a projection is the particular solution plus the span of the
+  basis restricted to the constraint's variables.
+
+Every GF(2) reduction here, and the clause translation's, is
+formulas.gf2_reduce: the affine engine's system, sat_schaefer's affine
+case and the linear dependencies among a projection's columns.
 
 Each engine checks its base model against every clause or equation, and
 every projection against the constraint's own relation.  sat_schaefer
@@ -35,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 from .classify import SetClassification, classify_set, predict, Predictions
 from .errors import ArityLimitError, ClauseExtractionError, NonCpssError, VarsLimitError
 from .formulas import (ClauseSet, CnfClause, Formula, XorEquation,
-                       constraint_relation, to_clausal)
+                       constraint_relation, gf2_reduce, to_clausal)
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
 from .relations import components as rel_components
 from . import solution_graph
@@ -215,46 +219,37 @@ def _sat_horn(variables: Sequence[str], clauses: Clauses) -> dict[str, int] | No
     return {v: (1 if v in ones else 0) for v in variables}
 
 
-def _sat_affine(variables: Sequence[str], equations: Sequence[XorEquation],
-                assumptions: Mapping[str, int]) -> dict[str, int] | None:
-    """GF(2) elimination with the assumptions substituted in."""
-    free_vars = [v for v in variables if v not in assumptions]
-    index = {v: i for i, v in enumerate(free_vars)}
-    rows: list[tuple[int, int]] = []
+AffineSystem = tuple[list[str], dict[int, tuple[int, int]], dict[str, int]]
+
+
+def _affine_reduce(variables: Sequence[str], equations: Sequence[XorEquation],
+                   assumptions: Mapping[str, int]) -> AffineSystem | None:
+    """The equations with the 0/1 assumptions substituted, in reduced form.
+
+    Returns the unassumed variables, the pivot rows (bit i stands for the
+    i-th unassumed variable, the tag is the right-hand side) and the
+    particular solution x0 over the unassumed variables that sets every
+    non-pivot variable to 0; None when the system is inconsistent.
+    """
+    free = [v for v in variables if v not in assumptions]
+    index = {v: i for i, v in enumerate(free)}
+    rows = []
     for eq in equations:
-        mask = 0
+        bits = 0
         rhs = eq.rhs
         for v in eq.vars:
             if v in assumptions:
-                rhs ^= 1 if assumptions[v] else 0
+                rhs ^= assumptions[v]
             else:
-                mask |= 1 << index[v]
-        rows.append((mask, rhs))
-    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> row
-    for mask, rhs in rows:
-        while mask:
-            piv = mask.bit_length() - 1
-            if piv not in basis:
-                basis[piv] = (mask, rhs)
-                break
-            bm, br = basis[piv]
-            mask ^= bm
-            rhs ^= br
-        else:
-            if rhs:
-                return None
-    values = {v: 0 for v in free_vars}
-    for piv in sorted(basis):
-        mask, rhs = basis[piv]
-        acc = rhs
-        rest = mask & ~(1 << piv)
-        while rest:
-            b = rest & -rest
-            acc ^= values[free_vars[b.bit_length() - 1]]
-            rest ^= b
-        values[free_vars[piv]] = acc
-    values.update({v: (1 if b else 0) for v, b in assumptions.items()})
-    return values
+                bits |= 1 << index[v]
+        rows.append((bits, rhs))
+    pivots, zero_rhs = gf2_reduce(rows)
+    if any(zero_rhs):
+        return None
+    x0 = dict.fromkeys(free, 0)
+    for p, (_, rhs) in pivots.items():
+        x0[free[p]] = rhs
+    return free, pivots, x0
 
 
 def sat_schaefer(cs: ClauseSet,
@@ -264,9 +259,10 @@ def sat_schaefer(cs: ClauseSet,
     Returns (satisfiable, model); the model extends the assumptions and is
     re-checked against the clauses before being returned.
     """
-    assumptions = dict(assumptions or {})
+    assumptions = {v: 1 if b else 0 for v, b in (assumptions or {}).items()}
     if cs.schaefer_class == AFFINE:
-        model = _sat_affine(cs.variables, cs.equations, assumptions)
+        system = _affine_reduce(cs.variables, cs.equations, assumptions)
+        model = None if system is None else system[2]
     else:
         conditioned = _condition_cnf(cs.clauses, assumptions)
         if conditioned is None:
@@ -283,10 +279,9 @@ def sat_schaefer(cs: ClauseSet,
                 model = {v: 1 - b for v, b in model.items()}
         else:
             raise ClauseExtractionError(f"unknown clause class {cs.schaefer_class!r}")
-        if model is not None:
-            model.update(assumptions)
     if model is None:
         return False, None
+    model.update(assumptions)
     _assert_model(cs, model)
     return True, model
 
@@ -389,56 +384,21 @@ def _affine_projector(cs: ClauseSet) -> MaskOf:
     onto k variables gives x0 restricted to them plus the span of their k
     nullspace columns; a tuple belongs iff it meets every linear dependency
     among those columns the way x0 does."""
-    index = {v: i for i, v in enumerate(cs.variables)}
-    rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (mask, rhs), reduced
-    pivots = 0
-    for eq in cs.equations:
-        mask = sum(1 << index[v] for v in eq.vars)
-        rhs = eq.rhs
-        hits = mask & pivots
-        while hits:
-            b = hits & -hits
-            rm, rr = rows[b.bit_length() - 1]
-            mask ^= rm
-            rhs ^= rr
-            hits ^= b
-        if not mask:
-            if rhs:
-                return _no_solutions
-            continue
-        piv = mask.bit_length() - 1
-        for q, (rm, rr) in rows.items():
-            if (rm >> piv) & 1:
-                rows[q] = (rm ^ mask, rr ^ rhs)
-        rows[piv] = (mask, rhs)
-        pivots |= 1 << piv
-    x0 = {v: 0 for v in cs.variables}
-    for piv, (_, rhs) in rows.items():
-        x0[cs.variables[piv]] = rhs
+    system = _affine_reduce(cs.variables, cs.equations, {})
+    if system is None:
+        return _no_solutions
+    variables, pivots, x0 = system
     _assert_model(cs, x0)
     # column of a free variable: itself; of a pivot: the free part of its row
-    column = {v: rows[i][0] ^ (1 << i) if i in rows else 1 << i
-              for v, i in index.items()}
+    column = {v: pivots[i][0] ^ (1 << i) if i in pivots else 1 << i
+              for i, v in enumerate(variables)}
 
     def mask_of(vars_: tuple[str, ...]) -> int:
         k = len(vars_)
-        shift = 0
-        deps = []  # k-bit tuples u: the columns picked by u sum to zero
-        basis: dict[int, tuple[int, int]] = {}
-        for j, v in enumerate(vars_):
-            tag = 1 << (k - 1 - j)
-            shift |= tag if x0[v] else 0
-            col = column[v]
-            while col:
-                top = col.bit_length() - 1
-                if top not in basis:
-                    basis[top] = (col, tag)
-                    break
-                bc, bt = basis[top]
-                col ^= bc
-                tag ^= bt
-            else:
-                deps.append(tag)
+        shift = sum(x0[v] << (k - 1 - j) for j, v in enumerate(vars_))
+        # k-bit tuples u: the columns picked by u sum to zero
+        _, deps = gf2_reduce((column[v], 1 << (k - 1 - j))
+                             for j, v in enumerate(vars_))
         out = 0
         for a in range(1 << k):
             if all(((a ^ shift) & u).bit_count() % 2 == 0 for u in deps):

@@ -240,6 +240,41 @@ class XorEquation:
         return s == self.rhs
 
 
+def gf2_reduce(rows: Iterable[tuple[int, int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Reduced row echelon form over GF(2) of (bits, tag) rows.
+
+    Each row is reduced against the pivot rows it holds, highest bit first,
+    and its tag takes the same XORs; a row left nonzero becomes the pivot
+    row of its highest bit.  One back-substitution pass at the end clears
+    every pivot bit from the other pivot rows.  Returns the pivot rows by
+    pivot bit and the tags of the rows that reduced to zero, in input order.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    held = 0
+    zero_tags: list[int] = []
+    for bits, tag in rows:
+        while bits:
+            top = bits.bit_length() - 1
+            row = pivots.get(top)
+            if row is None:
+                pivots[top] = (bits, tag)
+                held |= 1 << top
+                break
+            bits ^= row[0]
+            tag ^= row[1]
+        else:
+            zero_tags.append(tag)
+    # a pivot row holds no higher pivot, so in ascending order every row it
+    # is reduced with is already free of all other pivots
+    for p in sorted(pivots):
+        bits, tag = pivots[p]
+        for q in iter_bits((bits & held) ^ (1 << p)):
+            bits ^= pivots[q][0]
+            tag ^= pivots[q][1]
+        pivots[p] = (bits, tag)
+    return pivots, zero_tags
+
+
 @dataclass(frozen=True)
 class ClauseSet:
     schaefer_class: str
@@ -316,33 +351,17 @@ def _xor_basis(vars_: tuple[str, ...],
                mask: int) -> list[tuple[frozenset[str], int]]:
     """Basis of all GF(2) equations satisfied by every member tuple."""
     k = len(vars_)
-    width = k + 1  # augmented column for the right-hand side
-    rows = [(t << 1) | 1 for t in iter_bits(mask)]
-    # echelonize the rows, then read the nullspace off the free columns
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-    pivots = {b.bit_length() - 1 for b in basis}
-    free = [c for c in range(width) if c not in pivots]
+    # a member t is the row (t, 1); the equations are the vectors orthogonal
+    # to every row, bit c >= 1 the coefficient of vars_[k - c], bit 0 the rhs
+    pivots, _ = gf2_reduce(((t << 1) | 1, 0) for t in iter_bits(mask))
     out: list[tuple[frozenset[str], int]] = []
-    for f in free:
-        v = 1 << f
-        # eliminate pivot columns to make v orthogonal to every row
-        changed = True
-        while changed:
-            changed = False
-            for b in basis:
-                if bin(v & b).count("1") % 2 == 1:
-                    pcol = b.bit_length() - 1
-                    v ^= 1 << pcol
-                    changed = True
-        names = frozenset(vars_[k - 1 - (c - 1)] for c in range(1, width) if v >> c & 1)
-        rhs = v & 1
-        out.append((names, rhs))
+    for f in range(k + 1):
+        if f in pivots:
+            continue
+        v = (1 << f) | sum(1 << p for p, (bits, _) in pivots.items()
+                           if (bits >> f) & 1)
+        names = frozenset(vars_[k - c] for c in range(1, k + 1) if (v >> c) & 1)
+        out.append((names, v & 1))
     return out
 
 

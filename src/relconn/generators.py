@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
+from .bitspace import iter_bits
 from .classify import profile
 from .errors import RelconnError
 from .formulas import Constraint, Formula, make_formula
@@ -31,21 +32,22 @@ def random_relation(rng: random.Random, arity: int, density: float = 0.5,
 
 def close_under(rel: Relation, ops: Sequence[Callable[..., int]]) -> Relation:
     """Smallest superset of rel closed under the given bitwise operations."""
-    members = set(rel.members)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
+    mask = rel.mask
+    while True:
+        members = list(iter_bits(mask))
+        new: set[int] = set()
         for op in ops:
-            k = op.__code__.co_argcount
-            if k == 2:
-                new = {op(a, b) for a in snapshot for b in snapshot}
+            if op.__code__.co_argcount == 2:
+                new.update(op(a, b) for a in members for b in members)
             else:
-                new = {op(a, b, c) for a in snapshot for b in snapshot for c in snapshot}
-            if not new <= members:
-                members |= new
-                changed = True
-    return Relation.from_tuples(rel.arity, members)
+                new.update(op(a, b, c) for a in members for b in members
+                           for c in members)
+        grown = mask
+        for t in new:
+            grown |= 1 << t
+        if grown == mask:
+            return Relation(rel.arity, mask)
+        mask = grown
 
 
 def _pool(rng: random.Random, arity_max: int, count: int,

@@ -23,7 +23,7 @@ from . import bitspace
 from .errors import FormulaParseError, HornStructureError
 from .formulas import VAR_RE, ClauseSet, CnfClause, Formula, to_clausal
 from .relations import HORN
-from .solution_graph import check_size
+from .solution_graph import _space
 
 
 @dataclass(frozen=True)
@@ -239,20 +239,15 @@ def has_restraint_subset(view: HornView, subset: Iterable[str]) -> bool:
 
 def solution_space(view: HornView) -> int:
     """Bitmask of satisfying assignments, same index convention as formulas."""
-    n = check_size(view.n)
-    full = bitspace.full_mask(n)
-    pos = {v: n - 1 - j for j, v in enumerate(view.variables)}
-    space = full
-    for c in view.clauses:
-        ind = 0
-        if c.head is not None:
-            ind |= bitspace.coord_mask(n, pos[c.head])
-        for v in c.body:
-            ind |= full ^ bitspace.coord_mask(n, pos[v])
-        space &= ind
-        if not space:
-            break
-    return space
+    return _space(view.variables, (_clause_relation(c) for c in view.clauses))
+
+
+def _clause_relation(c: HornClause) -> tuple[int, int, list[str]]:
+    """The clause as a relation over (head, *body), or over the body alone
+    for a restraint: every tuple but the falsifying one, head 0, body all 1."""
+    args = [*c.body] if c.head is None else [c.head, *c.body]
+    falsifying = (1 << len(c.body)) - 1
+    return bitspace.full_mask(len(args)) ^ (1 << falsifying), len(args), args
 
 
 def locally_minimal_solutions(view: HornView) -> list[int]:

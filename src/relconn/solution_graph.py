@@ -2,18 +2,17 @@
 
 The solution graph has the satisfying assignments as vertices, adjacent
 iff they differ in exactly one variable.  This module is the one query
-layer over solution bitmasks: every query on a formula materialises the
-full assignment space once as a bitmask (see bitspace) and reads it here,
-and Horn views (see horn) build their own bitmask and share the size bound
-and the bitspace scans.  It is exact and fast up to BRUTE_VARS_MAX
-variables.  An unsatisfiable formula counts as connected and as having
-diameter 0.
+layer over solution bitmasks: every query on a formula or a Horn view
+(see horn) materialises the full assignment space once as a bitmask (see
+bitspace), built by one routine from relation masks, and reads it here.
+It is exact and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable
+formula counts as connected and as having diameter 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import bitspace
 from .errors import NotASolutionError, VarsLimitError
@@ -37,32 +36,44 @@ def solution_space(phi: Formula) -> int:
     Assignment index i encodes phi.variables with the first variable as the
     most significant bit.
     """
-    n = check_size(phi.n)
+    return _space(phi.variables, ((phi.relation_of(c).mask, len(c.args), c.args)
+                                  for c in phi.constraints))
+
+
+def _space(variables: Sequence[str],
+           items: Iterable[tuple[int, int, Sequence[str]]]) -> int:
+    """Bitmask of the assignments to `variables` that meet every item.
+
+    An item (mask, k, args) is a relation of arity k, as a mask, applied to
+    k arguments, each a variable or the constant "0" or "1".  The tuples of
+    the relation pick out 2^k disjoint subcubes that cover the cube, so the
+    item's indicator is the union of its members' subcubes, or the
+    complement of the union of its non-members' ones: whichever side has
+    fewer tuples is built.  The size bound is checked before any item is
+    read, so a lazy `items` builds no mask for an oversized cube.
+    """
+    n = check_size(len(variables))
     full = bitspace.full_mask(n)
+    pos = {v: n - 1 - j for j, v in enumerate(variables)}
     space = full
-    pos = {v: n - 1 - j for j, v in enumerate(phi.variables)}
-    for c in phi.constraints:
-        rel = phi.relation_of(c)
-        arity = rel.arity
+    for mask, k, args in items:
+        flip = 2 * mask.bit_count() > 1 << k
         indicator = 0
-        for t in bitspace.iter_bits(rel.mask):
+        for t in bitspace.iter_bits(mask ^ bitspace.full_mask(k) if flip else mask):
             term = full
-            ok = True
-            for slot, a in enumerate(c.args):
-                bit = (t >> (arity - 1 - slot)) & 1
+            for slot, a in enumerate(args):
+                bit = (t >> (k - 1 - slot)) & 1
                 if a == "0" or a == "1":
                     if bit != (a == "1"):
-                        ok = False
+                        term = 0
                         break
                     continue
                 col = bitspace.coord_mask(n, pos[a])
                 term &= col if bit else full ^ col
                 if not term:
-                    ok = False
                     break
-            if ok:
-                indicator |= term
-        space &= indicator
+            indicator |= term
+        space &= full ^ indicator if flip else indicator
         if not space:
             break
     return space

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from relconn import solution_graph
 from relconn.catalog import CATALOG
+from relconn.classify import classify_set
 from relconn.cpss import (conn_cpss, decide_connectivity, project,
                           sat_schaefer, search_separation_counterexample)
 from relconn.errors import NonCpssError, VarsLimitError
@@ -97,8 +98,11 @@ def planted_formula(kind, seed, n, m):
     """m constraints over n variables from a CPSS pool, all satisfied by one
     random assignment."""
     rng = random.Random(seed)
-    library = {f"R{j}": rel.renamed(f"R{j}")
-               for j, rel in enumerate(random_cpss_pool(rng, kind, 4))}
+    return plant(rng, random_cpss_pool(rng, kind, 4), n, m)
+
+
+def plant(rng, relations, n, m):
+    library = {f"R{j}": rel.renamed(f"R{j}") for j, rel in enumerate(relations)}
     names = [f"x{i}" for i in range(n)]
     planted = {v: rng.randint(0, 1) for v in names}
     constraints = []
@@ -200,6 +204,20 @@ class TestConnCpss:
         assert report.satisfiable
         assert len(report.projections) == 800
 
+    def test_affine_only_4000_variables_within_bound(self):
+        # the pool above is also bijunctive, so it runs the 2-SAT engine;
+        # parity relations are affine only and reach the GF(2) elimination
+        odd3 = Relation.from_tuples(3, ["001", "010", "100", "111"])
+        even4 = Relation.from_tuples(
+            4, [t for t in range(16) if bin(t).count("1") % 2 == 0])
+        assert classify_set([odd3, even4]).cpss_kinds == (AFFINE,)
+        phi = plant(random.Random(1), [odd3, even4], 4000, 4000)
+        start = time.perf_counter()
+        report = conn_cpss(phi)
+        assert time.perf_counter() - start < 2.5
+        assert report.satisfiable
+        assert len(report.projections) == 4000
+
     def test_equality_chain_disconnected(self):
         phi = parse_formula(
             "rel EQ 2 : 00 11\nvar x y z\nEQ(x,y)\nEQ(y,z)", CATALOG)
@@ -211,7 +229,6 @@ class TestConnCpss:
         # affine but in no other Schaefer class: four isolated solutions
         phi = parse_formula("rel ODD 3 : 001 010 100 111\nvar x y z\n"
                             "ODD(x,y,z)", CATALOG)
-        from relconn.classify import classify_set
         assert classify_set(phi.used_relations()).cpss_kinds == (AFFINE,)
         report = conn_cpss(phi)
         assert report.satisfiable and not report.connected

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relconn import formulas
 from relconn.catalog import CATALOG, parse_relations
@@ -14,9 +16,9 @@ from relconn.errors import (ClauseExtractionError, FormulaError,
 from relconn.formulas import (Constraint, constraint_relation, evaluate,
                               format_formula, make_formula, parse_formula,
                               to_clausal)
-from relconn.generators import random_cpss_pool, random_formula
+from relconn.generators import close_under, random_cpss_pool, random_formula
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
-                               check_property)
+                               check_property, op_xor3)
 
 
 def parse(text):
@@ -201,6 +203,26 @@ class TestToClausal:
                             lambda *args: original(*args)[1:])
         with pytest.raises(ClauseExtractionError):
             to_clausal(phi, kind)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, (1 << (1 << k)) - 1))))
+    @example((3, 0))
+    @example((3, 255))
+    def test_xor_basis_defines_affine_hull(self, case):
+        k, mask = case
+        vars_ = tuple(f"x{j}" for j in range(k))
+        eqs = formulas._xor_basis(vars_, mask)
+        defined = 0
+        for t in range(1 << k):
+            asg = {v: (t >> (k - 1 - j)) & 1 for j, v in enumerate(vars_)}
+            if all(sum(asg[v] for v in names) % 2 == rhs for names, rhs in eqs):
+                defined |= 1 << t
+        assert defined == close_under(Relation(k, mask), [op_xor3]).mask
+        if mask == 0:
+            assert (frozenset(), 1) in eqs
+        if mask == (1 << (1 << k)) - 1:
+            assert eqs == []
 
     def test_empty_relation_gives_empty_clause(self):
         phi = parse("rel NONE 2 : \nvar x y\nNONE(x,y)")

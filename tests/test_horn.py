@@ -6,10 +6,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relconn import horn
 from relconn.catalog import CATALOG
-from relconn.errors import HornStructureError
+from relconn.errors import HornStructureError, VarsLimitError
 from relconn.formulas import parse_formula
 from relconn.generators import random_horn_view
 from relconn.horn import (HornClause, HornView, format_horn, imp, is_implied,
@@ -188,7 +190,39 @@ class TestNormalize:
             assert horn.solution_space(normalize(v)) == horn.solution_space(v)
 
 
+@st.composite
+def horn_views(draw):
+    """Views over n <= 8 variables; clauses may be positive units,
+    restraints, the empty clause, or have their head in their body."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    clauses = []
+    for _ in range(draw(st.integers(0, 8))):
+        head = draw(st.none() | st.sampled_from(names))
+        body = draw(st.frozensets(st.sampled_from(names), max_size=4))
+        clauses.append(HornClause(head, body))
+    return HornView(tuple(names), tuple(clauses))
+
+
 class TestSolutionSpace:
+    @settings(max_examples=300, deadline=None)
+    @given(horn_views())
+    @example(view("var a b c\na\n- b c\nc | -a -c\n"))
+    @example(view("var a b\n-\nb | -a\n"))
+    def test_matches_brute_force(self, v):
+        n = v.n
+        want = 0
+        for idx in range(1 << n):
+            asg = {x: (idx >> (n - 1 - j)) & 1 for j, x in enumerate(v.variables)}
+            if all(c.satisfied_by(asg) for c in v.clauses):
+                want |= 1 << idx
+        assert horn.solution_space(v) == want
+
+    def test_size_bound(self):
+        names = [f"v{i}" for i in range(25)]
+        with pytest.raises(VarsLimitError):
+            horn.solution_space(HornView(tuple(names),
+                                         (HornClause(None, frozenset(names)),)))
+
     def test_matches_formula_engine(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
         from relconn import solution_graph as sg

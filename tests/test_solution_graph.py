@@ -116,8 +116,12 @@ class TestFixtures:
 class TestAgainstNetworkx:
     def test_random_formulas(self):
         rng = random.Random(5)
+        # relations with more members than non-members and with at most as
+        # many: solution_space builds the smaller side of each
         pool = [CATALOG["M"], CATALOG["OR"], CATALOG["NAND"], CATALOG["K"],
-                Relation.from_tuples(2, ["00", "10", "11"], "IMP")]
+                Relation.from_tuples(2, ["00", "10", "11"], "IMP"),
+                CATALOG["R_coNP"], Relation.from_tuples(2, ["00", "11"], "EQ"),
+                Relation.from_tuples(3, ["101"], "ONE")]
         for _ in range(120):
             phi = random_formula(rng, pool, max_vars=6, max_constraints=4)
             g = nx_graph(phi)
