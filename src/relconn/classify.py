@@ -16,11 +16,10 @@ from dataclasses import dataclass, asdict
 from typing import Iterable, Sequence
 
 from .errors import ArityLimitError, RelationError
-from .relations import (_SAFE_CHECKS, AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
-                        DUAL_HORN, HORN, IHSB_MINUS, IHSB_PLUS,
-                        SAFE_CHECK_ARITY_MAX, SAFE_PROPERTIES, Relation,
-                        check_property, componentwise,
-                        enumerate_identifications, is_nand_free, is_or_free)
+from .relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE, DUAL_HORN, HORN,
+                        IHSB_MINUS, IHSB_PLUS, SAFE_CHECK_ARITY_MAX,
+                        SAFE_PROPERTIES, Relation, check_property,
+                        componentwise, is_nand_free, is_or_free, safely_flags)
 
 CPSS = "CPSS"
 SCHAEFER_NOT_CPSS = "SchaeferNotCPSS"
@@ -65,22 +64,18 @@ class RelationProfile:
 
 
 def profile(rel: Relation) -> RelationProfile:
-    """Compute the full profile with a single identification sweep."""
+    """Compute the full profile: the base properties first, then the safely
+    flags they do not settle from one walk over the identifications."""
+    base = {prop: check_property(rel, prop) for prop in BASE_PROPERTIES}
     safe: dict[str, bool | None]
     if rel.arity > SAFE_CHECK_ARITY_MAX:
         safe = dict.fromkeys(SAFE_PROPERTIES)
     else:
-        safe = dict.fromkeys(SAFE_PROPERTIES, True)
-        for r in enumerate_identifications(rel):
-            for prop in SAFE_PROPERTIES:
-                if safe[prop] and not _SAFE_CHECKS[prop](r):
-                    safe[prop] = False
-            if not any(safe.values()):
-                break
+        safe = dict(safely_flags(rel, base))
     return RelationProfile(
         name=rel.name,
         arity=rel.arity,
-        **{prop: check_property(rel, prop) for prop in BASE_PROPERTIES},
+        **base,
         or_free=is_or_free(rel),
         nand_free=is_nand_free(rel),
         componentwise_bijunctive=componentwise(rel, BIJUNCTIVE),

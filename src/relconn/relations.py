@@ -5,14 +5,27 @@ indicator int in the bitspace format: bit i is set iff the tuple with index
 i belongs (binary encoding, first coordinate = most significant bit).  On
 top of that sit the operations used throughout: substitution of
 constants and identification of variables via argument patterns, connected
-components in the Hamming graph, closure under the polymorphisms that
+components in the Hamming graph, the polymorphism properties that
 characterise the standard clause classes, OR/NAND expressibility, and the
 "safely" variants quantified over every identification of variables.
+
+Every property is a test on the mask; none applies an operation to
+tuples of members (Schaefer 1978; Creignou-Khanna-Sudan 2001).  A
+bijunctive or IHSB- relation equals the intersection of the clauses of its
+class that hold on it, a Horn relation contains its AND-closure (built from
+down-closures), an affine relation is empty or a coset, and the dual
+classes flip every coordinate.  Each test costs O(k^2) big-int operations,
+or O(|R| k) for affine.  `is_closed` applies the operation to every tuple
+of members; it is the test oracle.  The safely variants walk the set
+partitions of the coordinates as a prefix tree of pair merges, once over
+the distinct images, after skipping the flags a polymorphism of the
+relation already settles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
@@ -255,17 +268,69 @@ def iter_identification_patterns(n: int) -> Iterator[ArgPattern]:
         yield ArgPattern(labels)
 
 
-def enumerate_identifications(rel: Relation) -> Iterator[Relation]:
-    """Every relation obtained from rel by identifying variables.
+def _merge(mask: int, w: int, keep: int, drop: int) -> int:
+    """Identify bit positions keep > drop of a w-coordinate mask.
 
-    Includes the identity pattern, so rel itself is the last item.  Bounded
-    by SAFE_CHECK_ARITY_MAX since the count grows like the Bell numbers.
+    Keeps the tuples on which the two positions agree, then folds position
+    `drop` out: each step moves every other chunk of the layout down onto
+    the gap the removed bit leaves, doubling the chunk size.
+    """
+    hi = coord_mask(w, drop)
+    mask &= full_mask(w) ^ coord_mask(w, keep) ^ hi
+    step = 1 << drop
+    mask = (mask & ~hi) | ((mask & hi) >> step)
+    for pos in range(drop + 1, w):
+        hi = coord_mask(w, pos)
+        mask = (mask & ~hi) | ((mask & hi) >> step)
+        step <<= 1
+    return mask
+
+
+def walk_identifications(rel: Relation, distinct: bool = False
+                         ) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(labels, arity, mask) of every identification of rel's variables.
+
+    Walks the set partitions as a prefix tree: coordinate i either opens a
+    new block or merges into an earlier block, and a merge child's mask
+    comes from its parent's by one `_merge` into the block's first
+    coordinate.  Leaves come out in `set_partitions` order and each mask is
+    `apply_pattern(rel, ArgPattern(labels)).mask`.  With `distinct`, a node
+    equal to one walked before (same depth, blocks and mask, hence the same
+    subtree) is skipped, so each distinct image comes out once, at its
+    first pattern.  Bounded by SAFE_CHECK_ARITY_MAX since the count grows
+    like the Bell numbers.
     """
     if rel.arity > SAFE_CHECK_ARITY_MAX:
         raise ArityLimitError(
             f"identification sweep needs arity <= {SAFE_CHECK_ARITY_MAX}, got {rel.arity}")
-    for p in iter_identification_patterns(rel.arity):
-        yield apply_pattern(rel, p)
+    k = rel.arity
+    seen: set[tuple[int, int, int]] = set()
+    stack = [((0,), 1, rel.mask)]
+    while stack:
+        labels, blocks, mask = stack.pop()
+        depth = len(labels)
+        if distinct:
+            key = (depth, blocks, mask)
+            if key in seen:
+                continue
+            seen.add(key)
+        if depth == k:
+            yield labels, blocks, mask
+            continue
+        w = blocks + k - depth  # blocks so far, then the unassigned coordinates
+        stack.append((labels + (blocks,), blocks + 1, mask))
+        for b in range(blocks - 1, -1, -1):
+            stack.append((labels + (b,), blocks, _merge(mask, w, w - 1 - b, w - 1 - blocks)))
+
+
+def enumerate_identifications(rel: Relation) -> Iterator[Relation]:
+    """Every relation obtained from rel by identifying variables.
+
+    One per set partition, in `set_partitions` order, so rel itself is the
+    last item.
+    """
+    for _, arity, mask in walk_identifications(rel):
+        yield Relation(arity, mask)
 
 
 def components(rel: Relation) -> list[Relation]:
@@ -274,7 +339,11 @@ def components(rel: Relation) -> list[Relation]:
 
 
 def is_closed(rel: Relation, op: str) -> bool:
-    """Does applying op coordinate-wise to members stay inside rel?"""
+    """Does applying op coordinate-wise to members stay inside rel?
+
+    The direct O(|R|^2) or O(|R|^3) definition; `check_property` decides
+    the same question by mask tests, and this is its test oracle.
+    """
     items = list(iter_bits(rel.mask))
     mem = set(items)
     if op == AND2:
@@ -307,20 +376,125 @@ _PROPERTY_OPS = {
 }
 
 
+def _down(mask: int, k: int) -> int:
+    """Every tuple lying below some member, coordinate-wise."""
+    for pos in range(k):
+        mask |= (mask & coord_mask(k, pos)) >> (1 << pos)
+    return mask
+
+
+def _flip(mask: int, k: int) -> int:
+    """Complement every coordinate: tuple index i becomes 2^k - 1 - i."""
+    return int(format(mask, f"0{1 << k}b")[::-1], 2)
+
+
+@lru_cache(maxsize=None)
+def _halves(k: int) -> tuple[tuple[int, int], ...]:
+    """(x_p = 1, x_p = 0) tuple sets for every bit position p."""
+    return tuple((coord_mask(k, pos), full_mask(k) ^ coord_mask(k, pos)) for pos in range(k))
+
+
+@lru_cache(maxsize=None)
+def _two_literal_cells(k: int) -> tuple[int, ...]:
+    """Tuples falsifying each clause of one or two literals."""
+    halves = _halves(k)
+    return tuple(cell for p, own in enumerate(halves) for a in own
+                 for cell in [a] + [a & b for other in halves[p + 1:] for b in other])
+
+
+@lru_cache(maxsize=None)
+def _unit_implication_cells(k: int) -> tuple[int, ...]:
+    """Tuples falsifying each positive unit x_p and each implication x_p -> x_q."""
+    halves = _halves(k)
+    return tuple([zero for _, zero in halves]
+                 + [one & zero for p, (one, _) in enumerate(halves)
+                    for q, (_, zero) in enumerate(halves) if q != p])
+
+
+def _cut_out(mask: int, hull: int, cells: tuple[int, ...]) -> bool:
+    """Is R the hull minus every cell that R misses (the clauses valid on R)?"""
+    outside = 0
+    for cell in cells:
+        if not mask & cell:
+            outside |= cell
+    return hull & ~outside == mask
+
+
+def _is_bijunctive(mask: int, k: int) -> bool:
+    """R is the intersection of the cylinders of its unary and binary projections."""
+    return _cut_out(mask, full_mask(k), _two_literal_cells(k))
+
+
+def _is_horn(mask: int, k: int) -> bool:
+    """R contains its AND-closure: the tuples t of down(R) such that every
+    coordinate where t is 0 is 0 in some member above t."""
+    hull = _down(mask, k)
+    for pos in range(k):
+        hi = coord_mask(k, pos)
+        hull &= hi | _down(mask & ~hi, k)
+    return hull == mask
+
+
+def _is_affine(mask: int, k: int) -> bool:
+    """R is empty or a coset: |R| = 2^rank of the differences from one member."""
+    size = mask.bit_count()
+    if size & (size - 1) or not size:
+        return not size
+    t0 = (mask & -mask).bit_length() - 1
+    pivots: dict[int, int] = {}
+    for t in iter_bits(mask):
+        v = t ^ t0
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return 1 << len(pivots) == size
+
+
+def _is_ihsb_minus(mask: int, k: int) -> bool:
+    """R is cut out by negative clauses (its down-closure), positive unit
+    clauses and implications that hold on it."""
+    return _cut_out(mask, _down(mask, k), _unit_implication_cells(k))
+
+
+# one mask test per base property; the dual classes flip every coordinate
+# (x | y = not(not x & not y), likewise for x | (y & z))
+_MASK_CHECKS = {
+    ZERO_VALID: lambda mask, k: mask & 1 == 1,
+    ONE_VALID: lambda mask, k: mask >> ((1 << k) - 1) == 1,
+    BIJUNCTIVE: _is_bijunctive,
+    HORN: _is_horn,
+    DUAL_HORN: lambda mask, k: _is_horn(_flip(mask, k), k),
+    AFFINE: _is_affine,
+    IHSB_MINUS: _is_ihsb_minus,
+    IHSB_PLUS: lambda mask, k: _is_ihsb_minus(_flip(mask, k), k),
+}
+
+
 def check_property(rel: Relation, prop: str) -> bool:
-    """Decide one base property (validity by membership, the rest by closure)."""
-    if prop == ZERO_VALID:
-        return rel.mask & 1 == 1
-    if prop == ONE_VALID:
-        return rel.mask >> ((1 << rel.arity) - 1) == 1
-    if prop in _PROPERTY_OPS:
-        return is_closed(rel, _PROPERTY_OPS[prop])
-    raise RelationError(f"unknown property {prop!r}")
+    """Decide one base property by its mask test (validity by membership,
+    the polymorphisms by the clause characterisations)."""
+    try:
+        check = _MASK_CHECKS[prop]
+    except KeyError:
+        raise RelationError(f"unknown property {prop!r}") from None
+    return check(rel.mask, rel.arity)
+
+
+def _componentwise(mask: int, k: int, prop: str) -> bool:
+    # a relation closed under a polymorphism has closed components (see
+    # SAFE_SHORTCUTS), so those split off components only when it is not
+    check = _MASK_CHECKS[prop]
+    if prop in _PROPERTY_OPS and check(mask, k):
+        return True
+    return all(check(c, k) for c in component_masks(mask, k))
 
 
 def componentwise(rel: Relation, prop: str) -> bool:
     """Does every connected component of rel satisfy the property?"""
-    return all(check_property(c, prop) for c in components(rel))
+    return _componentwise(rel.mask, rel.arity, prop)
 
 
 # two-variable targets as arity-2 masks; both are symmetric in x and y
@@ -328,15 +502,14 @@ _OR_MASK = 0b1110  # {01, 10, 11}
 _NAND_MASK = 0b0111  # {00, 01, 10}
 
 
-def _expresses_pair(rel: Relation, target: int) -> bool:
-    """Can constants in all but two coordinates carve `target` out of rel?
+def _expresses_pair(mask: int, k: int, target: int) -> bool:
+    """Can constants in all but two coordinates carve `target` out of the mask?
 
     For each pair of bit positions p < q, a base (p and q clear) survives
     when the four tuples base + xy agree with the target; shifting the mask
     right by xy's offset brings the tuple base + xy onto bit `base`.  The
     targets are symmetric, so unordered pairs suffice.
     """
-    k, mask = rel.arity, rel.mask
     for p, q in combinations(range(k), 2):
         bases = full_mask(k) ^ (coord_mask(k, p) | coord_mask(k, q))
         for xy in range(4):
@@ -349,12 +522,12 @@ def _expresses_pair(rel: Relation, target: int) -> bool:
 
 def is_or_free(rel: Relation) -> bool:
     """No substitution of constants leaves the two-variable relation {01,10,11}."""
-    return not _expresses_pair(rel, _OR_MASK)
+    return not _expresses_pair(rel.mask, rel.arity, _OR_MASK)
 
 
 def is_nand_free(rel: Relation) -> bool:
     """No substitution of constants leaves the two-variable relation {00,01,10}."""
-    return not _expresses_pair(rel, _NAND_MASK)
+    return not _expresses_pair(rel.mask, rel.arity, _NAND_MASK)
 
 
 SAFELY_CW_BIJUNCTIVE = "safely_componentwise_bijunctive"
@@ -371,13 +544,55 @@ SAFE_PROPERTIES = (
     SAFELY_CW_IHSB_PLUS,
 )
 
+# the check each identification must pass, on (mask, arity)
 _SAFE_CHECKS = {
-    SAFELY_CW_BIJUNCTIVE: lambda r: componentwise(r, BIJUNCTIVE),
-    SAFELY_OR_FREE: is_or_free,
-    SAFELY_NAND_FREE: is_nand_free,
-    SAFELY_CW_IHSB_MINUS: lambda r: componentwise(r, IHSB_MINUS),
-    SAFELY_CW_IHSB_PLUS: lambda r: componentwise(r, IHSB_PLUS),
+    SAFELY_CW_BIJUNCTIVE: lambda mask, k: _componentwise(mask, k, BIJUNCTIVE),
+    SAFELY_OR_FREE: lambda mask, k: not _expresses_pair(mask, k, _OR_MASK),
+    SAFELY_NAND_FREE: lambda mask, k: not _expresses_pair(mask, k, _NAND_MASK),
+    SAFELY_CW_IHSB_MINUS: lambda mask, k: _componentwise(mask, k, IHSB_MINUS),
+    SAFELY_CW_IHSB_PLUS: lambda mask, k: _componentwise(mask, k, IHSB_PLUS),
 }
+
+# base properties that settle a safely flag without a sweep.  Identification
+# preserves polymorphisms; OR is neither AND- nor XOR3-closed, NAND neither
+# OR- nor XOR3-closed.  A component C of a relation closed under any of the
+# six operations f is closed too: f(b, b, c) is b (c for xor3), and walking
+# the first argument from a to b along C changes f's value in at most one
+# bit per step inside the relation, so f(a, b, c) stays in C.
+SAFE_SHORTCUTS = {
+    SAFELY_CW_BIJUNCTIVE: (BIJUNCTIVE,),
+    SAFELY_OR_FREE: (HORN, AFFINE),
+    SAFELY_NAND_FREE: (DUAL_HORN, AFFINE),
+    SAFELY_CW_IHSB_MINUS: (IHSB_MINUS,),
+    SAFELY_CW_IHSB_PLUS: (IHSB_PLUS,),
+}
+
+
+def _first_failures(rel: Relation, props: Sequence[str]) -> dict[str, ArgPattern]:
+    """First identification pattern violating each property, from one walk
+    over the distinct identifications; properties that never fail are absent."""
+    open_props = list(props)
+    found: dict[str, ArgPattern] = {}
+    for labels, arity, mask in walk_identifications(rel, distinct=True):
+        for prop in list(open_props):
+            if not _SAFE_CHECKS[prop](mask, arity):
+                found[prop] = ArgPattern(labels)
+                open_props.remove(prop)
+        if not open_props:
+            break
+    return found
+
+
+def safely_flags(rel: Relation, base: dict[str, bool]) -> dict[str, bool]:
+    """All five safely_* flags, given rel's base properties.
+
+    Flags that a base property settles (SAFE_SHORTCUTS) are True outright;
+    the rest share one walk over the distinct identifications.
+    """
+    settled = {prop for prop in SAFE_PROPERTIES
+               if any(base[b] for b in SAFE_SHORTCUTS[prop])}
+    failed = _first_failures(rel, [p for p in SAFE_PROPERTIES if p not in settled])
+    return {prop: prop not in failed for prop in SAFE_PROPERTIES}
 
 
 def is_safely(rel: Relation, prop: str) -> bool:
@@ -387,14 +602,11 @@ def is_safely(rel: Relation, prop: str) -> bool:
 
 def first_unsafe_identification(rel: Relation, prop: str) -> ArgPattern | None:
     """First identification pattern whose image violates the property, if any."""
-    try:
-        check = _SAFE_CHECKS[prop]
-    except KeyError:
-        raise RelationError(f"unknown safe property {prop!r}") from None
+    if prop not in _SAFE_CHECKS:
+        raise RelationError(f"unknown safe property {prop!r}")
     if rel.arity > SAFE_CHECK_ARITY_MAX:
         raise ArityLimitError(
             f"safely-check needs arity <= {SAFE_CHECK_ARITY_MAX}, got {rel.arity}")
-    for p in iter_identification_patterns(rel.arity):
-        if not check(apply_pattern(rel, p)):
-            return p
-    return None
+    if any(check_property(rel, b) for b in SAFE_SHORTCUTS[prop]):
+        return None
+    return _first_failures(rel, (prop,)).get(prop)

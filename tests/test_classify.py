@@ -2,18 +2,31 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relconn.bitspace import coord_mask, full_mask
 from relconn.catalog import CATALOG
 from relconn.classify import (CPSS, NOT_SAFELY_TIGHT,
                               SAFELY_TIGHT_NOT_SCHAEFER, SCHAEFER_NOT_CPSS,
                               classify_set, predict, profile)
 from relconn.errors import ArityLimitError
+from relconn.generators import close_under, random_relation
 from relconn.relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
-                               DUAL_HORN, HORN, SAFE_PROPERTIES, Relation,
-                               check_property, is_safely)
+                               DUAL_HORN, HORN, IHSB_MINUS, IHSB_PLUS,
+                               SAFE_PROPERTIES, SAFE_SHORTCUTS,
+                               SAFELY_CW_BIJUNCTIVE, SAFELY_CW_IHSB_MINUS,
+                               SAFELY_CW_IHSB_PLUS, SAFELY_NAND_FREE,
+                               SAFELY_OR_FREE, ArgPattern, Relation,
+                               apply_pattern, check_property, componentwise,
+                               first_unsafe_identification, is_closed,
+                               is_nand_free, is_or_free, is_safely, op_and,
+                               op_maj, op_or, op_x_and_or, op_x_or_and,
+                               op_xor3, set_partitions)
 
 
 def rel(arity, *tuples):
@@ -62,6 +75,122 @@ class TestProfiles:
             assert getattr(p, prop) == check_property(r, prop), prop
         for prop in SAFE_PROPERTIES:
             assert getattr(p, prop) == is_safely(r, prop), prop
+
+
+# The identification sweep as it was before the walk: every set partition
+# through apply_pattern, no deduplication, no polymorphism shortcuts.
+_ORACLE_CHECKS = {
+    SAFELY_CW_BIJUNCTIVE: lambda r: componentwise(r, BIJUNCTIVE),
+    SAFELY_OR_FREE: is_or_free,
+    SAFELY_NAND_FREE: is_nand_free,
+    SAFELY_CW_IHSB_MINUS: lambda r: componentwise(r, IHSB_MINUS),
+    SAFELY_CW_IHSB_PLUS: lambda r: componentwise(r, IHSB_PLUS),
+}
+
+
+def first_unsafe_oracle(rel, prop):
+    for labels in set_partitions(rel.arity):
+        pattern = ArgPattern(labels)
+        if not _ORACLE_CHECKS[prop](apply_pattern(rel, pattern)):
+            return pattern
+    return None
+
+
+def horn_closure(rng, arity):
+    return close_under(random_relation(rng, arity, 5 / 2 ** arity), [op_and])
+
+
+def m_times_horn(rng, arity):
+    """M(x, y, z) x H for a Horn closure H over the other coordinates."""
+    m, h = CATALOG["M"], horn_closure(rng, arity - 3)
+    return Relation(arity, sum(1 << ((a << (arity - 3)) | b)
+                               for a in range(8) if a in m
+                               for b in range(2 ** (arity - 3)) if b in h))
+
+
+SEEDED_KINDS = {
+    "horn": horn_closure,
+    "m_times_horn": m_times_horn,
+    "ihsb_minus": lambda rng, k: close_under(random_relation(rng, k, 4 / 2 ** k),
+                                             [op_x_and_or]),
+    "ihsb_plus": lambda rng, k: close_under(random_relation(rng, k, 4 / 2 ** k),
+                                            [op_x_or_and]),
+    "dual_horn": lambda rng, k: close_under(random_relation(rng, k, 5 / 2 ** k), [op_or]),
+    "bijunctive": lambda rng, k: close_under(random_relation(rng, k, 3 / 2 ** k), [op_maj]),
+    "affine": lambda rng, k: close_under(random_relation(rng, k, 2 / 2 ** k), [op_xor3]),
+    "random": lambda rng, k: random_relation(rng, k, rng.choice([0.2, 0.5])),
+}
+
+
+class TestSweepAgainstOracle:
+    def test_profile_matches_oracle_sweep(self):
+        rng = random.Random(11)
+        fired = set()
+        for kind, make in sorted(SEEDED_KINDS.items()):
+            for i in range(8):
+                r = make(rng, 4 + i % 4)  # arity 4..7
+                p = profile(r)
+                for prop in SAFE_PROPERTIES:
+                    assert getattr(p, prop) == \
+                        (first_unsafe_oracle(r, prop) is None), (kind, prop, r)
+                    fired.update((prop, b) for b in SAFE_SHORTCUTS[prop] if getattr(p, b))
+        assert fired == {(prop, b) for prop, bases in SAFE_SHORTCUTS.items() for b in bases}
+
+    @pytest.mark.parametrize("prop,base", [(prop, b) for prop, bases in
+                                           sorted(SAFE_SHORTCUTS.items()) for b in bases])
+    def test_shortcut_implications_hold(self, prop, base):
+        # a relation with the base property is safely prop, by the oracle sweep
+        op = {BIJUNCTIVE: op_maj, HORN: op_and, DUAL_HORN: op_or, AFFINE: op_xor3,
+              IHSB_MINUS: op_x_and_or, IHSB_PLUS: op_x_or_and}[base]
+        rng = random.Random(base + prop)
+        for _ in range(25):
+            arity = rng.randint(2, 6)
+            r = close_under(random_relation(rng, arity, 4 / 2 ** arity), [op])
+            assert check_property(r, base)
+            assert first_unsafe_oracle(r, prop) is None, r
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_witness_matches_oracle(self, arity, data):
+        members = data.draw(st.frozensets(
+            st.integers(0, 2 ** arity - 1), max_size=2 ** arity))
+        r = Relation.from_tuples(arity, members)
+        for prop in SAFE_PROPERTIES:
+            assert first_unsafe_identification(r, prop) == first_unsafe_oracle(r, prop)
+
+
+def two_cnf_relation(rng, arity, clauses):
+    """Solutions of random two-literal clauses: bijunctive by construction."""
+    full = full_mask(arity)
+    mask = full
+    for _ in range(clauses):
+        cell = full
+        for pos in rng.sample(range(arity), 2):
+            one = coord_mask(arity, pos)
+            cell &= one if rng.random() < 0.5 else full ^ one
+        mask &= ~cell
+    return Relation(arity, mask)
+
+
+class TestScale:
+    def test_arity_10_horn_closure_within_a_second(self):
+        r = close_under(random_relation(random.Random(0), 10, 0.2), [op_and])
+        assert 800 <= len(r) <= 900 and is_closed(r, "and")
+        start = time.perf_counter()
+        p = profile(r)
+        assert time.perf_counter() - start < 1.0
+        assert p.horn and p.safely_or_free
+        assert p.safely_nand_free is False
+
+    def test_arity_9_bijunctive_not_horn_within_a_second(self):
+        r = two_cnf_relation(random.Random(7), 9, 6)
+        assert is_closed(r, "maj") and not is_closed(r, "and") and not is_closed(r, "or")
+        start = time.perf_counter()
+        p = profile(r)
+        assert time.perf_counter() - start < 1.0
+        assert p.bijunctive and p.safely_componentwise_bijunctive
+        # settled by no shortcut, so the sweep runs over every identification
+        assert p.safely_or_free and p.safely_componentwise_ihsb_minus
 
 
 EXPECTED_CLASSES = {

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relconn.errors import ArityLimitError, PatternError, RelationError
-from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, IHSB_MINUS,
+from relconn.generators import close_under, random_relation
+from relconn.relations import (_PROPERTY_OPS, AFFINE, BASE_PROPERTIES,
+                               BIJUNCTIVE, DUAL_HORN, HORN, IHSB_MINUS,
                                IHSB_PLUS, ONE_VALID, SAFE_CHECK_ARITY_MAX,
                                SAFELY_CW_BIJUNCTIVE, SAFELY_CW_IHSB_MINUS,
                                SAFELY_NAND_FREE, SAFELY_OR_FREE, ZERO_VALID,
@@ -19,8 +21,9 @@ from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, IHSB_MINUS,
                                enumerate_identifications,
                                first_unsafe_identification, is_closed,
                                is_nand_free, is_or_free, is_safely,
-                               iter_identification_patterns, op_maj,
-                               set_partitions)
+                               iter_identification_patterns, op_and, op_maj,
+                               op_or, op_x_and_or, op_x_or_and, op_xor3,
+                               set_partitions, walk_identifications)
 
 
 def rel(arity, *tuples):
@@ -112,6 +115,10 @@ _OP_FUNCS = {
     "x_and_or": (3, lambda a, b, c: a & (b | c)),
     "x_or_and": (3, lambda a, b, c: a | (b & c)),
 }
+# op name -> the property it characterises, and the function close_under applies
+_OP_PROPERTY = {op: prop for prop, op in _PROPERTY_OPS.items()}
+_CLOSE_OPS = {"maj": op_maj, "and": op_and, "or": op_or, "xor3": op_xor3,
+              "x_and_or": op_x_and_or, "x_or_and": op_x_or_and}
 
 
 def brute_closed(r, name):
@@ -156,16 +163,112 @@ class TestClosure:
         assert not check_property(empty, ZERO_VALID)
         assert not check_property(empty, ONE_VALID)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.data())
     def test_is_closed_matches_brute(self, arity, data):
+        # random relations are almost never closed, so most draws are
+        # closures under one of the six operations
         members = data.draw(st.frozensets(
-            st.integers(0, 2 ** arity - 1), max_size=2 ** arity))
+            st.integers(0, 2 ** arity - 1), max_size=2 ** arity if arity <= 4 else 6))
         r = Relation.from_tuples(arity, members)
-        from relconn.relations import _PROPERTY_OPS
+        op_name = data.draw(st.sampled_from([None, *_CLOSE_OPS]))
+        if op_name is not None:
+            r = close_under(r, [_CLOSE_OPS[op_name]])
+            assert check_property(r, _OP_PROPERTY[op_name])
         for prop, op in _PROPERTY_OPS.items():
             assert is_closed(r, op) == brute_closed(r, op), prop
             assert check_property(r, prop) == brute_closed(r, op), prop
+
+
+class TestMaskChecks:
+    """check_property's mask tests against the closure definitions."""
+
+    @pytest.mark.parametrize("arity", range(1, 7))
+    def test_empty_full_and_single_tuples(self, arity):
+        # every operation maps the full cube into itself; the cubic oracles
+        # on all 64 tuples of arity 6 would take seconds
+        full = (1 << (1 << arity)) - 1
+        for mask in (0, full, 1, 1 << ((1 << arity) - 1), 1 << (arity // 2)):
+            r = Relation(arity, mask)
+            for prop, op in _PROPERTY_OPS.items():
+                assert check_property(r, prop), (prop, mask)
+                if mask != full or arity <= 4:
+                    assert is_closed(r, op) and brute_closed(r, op), (prop, mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_componentwise_matches_per_component_checks(self, arity, data):
+        members = data.draw(st.frozensets(
+            st.integers(0, 2 ** arity - 1), max_size=2 ** arity))
+        r = Relation.from_tuples(arity, members)
+        op = data.draw(st.sampled_from([None, *_CLOSE_OPS]))
+        if op is not None:
+            r = close_under(Relation.from_tuples(arity, sorted(members)[:4]),
+                            [_CLOSE_OPS[op]])
+        comps = components(r)
+        for prop in BASE_PROPERTIES:
+            assert componentwise(r, prop) == \
+                all(check_property(c, prop) for c in comps), prop
+        for prop, op_name in _PROPERTY_OPS.items():
+            assert componentwise(r, prop) == all(is_closed(c, op_name) for c in comps)
+
+    def test_componentwise_validity_needs_every_component(self):
+        # 0-valid as a whole, but the component {11} misses 00
+        r = rel(2, "00", "11")
+        assert check_property(r, ZERO_VALID)
+        assert not componentwise(r, ZERO_VALID)
+
+    def test_closures_of_each_kind_are_exercised(self):
+        # every property is seen both holding and failing on seeded inputs
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(120):
+            arity = rng.randint(2, 6)
+            r = close_under(random_relation(rng, arity, 0.15),
+                            [_CLOSE_OPS[rng.choice(sorted(_CLOSE_OPS))]])
+            for prop, op in _PROPERTY_OPS.items():
+                got = check_property(r, prop)
+                assert got == is_closed(r, op), (prop, r)
+                seen.add((prop, got))
+        assert seen == {(prop, v) for prop in _PROPERTY_OPS for v in (True, False)}
+
+
+def walk_oracle(r):
+    """The partition-by-apply_pattern loop: (labels, mask) per set partition."""
+    return [(labels, apply_pattern(r, ArgPattern(labels)).mask)
+            for labels in set_partitions(r.arity)]
+
+
+class TestWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_leaves_match_partition_loop(self, arity, data):
+        seed = data.draw(st.integers(0, 10 ** 6))
+        rng = random.Random(seed)
+        r = random_relation(rng, arity, rng.choice([0.1, 0.5, 0.9]), nonempty=False)
+        if seed % 2:
+            r = close_under(r if len(r) <= 6 else random_relation(rng, arity, 0.05),
+                            [_CLOSE_OPS[rng.choice(sorted(_CLOSE_OPS))]])
+        expected = walk_oracle(r)
+        leaves = list(walk_identifications(r))
+        assert [(labels, mask) for labels, _, mask in leaves] == expected
+        assert all(arity_ == max(labels) + 1 for labels, arity_, _ in leaves)
+        assert [x.mask for x in enumerate_identifications(r)] == [m for _, m in expected]
+        # the distinct walk keeps the first pattern of every distinct image
+        first: dict[tuple[int, int], tuple[int, ...]] = {}
+        for labels, mask in expected:
+            first.setdefault((max(labels) + 1, mask), labels)
+        assert [(labels, (arity_, mask))
+                for labels, arity_, mask in walk_identifications(r, distinct=True)] == \
+            [(labels, key) for key, labels in first.items()]
+
+    def test_distinct_walk_shrinks_a_symmetric_relation(self):
+        # every coordinate of the full relation is alike, so each
+        # identification with b blocks is the full relation of arity b
+        r = Relation(5, (1 << 32) - 1)
+        distinct = list(walk_identifications(r, distinct=True))
+        assert [arity for _, arity, _ in distinct] == [1, 2, 3, 4, 5]
+        assert len(list(walk_identifications(r))) == 52
 
 
 class TestComponents:
@@ -296,9 +399,13 @@ class TestSafely:
         assert 0b100 not in comp.members
 
     def test_arity_guard(self):
+        # big is Horn, so the OR-free shortcut would settle it: the guard
+        # comes first
         big = Relation.from_tuples(SAFE_CHECK_ARITY_MAX + 1, [0])
         with pytest.raises(ArityLimitError):
             is_safely(big, SAFELY_OR_FREE)
+        with pytest.raises(ArityLimitError):
+            next(enumerate_identifications(big))
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
