@@ -484,11 +484,7 @@ def check_property(rel: Relation, prop: str) -> bool:
 
 
 def _componentwise(mask: int, k: int, prop: str) -> bool:
-    # a relation closed under a polymorphism has closed components (see
-    # SAFE_SHORTCUTS), so those split off components only when it is not
     check = _MASK_CHECKS[prop]
-    if prop in _PROPERTY_OPS and check(mask, k):
-        return True
     return all(check(c, k) for c in component_masks(mask, k))
 
 
@@ -570,13 +566,23 @@ SAFE_SHORTCUTS = {
 
 def _first_failures(rel: Relation, props: Sequence[str]) -> dict[str, ArgPattern]:
     """First identification pattern violating each property, from one walk
-    over the distinct identifications; properties that never fail are absent."""
+    over the distinct identifications; properties that never fail are absent.
+
+    Each witness image is rebuilt by `apply_pattern` and must equal the
+    walk's mask (else AssertionError), so no flag turns False on a mask the
+    pair merges got wrong.
+    """
     open_props = list(props)
     found: dict[str, ArgPattern] = {}
     for labels, arity, mask in walk_identifications(rel, distinct=True):
-        for prop in list(open_props):
-            if not _SAFE_CHECKS[prop](mask, arity):
-                found[prop] = ArgPattern(labels)
+        failing = [prop for prop in open_props if not _SAFE_CHECKS[prop](mask, arity)]
+        if failing:
+            pattern = ArgPattern(labels)
+            if apply_pattern(rel, pattern).mask != mask:
+                raise AssertionError(
+                    f"identification walk disagrees with apply_pattern at {labels}")
+            for prop in failing:
+                found[prop] = pattern
                 open_props.remove(prop)
         if not open_props:
             break
@@ -604,9 +610,4 @@ def first_unsafe_identification(rel: Relation, prop: str) -> ArgPattern | None:
     """First identification pattern whose image violates the property, if any."""
     if prop not in _SAFE_CHECKS:
         raise RelationError(f"unknown safe property {prop!r}")
-    if rel.arity > SAFE_CHECK_ARITY_MAX:
-        raise ArityLimitError(
-            f"safely-check needs arity <= {SAFE_CHECK_ARITY_MAX}, got {rel.arity}")
-    if any(check_property(rel, b) for b in SAFE_SHORTCUTS[prop]):
-        return None
     return _first_failures(rel, (prop,)).get(prop)

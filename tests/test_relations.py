@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relconn import relations
 from relconn.errors import ArityLimitError, PatternError, RelationError
 from relconn.generators import close_under, random_relation
 from relconn.relations import (_PROPERTY_OPS, AFFINE, BASE_PROPERTIES,
@@ -399,13 +400,21 @@ class TestSafely:
         assert 0b100 not in comp.members
 
     def test_arity_guard(self):
-        # big is Horn, so the OR-free shortcut would settle it: the guard
-        # comes first
+        # the guard sits in the walk, which every sweep goes through
         big = Relation.from_tuples(SAFE_CHECK_ARITY_MAX + 1, [0])
         with pytest.raises(ArityLimitError):
             is_safely(big, SAFELY_OR_FREE)
         with pytest.raises(ArityLimitError):
             next(enumerate_identifications(big))
+
+    def test_witness_is_rebuilt_by_apply_pattern(self, monkeypatch):
+        # a faulty merge that adds the all-zero tuple to every image it builds
+        merge = relations._merge
+        monkeypatch.setattr(relations, "_merge",
+                            lambda mask, w, keep, drop: merge(mask, w, keep, drop) | 1)
+        r_nae = rel(3, "001", "010", "011", "100", "101", "110")
+        with pytest.raises(AssertionError, match="disagrees with apply_pattern"):
+            first_unsafe_identification(r_nae, SAFELY_NAND_FREE)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
