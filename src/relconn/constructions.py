@@ -13,10 +13,14 @@ Two constructions:
   componentwise IHSB- and pins variables of a single constraint (by
   constants and identifications only) until the constraint's relation is
   exactly M, or K or L, which fold to M with one extra constraint
-  (M(x,y,z) = K(x,y,z) AND K(z,x,x) = L(x,y,z) AND L(z,x,x)).
+  (M(x,y,z) = K(x,y,z) AND K(z,x,x) = L(x,y,z) AND L(z,x,x)).  The slot
+  pattern is its only state: each step re-derives the Horn view from the
+  pinned relation and checks it by enumeration, and the result is checked
+  to be M before it is returned.  It sweeps identifications, so it is
+  bounded by SAFE_CHECK_ARITY_MAX.
 
-Both constructions verify their postconditions by enumeration before
-returning.
+reduce_sat_to_conn does not check its output; the test suite compares it
+with brute force.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .formulas import Constraint, Formula, make_formula
 from .horn import HornClause, HornView
 from .relations import (IHSB_MINUS, ArgPattern, Relation, apply_pattern,
                         check_property, componentwise, components,
-                        iter_identification_patterns)
+                        walk_identifications)
 from . import solution_graph
 
 _P = CATALOG["P"]
@@ -151,10 +155,11 @@ def build_F() -> Formula:
 
 @dataclass
 class _State:
-    """Current constraint view: which constant/variable fills each of the
-    source relation's coordinates, plus a Horn CNF of the same relation."""
+    """The pinned constraint: which constant/variable fills each of the
+    source relation's coordinates, and the normalized Horn CNF of the
+    relation that pinning yields (derived, never rewritten)."""
     slots: list[str]          # coordinate -> "0" | "1" | variable name
-    view: HornView
+    view: HornView            # over the live variables, in slot order
 
     def alive(self) -> tuple[str, ...]:
         return self.view.variables
@@ -165,75 +170,49 @@ def _pattern_of(slots: list[str], order: tuple[str, ...]) -> ArgPattern:
     return ArgPattern(tuple(s if s in ("0", "1") else index[s] for s in slots))
 
 
-def _state_relation(rel: Relation, state: _State) -> Relation:
-    return apply_pattern(rel, _pattern_of(state.slots, state.alive()))
+def _state(rel: Relation, slots: list[str], alive: tuple[str, ...]) -> _State:
+    """Pin rel by the slots and read the Horn view off the pinned relation."""
+    pinned = apply_pattern(rel, _pattern_of(slots, alive))
+    if pinned.is_empty:
+        raise ExpressionError("pinning left the constraint unsatisfiable")
+    phi = make_formula([Constraint("R", alive)], {"R": pinned.renamed("R")}, alive)
+    view = hornmod.normalize(hornmod.view_from_formula(phi))
+    if hornmod.solution_space(view) != pinned.mask:
+        raise ExpressionError("internal: normalized Horn view lost track of the relation")
+    return _State(slots, view)
 
 
-def _check_sync(rel: Relation, state: _State) -> None:
-    if _state_relation(rel, state).mask != hornmod.solution_space(state.view):
-        raise ExpressionError("internal: clause view lost track of the relation")
-
-
-def _substitute(state: _State, asg: Mapping[str, int]) -> _State:
-    slots = [str(asg[s]) if s in asg else s for s in state.slots]
-    clauses = []
-    for c in state.view.clauses:
-        head = c.head
-        if head is not None and head in asg:
-            if asg[head] == 1:
-                continue
-            head = None
-        if any(asg.get(b) == 0 for b in c.body):
-            continue
-        body = frozenset(b for b in c.body if b not in asg)
-        if head is None and not body:
-            raise ExpressionError("internal: substitution produced a false clause")
-        clauses.append(HornClause(head, body, c.origin))
-    alive = tuple(v for v in state.view.variables if v not in asg)
-    return _State(slots, HornView(alive, tuple(clauses)))
-
-
-def _identify(state: _State, merge: Mapping[str, str]) -> _State:
-    slots = [merge.get(s, s) for s in state.slots]
-    clauses = []
-    for c in state.view.clauses:
-        head = merge.get(c.head, c.head) if c.head is not None else None
-        body = frozenset(merge.get(b, b) for b in c.body)
-        clauses.append(HornClause(head, body, c.origin))
-    alive = tuple(v for v in state.view.variables if v not in merge)
-    return _State(slots, HornView(alive, tuple(clauses)))
-
-
-def _normalized(rel: Relation, state: _State) -> _State:
-    state = _State(state.slots, hornmod.normalize(state.view))
-    _check_sync(rel, state)
-    return state
+def _pin(rel: Relation, state: _State, fill: Mapping[str, str]) -> _State:
+    """Replace live variables by constants "0"/"1" or by other live
+    variables (identification); the replaced ones drop out of the view."""
+    if not fill:
+        return state
+    slots = [fill.get(s, s) for s in state.slots]
+    return _state(rel, slots, tuple(v for v in state.alive() if v not in fill))
 
 
 def _initial_state(rel: Relation, pattern: ArgPattern) -> _State:
-    """Identified relation as one constraint, with its Horn CNF attached."""
+    """Identified relation as one constraint over fresh names c1, c2, ..."""
     names = tuple(f"c{j + 1}" for j in range(pattern.out_arity))
     slots = [s if s in ("0", "1") else names[s] for s in pattern.slots]
-    ident = apply_pattern(rel, pattern)
-    phi = make_formula(
-        [Constraint("R", tuple(names))], {"R": ident.renamed("R")}, names)
-    view = hornmod.view_from_formula(phi)
-    return _normalized(rel, _State(slots, view))
+    return _state(rel, slots, names)
 
 
 def _express_candidates(rel: Relation):
-    """Deterministic stream of (pattern, component 1-set, c*, y) choices.
+    """Deterministic stream of (pattern, state, c*) choices.
 
     The preferred order follows the construction: first identification
-    making the relation not componentwise IHSB-, first failing component,
-    multi-implication clauses filtered to those whose variable reach holds
-    no restraint set and whose body has an unimplied variable, first
-    unimplied body variable.  Later choices serve as verified fallbacks.
+    making the relation not componentwise IHSB-, first failing component
+    (whose minimum's 1-set is pinned to 1 in `state`), multi-implication
+    clauses filtered to those whose variable reach holds no restraint set
+    and whose body has an unimplied variable.  Later choices serve as
+    verified fallbacks.  The identification walk bounds the arity.
     """
-    for pattern in iter_identification_patterns(rel.arity):
-        identified = apply_pattern(rel, pattern)
+    for labels, arity, mask in walk_identifications(rel):
+        identified = Relation(arity, mask)
         if componentwise(identified, IHSB_MINUS):
             continue
+        pattern = ArgPattern(labels)
         base = _initial_state(rel, pattern)
         for comp in components(identified):
             if check_property(comp, IHSB_MINUS):
@@ -242,10 +221,7 @@ def _express_candidates(rel: Relation):
             if lower is None:
                 continue
             u = hornmod.ones_set(base.view, lower)
-            try:
-                state2 = _normalized(rel, _substitute(base, {v: 1 for v in u}))
-            except ExpressionError:
-                continue
+            state2 = _pin(rel, base, {v: "1" for v in u})
             if state2.view.has_positive_units():
                 continue
             multi = [c for c in state2.view.clauses if c.is_multi_implication]
@@ -303,8 +279,8 @@ def express_m(rel: Relation) -> Formula:
 def _finish(src: Relation, state2: _State, cstar: HornClause) -> ExpressOutcome | None:
     view2 = state2.view
     reach = hornmod.imp(view2, cstar.variables())
-    zero_out = {v: 0 for v in view2.variables if v not in reach}
-    state3 = _normalized(src, _substitute(state2, zero_out))
+    zero_out = {v: "0" for v in view2.variables if v not in reach}
+    state3 = _pin(src, state2, zero_out)
     view3 = state3.view
     # the chosen clause must survive the cut to its implication span
     live = [c for c in view3.clauses
@@ -320,23 +296,20 @@ def _finish(src: Relation, state2: _State, cstar: HornClause) -> ExpressOutcome 
         rest = sorted(cstar.body - {y_name}, key=order.__getitem__)
         z_name = rest[0]
         merge = {v: z_name for v in rest[1:]}
-        state4 = _normalized(src, _identify(state3, merge)) if merge else state3
+        state4 = _pin(src, state3, merge)
         view4 = state4.view
         if not _condition_star(view4, x_name, y_name, z_name):
             continue
         ones = hornmod.imp(view4, {y_name}) - {y_name}
         if x_name in ones or z_name in ones:
             continue
-        state5 = _normalized(src, _substitute(state4, {v: 1 for v in ones})) \
-            if ones else state4
+        state5 = _pin(src, state4, {v: "1" for v in ones})
         zmerge_set = hornmod.imp(state5.view, {z_name}) - {z_name}
         if x_name in zmerge_set or y_name in zmerge_set:
             continue
-        state6 = _normalized(src, _identify(state5, {v: z_name for v in zmerge_set})) \
-            if zmerge_set else state5
+        state6 = _pin(src, state5, {v: z_name for v in zmerge_set})
         others = [v for v in state6.view.variables if v not in (x_name, y_name, z_name)]
-        state7 = _normalized(src, _identify(state6, {v: x_name for v in others})) \
-            if others else state6
+        state7 = _pin(src, state6, {v: x_name for v in others})
         if set(state7.view.variables) != {x_name, y_name, z_name}:
             continue
         outcome = _shape_outcome(src, state7, x_name, y_name, z_name)

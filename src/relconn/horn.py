@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import bitspace
+from .catalog import strip_comment
 from .errors import FormulaParseError, HornStructureError
-from .formulas import VAR_RE, ClauseSet, CnfClause, Formula, to_clausal
+from .formulas import VAR_RE, ClauseSet, Formula, to_clausal
 from .relations import HORN
 from .solution_graph import _space
 
@@ -119,14 +120,6 @@ def view_from_formula(phi: Formula) -> HornView:
     return view_from_clause_set(to_clausal(phi, HORN))
 
 
-def view_to_clause_set(view: HornView) -> ClauseSet:
-    clauses = tuple(
-        CnfClause(frozenset() if c.head is None else frozenset({c.head}),
-                  c.body, c.origin)
-        for c in view.clauses)
-    return ClauseSet(HORN, view.variables, clauses, ())
-
-
 def parse_horn(text: str) -> HornView:
     """Parse the clause text format (see module docstring); `#` comments."""
     header: tuple[str, ...] | None = None
@@ -140,8 +133,7 @@ def parse_horn(text: str) -> HornView:
         return v
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        pos = raw.find("#")
-        line = (raw if pos < 0 else raw[:pos]).strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("var ") or line == "var":

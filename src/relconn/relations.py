@@ -201,20 +201,6 @@ class ArgPattern:
     def identity(cls, n: int) -> "ArgPattern":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def from_blocks(cls, n: int, blocks: Sequence[Iterable[int]]) -> "ArgPattern":
-        """Identification pattern from a partition of 1-based coordinates."""
-        slots: list[int | str] = [-1] * n
-        order = sorted(range(len(blocks)), key=lambda b: min(blocks[b]))
-        for out, b in enumerate(order):
-            for coord in blocks[b]:
-                if not 1 <= coord <= n or slots[coord - 1] != -1:
-                    raise PatternError(f"bad partition block element {coord}")
-                slots[coord - 1] = out
-        if any(s == -1 for s in slots):
-            raise PatternError("partition does not cover all coordinates")
-        return cls(tuple(slots))
-
 
 def apply_pattern(rel: Relation, pattern: ArgPattern) -> Relation:
     """Relation obtained by substituting the pattern's slots into rel."""

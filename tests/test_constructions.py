@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
+from relconn import constructions, horn
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG
+from relconn.cli import main
 from relconn.constructions import (build_F, build_T, express_m,
                                    express_m_details, reduce_sat_to_conn)
-from relconn.errors import (ExpressionError, ReductionInputError,
-                            TriviallySatisfiableError)
+from relconn.errors import (ArityLimitError, ExpressionError,
+                            ReductionInputError, TriviallySatisfiableError)
 from relconn.formulas import (Constraint, make_formula, parse_formula)
-from relconn.generators import random_horn_not_safely_cw_ihsb_minus
-from relconn.relations import Relation
+from relconn.generators import (random_horn_not_safely_cw_ihsb_minus,
+                                random_horn_relation)
+from relconn.horn import HornView
+from relconn.relations import (Relation, apply_pattern,
+                               iter_identification_patterns)
 from relconn.solution_graph import formula_relation
 
 M = CATALOG["M"]
@@ -295,3 +301,94 @@ class TestExpressM:
             outcome = express_m_details(rel)
             assert len(outcome.slots) == rel.arity
             assert set(outcome.slots) - {"0", "1"} == {"x", "y", "z"}
+
+
+def m_times(rel):
+    """M(x, y, z) x rel over the remaining coordinates: Horn, and never
+    componentwise IHSB- since every component carries a copy of M."""
+    k = rel.arity
+    return Relation(k + 3, sum(1 << ((a << k) | b)
+                               for a in M.members for b in rel.members))
+
+
+def seeded_express_inputs(seed, count, arity_max):
+    """Horn relations that are not safely componentwise IHSB-, every third
+    one an M x Horn product, of arity 3 to arity_max."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 3 == 2:
+            out.append(m_times(random_horn_relation(rng, rng.randint(1, arity_max - 3))))
+        else:
+            out.append(random_horn_not_safely_cw_ihsb_minus(rng, arity_max=arity_max))
+    return out
+
+
+def partition_loop(rel):
+    """The identification loop the walk replaced: one apply_pattern per set
+    partition, in the same (labels, arity, mask) form."""
+    for pattern in iter_identification_patterns(rel.arity):
+        image = apply_pattern(rel, pattern)
+        yield pattern.slots, image.arity, image.mask
+
+
+def implication_chain(k):
+    """x1 -> x2 -> ... -> xk: Horn, one component, k + 1 tuples."""
+    return Relation.from_tuples(k, ["0" * (k - j) + "1" * j for j in range(k + 1)],
+                                "CHAIN")
+
+
+class TestExpressMState:
+    def test_wrong_view_is_caught(self, monkeypatch):
+        """A normal form that loses a clause no longer matches the pinned
+        relation, and the per-step check says so."""
+        real = horn.normalize
+
+        def drop_last(view):
+            out = real(view)
+            return HornView(out.variables, out.clauses[:-1])
+
+        monkeypatch.setattr(horn, "normalize", drop_last)
+        with pytest.raises(ExpressionError, match="lost track of the relation"):
+            express_m_details(M)
+
+    def test_empty_pin_raises(self):
+        # no tuple of M starts with 1 and ends with 0
+        with pytest.raises(ExpressionError, match="unsatisfiable"):
+            constructions._state(M, ["1", "y", "0"], ("y",))
+
+    def test_high_arity_raises_at_once(self, tmp_path, capsys):
+        chain = implication_chain(11)
+        start = time.perf_counter()
+        with pytest.raises(ArityLimitError):
+            express_m_details(chain)
+        assert time.perf_counter() - start < 1.0
+        path = tmp_path / "chain.rel"
+        path.write_text(f"rel CHAIN 11 : {' '.join(chain.tuples())}\n")
+        start = time.perf_counter()
+        assert main(["express-m", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "arity" in capsys.readouterr().err
+
+    def test_first_candidate_matches_partition_loop(self, monkeypatch):
+        for rel in seeded_express_inputs(41, 24, 7):
+            src = rel.renamed("R")
+            walked = next(constructions._express_candidates(src))
+            with monkeypatch.context() as m:
+                m.setattr(constructions, "walk_identifications", partition_loop)
+                looped = next(constructions._express_candidates(src))
+            assert walked == looped  # pattern, pinned state, c*
+
+    def test_seeded_sweep_reaches_m(self):
+        shapes = set()
+        arities = set()
+        for rel in seeded_express_inputs(43, 36, 8):
+            outcome = express_m_details(rel)
+            shapes.add(outcome.shape)
+            arities.add(rel.arity)
+            assert formula_relation(outcome.formula) == M
+            assert len(outcome.slots) == rel.arity
+            for c in outcome.formula.constraints:
+                assert outcome.formula.relation_of(c).mask == rel.mask
+        assert shapes == {"M", "K", "L"}
+        assert arities == set(range(3, 9))
