@@ -2,11 +2,17 @@
 
 Exit codes: 0 on success, 1 for a "no" answer to a boolean query when
 --exit-status is given, 2 on usage or input errors.
+
+`main(argv)` may be called any number of times in one process. The
+argument parser is built on the first call and reused after that;
+`parse_args` returns a fresh namespace each time, so no call sees
+another's arguments. Importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -236,7 +242,10 @@ def _add_exit_status(p: argparse.ArgumentParser) -> None:
                    help="exit 1 when the answer is no")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `relconn` parser, built once per process and shared by every
+    `main` call; callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="relconn",
         description="Connectivity of Boolean constraint solution graphs.")

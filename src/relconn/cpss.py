@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .classify import SetClassification, classify_set, predict, Predictions
-from .errors import ArityLimitError, ClauseExtractionError, NonCpssError, VarsLimitError
+from .errors import (ArityLimitError, ClauseExtractionError, NonCpssError,
+                     RelconnError, VarsLimitError)
 from .formulas import (ClauseSet, CnfClause, Formula, XorEquation,
                        constraint_relation, gf2_reduce, to_clausal)
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
@@ -563,10 +564,18 @@ def search_separation_counterexample(relations: Sequence[Relation], seed: int,
 
     Experimental: a hit certifies that the given relation set is not
     handled faithfully by the projection algorithm; exhausting the budget
-    certifies nothing.
+    certifies nothing. Raises RelconnError when `max_vars` < 2,
+    `max_constraints` < 1 or `tries` < 0.
     """
     import random
     from .generators import random_formula
+    if max_vars < 2:
+        raise RelconnError(f"max_vars must be at least 2, got {max_vars}")
+    if max_constraints < 1:
+        raise RelconnError(
+            f"max_constraints must be at least 1, got {max_constraints}")
+    if tries < 0:
+        raise RelconnError(f"tries must be at least 0, got {tries}")
     rng = random.Random(seed)
     for _ in range(tries):
         phi = random_formula(rng, relations, max_vars, max_constraints)

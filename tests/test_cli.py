@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ from relconn.formulas import parse_formula
 from relconn.catalog import CATALOG
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SRC = SAMPLES.parent / "src"
 
 
 def sample(name: str) -> str:
@@ -19,7 +24,12 @@ def sample(name: str) -> str:
 
 
 def run(capsys, *args):
-    code = main([str(a) for a in args])
+    """(exit code, stdout, stderr) of one main() call; argparse's exits
+    count as exit codes."""
+    try:
+        code = main([str(a) for a in args])
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -172,6 +182,16 @@ class TestConstructions:
                            "--tries", "5", "--seed", "1")
         assert (code, out) == (0, "none found\n")
 
+    @pytest.mark.parametrize("flag,value", [("--max-vars", "0"),
+                                            ("--max-vars", "1"),
+                                            ("--tries", "-1")])
+    def test_cpss_search_rejects_out_of_range_budget(self, capsys, flag,
+                                                     value):
+        code, out, err = run(capsys, "cpss-search", sample("m.rel"),
+                             flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("relconn: error:")
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -183,3 +203,97 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on `src/`, with help text 80 columns wide."""
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    done = python("-m", "relconn", *argv)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _sequence() -> list[list[str]]:
+    m, rconp = sample("m.rel"), sample("rconp.rel")
+    triangle, conp = sample("triangle.cnfs"), sample("conp.cnfs")
+    horn = sample("clauses.horn")
+    calls = [
+        ["conn", triangle, "--exit-status"],
+        ["conn", triangle],
+        ["conn"],
+        ["classify-set", m],
+        ["-h"],
+        ["horn", "imp", horn, "u"],
+        ["horn", "imp", horn, "y", "z"],
+        ["-h"],
+        ["stconn", conp, "0000", "0110", "--exit-status"],
+        ["stconn", conp, "0000", "1000"],
+        ["graph", triangle, "--dot", "-"],
+        ["cpss-search", m, "--max-vars", "1"],
+        ["cpss-search", sample("bijunctive.rel"), "--tries", "5", "--seed", "1"],
+    ]
+    for argv in (["classify-relation", m], ["classify-set", rconp],
+                 ["conn", sample("t.cnfs")], ["diameter", conp],
+                 ["components", conp], ["report", conp],
+                 ["horn", "selfimp", horn], ["horn", "normalize", horn],
+                 ["reduce", sample("gr.cnfs")], ["express-m", m],
+                 ["cpss-search", sample("bijunctive.rel"), "--tries", "5"]):
+        calls += [argv, argv + ["--json"]]
+    return calls
+
+
+class TestRepeatedCalls:
+    """main() called many times in one process answers each call as a
+    fresh process would: the reused parser carries nothing between calls."""
+
+    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch):
+        calls = _sequence()
+        expected = [fresh_process(argv) for argv in calls]
+        monkeypatch.setenv("COLUMNS", "80")
+        got = [run(capsys, *argv) for argv in calls]
+        for argv, want, have in zip(calls, expected, got):
+            assert have == want, argv
+        codes = [code for code, _, _ in got]
+        assert codes[:3] == [1, 0, 2]
+        assert got[4] == got[7] and got[4][1].startswith("usage: relconn")
+        assert got[5][1] != got[6][1]
+
+    def test_fifty_calls_build_the_parser_at_most_once(self, capsys,
+                                                       monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "relconn":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for i in range(50):
+            argv = ["classify-set", sample("m.rel")] + ["--json"] * (i % 2)
+            assert run(capsys, *argv)[0] == 0
+        assert len(built) <= 1
+
+    def test_import_builds_no_parser(self):
+        done = python("-c", (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import relconn.cli\n"
+            "print(len(built))\n"))
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+    def test_python_dash_m_reads_sys_argv(self, capsys):
+        for argv in (["classify-set", sample("m.rel")],
+                     ["classify-set", sample("m.rel"), "--json"]):
+            assert fresh_process(argv) == run(capsys, *argv)

@@ -16,7 +16,7 @@ from relconn.catalog import CATALOG
 from relconn.classify import classify_set
 from relconn.cpss import (conn_cpss, decide_connectivity, project,
                           sat_schaefer, search_separation_counterexample)
-from relconn.errors import NonCpssError, VarsLimitError
+from relconn.errors import NonCpssError, RelconnError, VarsLimitError
 from relconn.formulas import Constraint, make_formula, parse_formula, to_clausal
 from relconn.generators import random_cpss_pool, random_formula
 from relconn.relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
@@ -327,3 +327,9 @@ class TestSeparationSearch:
             report = conn_cpss(hit, check=False)
             assert report.connected
             assert not solution_graph.is_connected(hit)
+
+    @pytest.mark.parametrize("bad", [{"max_vars": 0}, {"max_vars": 1},
+                                     {"max_constraints": 0}, {"tries": -1}])
+    def test_out_of_range_budget_raises(self, bad):
+        with pytest.raises(RelconnError):
+            search_separation_counterexample([CATALOG["M"]], seed=0, **bad)
