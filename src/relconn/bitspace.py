@@ -46,6 +46,12 @@ def neighbors(s: int, n: int) -> int:
     return out
 
 
+def edge_starts(s: int, n: int, pos: int) -> int:
+    """Members of s whose bit `pos` is 0 and whose flip of that bit is in s:
+    the lower endpoints of the edges of s along dimension `pos`."""
+    return s & ~coord_mask(n, pos) & (s >> (1 << pos))
+
+
 def spread(seed: int, space: int, n: int) -> int:
     """Connected component(s) of `space` reachable from the seed set."""
     comp = seed & space
@@ -89,8 +95,7 @@ def locally_minimal(space: int, n: int) -> int:
     """
     lowered = 0
     for pos in range(n):
-        hi = coord_mask(n, pos)
-        lowered |= space & hi & ((space & ~hi) << (1 << pos))
+        lowered |= edge_starts(space, n, pos) << (1 << pos)
     return space & ~lowered
 
 
@@ -104,12 +109,24 @@ def minimum(s: int, n: int) -> int | None:
     return lower if (s >> lower) & 1 else None
 
 
+# _BYTE_BITS[b]: the set bit positions of the byte value b, ascending.
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _pos in range(8):
+    _BYTE_BITS += [bits + (_pos,) for bits in _BYTE_BITS]
+
+
 def iter_bits(s: int):
-    """Yield the set bit indices of s in ascending order."""
-    while s:
-        low = s & -s
-        yield low.bit_length() - 1
-        s ^= low
+    """Yield the set bit indices of s in ascending order.
+
+    Linear in the width of s: one pass over its little-endian bytes, with
+    a table of the set bits of each byte value.
+    """
+    base = 0
+    for byte in s.to_bytes((s.bit_length() + 7) // 8, "little"):
+        if byte:
+            for j in _BYTE_BITS[byte]:
+                yield base + j
+        base += 8
 
 
 def tuple_of_index(idx: int, n: int) -> str:

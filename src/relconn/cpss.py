@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .classify import SetClassification, classify_set, predict, Predictions
-from .errors import (ArityLimitError, ClauseExtractionError, NonCpssError,
-                     RelconnError, VarsLimitError)
+from .errors import (ClauseExtractionError, NonCpssError, RelconnError,
+                     VarsLimitError)
 from .formulas import (ClauseSet, CnfClause, Formula, XorEquation,
                        constraint_relation, gf2_reduce, to_clausal)
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
@@ -565,7 +565,10 @@ def search_separation_counterexample(relations: Sequence[Relation], seed: int,
     Experimental: a hit certifies that the given relation set is not
     handled faithfully by the projection algorithm; exhausting the budget
     certifies nothing. Raises RelconnError when `max_vars` < 2,
-    `max_constraints` < 1 or `tries` < 0.
+    `max_constraints` < 1 or `tries` < 0, and passes on the error of
+    conn_cpss (NonCpssError, ClauseExtractionError, ArityLimitError) for
+    the first formula whose relations lie outside the projection
+    algorithm's class.
     """
     import random
     from .generators import random_formula
@@ -579,10 +582,7 @@ def search_separation_counterexample(relations: Sequence[Relation], seed: int,
     rng = random.Random(seed)
     for _ in range(tries):
         phi = random_formula(rng, relations, max_vars, max_constraints)
-        try:
-            report = conn_cpss(phi, check=False)
-        except (NonCpssError, ClauseExtractionError, ArityLimitError):
-            return None
+        report = conn_cpss(phi, check=False)
         if report.connected and not solution_graph.is_connected(phi):
             return phi
     return None

@@ -7,6 +7,11 @@ layer over solution bitmasks: every query on a formula or a Horn view
 bitspace), built by one routine from relation masks, and reads it here.
 It is exact and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable
 formula counts as connected and as having diameter 0.
+
+The diameter runs all BFS sources of a component at once, as the bits of
+one reach int per vertex: D rounds of 2|E| ORs of ints about |C|/2 bits
+wide, for a component of |C| vertices, |E| edges and diameter D, with the
+reach ints held to REACH_BITS_MAX bits by running the sources in batches.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from .formulas import Formula
 from .relations import Relation
 
 BRUTE_VARS_MAX = 24
+# Bits of the reach ints that the diameter pass holds at once (16 MiB):
+# one batch per side while a component has at most 16,384 vertices.
+REACH_BITS_MAX = 1 << 27
 
 
 def check_size(n: int) -> int:
@@ -175,13 +183,70 @@ def distance(phi: Formula, s: str, t: str) -> int | None:
     return _search(phi, s, t)[2]
 
 
-def _diameter(comps: list[int], n: int) -> int:
-    """Largest BFS eccentricity of any vertex within its component."""
+def _adjacency(comp: int, n: int) -> tuple[list[list[int]], list[int]]:
+    """Neighbour lists of the members of comp, by rank in ascending order,
+    read off one edge mask per dimension, and the parity of each member."""
+    verts = list(bitspace.iter_bits(comp))
+    rank = {v: i for i, v in enumerate(verts)}
+    adj: list[list[int]] = [[] for _ in verts]
+    for pos in range(n):
+        step = 1 << pos
+        for v in bitspace.iter_bits(bitspace.edge_starts(comp, n, pos)):
+            i, j = rank[v], rank[v + step]
+            adj[i].append(j)
+            adj[j].append(i)
+    return adj, [v.bit_count() & 1 for v in verts]
+
+
+def _eccentricity_max(adj: list[list[int]], side: list[int]) -> int:
+    """Largest eccentricity in a connected bipartite graph, given its
+    neighbour lists and the side of each vertex.
+
+    All sources on one side run at once as bits: after round r, reach[i]
+    holds the sources within r steps of vertex i, and the rounds stop once
+    every reach[i] holds every source.  The sources at distance exactly r
+    from i all lie on one side, so round r grows only the vertices on the
+    other side, from neighbours that the round leaves alone: one list of
+    reach ints is updated in place.  The two sides' passes take D rounds
+    of 2|E| ORs in all.  Sources go in batches so that the reach ints stay
+    within REACH_BITS_MAX bits.
+    """
+    size = len(adj)
+    batch = max(1, REACH_BITS_MAX // size)
     best = 0
-    for comp in comps:
-        for src in bitspace.iter_bits(comp):
-            best = max(best, len(bitspace.bfs_levels(1 << src, comp, n)) - 1)
+    for q in (0, 1):
+        sources = [i for i in range(size) if side[i] == q]
+        for lo in range(0, len(sources), batch):
+            chunk = sources[lo:lo + batch]
+            full = (1 << len(chunk)) - 1
+            reach = [0] * size
+            for b, i in enumerate(chunk):
+                reach[i] = 1 << b
+            pending = [[i for i in range(size) if side[i] == p and reach[i] != full]
+                       for p in (0, 1)]
+            rounds = 0
+            while pending[0] or pending[1]:
+                rounds += 1
+                grow = pending[(q + rounds) & 1]
+                for i in grow:
+                    r = reach[i]
+                    for j in adj[i]:
+                        r |= reach[j]
+                    reach[i] = r
+                grow[:] = [i for i in grow if reach[i] != full]
+            best = max(best, rounds)
     return best
+
+
+def _diameter(comps: list[int], n: int) -> int:
+    """Largest eccentricity of any vertex within its component.
+
+    One all-sources pass per component (_eccentricity_max), D rounds of
+    2|E| ORs of ints about |C|/2 bits wide, in place of a BFS over the
+    whole 2^n-bit cube from each of its |C| vertices.
+    """
+    return max((_eccentricity_max(*_adjacency(comp, n)) for comp in comps),
+               default=0)
 
 
 def diameter(phi: Formula) -> int:
@@ -252,17 +317,20 @@ def project_enumerate(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation]:
 
 
 def export_dot(phi: Formula) -> str:
-    """Solution graph in DOT format, vertices labelled by assignment."""
+    """Solution graph in DOT format, vertices labelled by assignment.
+
+    Vertices come in ascending order, then edges ordered by their lower
+    endpoint and the flipped bit position.
+    """
     n = phi.n
     space = solution_space(phi)
+    label = {idx: bitspace.tuple_of_index(idx, n)
+             for idx in bitspace.iter_bits(space)}
+    edges = sorted((idx, pos) for pos in range(n) for idx in
+                   bitspace.iter_bits(bitspace.edge_starts(space, n, pos)))
     lines = ["graph solutions {"]
-    for idx in bitspace.iter_bits(space):
-        lines.append(f'  "{bitspace.tuple_of_index(idx, n)}";')
-    for idx in bitspace.iter_bits(space):
-        for p in range(n):
-            other = idx ^ (1 << p)
-            if other > idx and (space >> other) & 1:
-                lines.append(f'  "{bitspace.tuple_of_index(idx, n)}" -- '
-                             f'"{bitspace.tuple_of_index(other, n)}";')
+    lines += [f'  "{text}";' for text in label.values()]
+    lines += [f'  "{label[idx]}" -- "{label[idx | 1 << pos]}";'
+              for idx, pos in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

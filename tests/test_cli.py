@@ -182,6 +182,13 @@ class TestConstructions:
                            "--tries", "5", "--seed", "1")
         assert (code, out) == (0, "none found\n")
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_cpss_search_rejected_set_is_an_error(self, capsys, extra):
+        code, out, err = run(capsys, "cpss-search", sample("rconp.rel"),
+                             "--tries", "1000", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("relconn: error:") and "Schaefer" in err
+
     @pytest.mark.parametrize("flag,value", [("--max-vars", "0"),
                                             ("--max-vars", "1"),
                                             ("--tries", "-1")])

@@ -333,3 +333,10 @@ class TestSeparationSearch:
     def test_out_of_range_budget_raises(self, bad):
         with pytest.raises(RelconnError):
             search_separation_counterexample([CATALOG["M"]], seed=0, **bad)
+
+    def test_rejected_relation_set_raises(self):
+        # R_coNP is not Schaefer: the first formula drawn is rejected, and
+        # that is an error, not an exhausted budget
+        with pytest.raises(NonCpssError):
+            search_separation_counterexample([CATALOG["R_coNP"]], seed=0,
+                                             tries=1000)

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relconn import bitspace
 from relconn import solution_graph as sg
-from relconn.catalog import CATALOG
+from relconn.catalog import CATALOG, parse_relations
 from relconn.errors import NotASolutionError, VarsLimitError
 from relconn.formulas import evaluate, parse_formula
 from relconn.generators import random_formula
@@ -22,19 +27,87 @@ def parse(text):
 
 
 def nx_graph(phi):
-    """Build the solution graph by direct enumeration, no package helpers."""
-    sols = [a for a in itertools.product((0, 1), repeat=phi.n)
-            if evaluate(phi, dict(zip(phi.variables, a)))]
+    """Build the solution graph by direct enumeration, edges by single
+    flips looked up in the solution set; no package helpers."""
+    sols = {a for a in itertools.product((0, 1), repeat=phi.n)
+            if evaluate(phi, dict(zip(phi.variables, a)))}
     g = nx.Graph()
     g.add_nodes_from(sols)
-    for a, b in itertools.combinations(sols, 2):
-        if sum(x != y for x, y in zip(a, b)) == 1:
-            g.add_edge(a, b)
+    for a in sols:
+        for k in range(phi.n):
+            b = a[:k] + (1 - a[k],) + a[k + 1:]
+            if b in sols:
+                g.add_edge(a, b)
     return g
+
+
+def nx_diameter(g):
+    return max((nx.diameter(g.subgraph(c).copy()) for c in nx.connected_components(g)),
+               default=0)
 
 
 def as_str(t):
     return "".join(map(str, t))
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def old_iter_bits(s):
+    """The lowest-bit loop that iter_bits replaced: the oracle."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def bfs_diameter(comps, n):
+    """The BFS from every vertex that _diameter replaced: the oracle."""
+    best = 0
+    for comp in comps:
+        for src in old_iter_bits(comp):
+            best = max(best, len(bitspace.bfs_levels(1 << src, comp, n)) - 1)
+    return best
+
+
+def old_export_dot(phi):
+    """The per-flip membership loop that export_dot replaced: the oracle."""
+    n = phi.n
+    space = sg.solution_space(phi)
+    lines = ["graph solutions {"]
+    for idx in old_iter_bits(space):
+        lines.append(f'  "{bitspace.tuple_of_index(idx, n)}";')
+    for idx in old_iter_bits(space):
+        for p in range(n):
+            other = idx ^ (1 << p)
+            if other > idx and (space >> other) & 1:
+                lines.append(f'  "{bitspace.tuple_of_index(idx, n)}" -- '
+                             f'"{bitspace.tuple_of_index(other, n)}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def sample_formulas():
+    return [parse(path.read_text()) for path in sorted(SAMPLES.glob("*.cnfs"))]
+
+
+IMP = Relation.from_tuples(2, ["00", "10", "11"], "IMP")
+NX_SOLUTIONS_MAX = 600
+DIAMETER_POOLS = {"M": [CATALOG["M"]],
+                  "NAE_NAZ": [CATALOG["R_NAE"], CATALOG["R_NAZ"]],
+                  "R_coNP": [CATALOG["R_coNP"]],
+                  "IMP": [IMP]}
+
+
+def dense_16_variable_formula():
+    """The seeded dense M-formula of the brute-route time bound in test_cpss."""
+    rng = random.Random(3)
+    while True:
+        phi = random_formula(rng, [CATALOG["M"]], 16, 6, const_prob=0.0)
+        if phi.n == 16:
+            density = sg.solution_space(phi).bit_count() / 2 ** 16
+            if 0.15 <= density <= 0.30:
+                return phi
 
 
 M_PHI = "var x y z\nM(x,y,z)"
@@ -118,8 +191,7 @@ class TestAgainstNetworkx:
         rng = random.Random(5)
         # relations with more members than non-members and with at most as
         # many: solution_space builds the smaller side of each
-        pool = [CATALOG["M"], CATALOG["OR"], CATALOG["NAND"], CATALOG["K"],
-                Relation.from_tuples(2, ["00", "10", "11"], "IMP"),
+        pool = [CATALOG["M"], CATALOG["OR"], CATALOG["NAND"], CATALOG["K"], IMP,
                 CATALOG["R_coNP"], Relation.from_tuples(2, ["00", "11"], "EQ"),
                 Relation.from_tuples(3, ["101"], "ONE")]
         for _ in range(120):
@@ -142,10 +214,7 @@ class TestAgainstNetworkx:
                 low = tuple(min(col) for col in zip(*c))
                 mins_nx.append(as_str(low) if low in c else None)
             assert list(sg.report(phi).minimums) == mins_nx
-            if g.number_of_nodes():
-                dia = max(nx.diameter(g.subgraph(c))
-                          for c in nx.connected_components(g))
-                assert sg.diameter(phi) == dia
+            assert sg.diameter(phi) == nx_diameter(g)
 
     def test_random_distances(self):
         rng = random.Random(6)
@@ -211,3 +280,168 @@ class TestReportAndDot:
     def test_dot_edges(self):
         text = sg.export_dot(parse(M_PHI))
         assert '"000" -- "001";' in text
+
+
+class TestDiameter:
+    """The all-sources diameter pass against the per-vertex BFS and networkx."""
+
+    @staticmethod
+    def check(phi):
+        want = bfs_diameter(sg.component_spaces(phi), phi.n)
+        assert nx_diameter(nx_graph(phi)) == want
+        assert sg.diameter(phi) == want
+        assert sg.report(phi).diameter == want
+        return want
+
+    @staticmethod
+    def draw(rng, pool, max_vars):
+        """A random formula over the pool whose networkx diameter stays
+        cheap: at most NX_SOLUTIONS_MAX solutions."""
+        while True:
+            phi = random_formula(rng, DIAMETER_POOLS[pool], max_vars, 8)
+            if sg.solution_space(phi).bit_count() <= NX_SOLUTIONS_MAX:
+                return phi
+
+    @pytest.mark.parametrize("text,want", [
+        ("rel NONE 1 :\nvar x\nNONE(x)", 0),           # unsatisfiable
+        ("rel ONE 2 : 10\nvar x y\nONE(x,y)", 0),      # one solution
+        (TRIANGLE, 0),                                # two isolated points
+        # a path 000 - 001 - 011 and the point 110, and the other way round
+        ("rel R 3 : 000 001 011 110\nvar x y z\nR(x,y,z)", 2),
+        ("rel R 3 : 000 011 111 110\nvar x y z\nR(x,y,z)", 2),
+        (CONP, 2),
+        ("var x y z w\nR_NAE(x,y,z)\nR_NAZ(y,z,w)", 4),  # 0100 to 1011
+    ])
+    def test_fixtures(self, text, want):
+        assert self.check(parse(text)) == want
+
+    @given(pool=st.sampled_from(sorted(DIAMETER_POOLS)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis(self, pool, seed):
+        self.check(self.draw(random.Random(seed), pool, 12))
+
+    def test_seeded(self):
+        rng = random.Random(10)
+        seen = {"unsat": 0, "single": 0, "unequal components": 0}
+        for pool in sorted(DIAMETER_POOLS):
+            for _ in range(15):
+                phi = self.draw(rng, pool, 12)
+                self.check(phi)
+                comps = sg.component_spaces(phi)
+                seen["unsat"] += not comps
+                seen["single"] += sum(c.bit_count() for c in comps) == 1
+                seen["unequal components"] += len(
+                    {bfs_diameter([c], phi.n) for c in comps}) > 1
+        assert all(seen.values()), seen
+
+    def test_batches_give_the_same_answer(self, monkeypatch):
+        rng = random.Random(11)
+        formulas = [self.draw(rng, pool, 9) for pool in sorted(DIAMETER_POOLS)
+                    for _ in range(8)]
+        want = [bfs_diameter(sg.component_spaces(phi), phi.n)
+                for phi in formulas]
+        for cap in (1, 40, 300):
+            monkeypatch.setattr(sg, "REACH_BITS_MAX", cap)
+            # the largest component needs more than one batch per side
+            assert max(c.bit_count() ** 2 for phi in formulas
+                       for c in sg.component_spaces(phi)) > 2 * cap
+            assert [sg.diameter(phi) for phi in formulas] == want
+            assert [sg.report(phi).diameter for phi in formulas] == want
+
+    def test_fast_on_dense_16_variables(self):
+        # 16,640 solutions in one component; a BFS from every vertex took
+        # 29 s on a 2-core machine, this pass 0.9 s
+        phi = dense_16_variable_formula()
+        start = time.perf_counter()
+        d = sg.diameter(phi)
+        assert time.perf_counter() - start < 2.0
+        assert d == 18
+
+    def test_reach_ints_stay_within_the_cap(self, monkeypatch):
+        # Tracing every allocation slows the 16-variable pass tenfold, so
+        # this runs on a dense 13-variable space with the cap lowered to a
+        # quarter of its reach ints: two batches per side.
+        rng = random.Random(4)
+        while True:
+            phi = random_formula(rng, [CATALOG["M"]], 13, 5, const_prob=0.0)
+            comps = sg.component_spaces(phi)
+            if phi.n == 13 and len(comps) == 1 and comps[0].bit_count() > 1500:
+                break
+        size = comps[0].bit_count()
+        want = sg.diameter(phi)
+        monkeypatch.setattr(sg, "REACH_BITS_MAX", size * size // 4)
+        tracemalloc.start()
+        try:
+            sg._adjacency(comps[0], phi.n)
+            adjacency = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert sg.diameter(phi) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Ints store 30 bits in 4 bytes; each vertex adds an int header and
+        # a few list slots.  Without the cap the reach ints alone would take
+        # twice the bound's first term.
+        assert peak - adjacency < sg.REACH_BITS_MAX / 8 * 32 / 30 + 64 * size
+
+
+class TestIterBits:
+    def test_edge_values(self):
+        # empty, single low and high bits, and the byte boundaries
+        values = [0, 1, 2, 7, 8, 9, 255, 256, 257, 1 << 7, 1 << 8, 1 << 9,
+                  1 << 255, 1 << 256, 1 << 100_000, (1 << 70_000) - 1,
+                  (1 << 65_536) | 1]
+        for s in values:
+            assert list(bitspace.iter_bits(s)) == list(old_iter_bits(s))
+
+    @given(st.lists(st.integers(0, (1 << 17) - 1), max_size=64),
+           st.integers(0, (1 << 256) - 1), st.integers(0, (1 << 17) - 256))
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_ascending(self, positions, block, offset):
+        # scattered bits up to 2^17 wide and one dense 256-bit block
+        s = sum(1 << p for p in set(positions)) | (block << offset)
+        got = list(bitspace.iter_bits(s))
+        assert got == list(old_iter_bits(s))
+        assert got == sorted(set(got)) and len(got) == s.bit_count()
+
+    def test_sparse_wide_masks(self):
+        rng = random.Random(12)
+        for width in (1 << 10, 1 << 14, 1 << 17):
+            s = sum(1 << rng.randrange(width) for _ in range(50))
+            assert list(bitspace.iter_bits(s)) == list(old_iter_bits(s))
+
+    def test_outputs_on_samples_unchanged(self):
+        for path in sorted(SAMPLES.glob("*.rel")):
+            for rel in parse_relations(path.read_text()).values():
+                assert rel.members == frozenset(old_iter_bits(rel.mask))
+                assert rel.tuples() == [bitspace.tuple_of_index(i, rel.arity)
+                                        for i in old_iter_bits(rel.mask)]
+        for phi in sample_formulas():
+            n = phi.n
+            assert sg.solutions(phi) == list(old_iter_bits(sg.solution_space(phi)))
+            assert sg.components(phi) == [
+                [bitspace.tuple_of_index(i, n) for i in old_iter_bits(m)]
+                for m in sg.component_spaces(phi)]
+
+
+class TestDotExport:
+    def test_samples_match_the_flip_loop(self):
+        for phi in sample_formulas():
+            assert sg.export_dot(phi) == old_export_dot(phi)
+
+    def test_seeded_formulas_match_the_flip_loop(self):
+        rng = random.Random(13)
+        for pool in sorted(DIAMETER_POOLS):
+            for _ in range(10):
+                phi = random_formula(rng, DIAMETER_POOLS[pool], 11, 6)
+                assert sg.export_dot(phi) == old_export_dot(phi)
+
+    def test_dense_16_variables(self):
+        phi = dense_16_variable_formula()
+        text = sg.export_dot(phi)
+        assert text == old_export_dot(phi)
+        lines = text.count("\n")
+        edges = sum(bitspace.edge_starts(sg.solution_space(phi), 16, p).bit_count()
+                    for p in range(16))
+        assert lines == 2 + sg.solution_space(phi).bit_count() + edges
