@@ -15,11 +15,12 @@ from .constructions import (ExpressOutcome, ReductionOutput, build_F, build_T,
                             express_m, express_m_details, reduce_sat_to_conn)
 from .cpss import (ConnDecision, CpssReport, conn_cpss, decide_connectivity,
                    project, sat_schaefer)
-from .errors import (ArityLimitError, ClauseExtractionError, ExpressionError,
-                     FormulaError, FormulaParseError, HornStructureError,
-                     NonCpssError, NotASolutionError, PatternError,
-                     ReductionInputError, RelationError, RelconnError,
-                     TriviallySatisfiableError, VarsLimitError)
+from .errors import (ArityLimitError, ClauseExtractionError,
+                     DiameterLimitError, ExpressionError, FormulaError,
+                     FormulaParseError, HornStructureError, NonCpssError,
+                     NotASolutionError, PatternError, ReductionInputError,
+                     RelationError, RelconnError, TriviallySatisfiableError,
+                     VarsLimitError)
 from .formulas import (ClauseSet, CnfClause, Constraint, Formula, XorEquation,
                        evaluate, format_formula, make_formula, parse_formula,
                        to_clausal)

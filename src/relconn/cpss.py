@@ -36,13 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .bitspace import component_masks
 from .classify import SetClassification, classify_set, predict, Predictions
 from .errors import (ClauseExtractionError, NonCpssError, RelconnError,
                      VarsLimitError)
 from .formulas import (ClauseSet, CnfClause, Formula, XorEquation,
-                       constraint_relation, gf2_reduce, to_clausal)
+                       gf2_reduce, to_clausal)
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
-from .relations import components as rel_components
 from . import solution_graph
 
 Clauses = list[tuple[frozenset[str], frozenset[str]]]
@@ -461,17 +461,19 @@ def project(phi: Formula, i: int, clause_set: ClauseSet | None = None,
     if clause_set is None:
         cls = _pick_class(classify_set(phi.used_relations()), check)
         clause_set = to_clausal(phi, cls)
-    return _project_with(phi, i, _projector(clause_set))
+    return _project_with(phi, i, clause_set.constraint_relations[i],
+                         _projector(clause_set))
 
 
-def _project_with(phi: Formula, i: int, mask_of: MaskOf) -> Projection:
-    vars_, own = constraint_relation(phi, i)
+def _project_with(phi: Formula, i: int, pair: tuple[tuple[str, ...], Relation],
+                  mask_of: MaskOf) -> Projection:
+    vars_, own = pair
     mask = mask_of(vars_)
     c = phi.constraints[i]
     if mask & ~own.mask:
         raise AssertionError(f"projection onto {c} leaves the constraint's relation")
     rel = Relation(len(vars_), mask)
-    return Projection(i, str(c), vars_, rel, len(rel_components(rel)))
+    return Projection(i, str(c), vars_, rel, len(component_masks(mask, rel.arity)))
 
 
 @dataclass(frozen=True)
@@ -500,9 +502,10 @@ def conn_cpss(phi: Formula, check: bool = True) -> CpssReport:
 
 
 def _conn_cpss(phi: Formula, cls: str) -> CpssReport:
-    mask_of = _projector(to_clausal(phi, cls))
-    projections = tuple(_project_with(phi, i, mask_of)
-                        for i in range(len(phi.constraints)))
+    clause_set = to_clausal(phi, cls)
+    mask_of = _projector(clause_set)
+    projections = tuple(_project_with(phi, i, pair, mask_of)
+                        for i, pair in enumerate(clause_set.constraint_relations))
     satisfiable = not any(p.relation.is_empty for p in projections)
     # no solutions: connected by convention
     connected = not satisfiable or all(p.n_components <= 1 for p in projections)
@@ -558,30 +561,27 @@ def decide_connectivity(phi: Formula, method: str = "auto") -> ConnDecision:
 
 
 def search_separation_counterexample(relations: Sequence[Relation], seed: int,
-                                     tries: int = 200, max_vars: int = 8,
-                                     max_constraints: int = 4) -> Formula | None:
+                                     tries: int = 200,
+                                     max_vars: int = 8) -> Formula | None:
     """Random search for a disconnected formula whose projections all connect.
 
     Experimental: a hit certifies that the given relation set is not
     handled faithfully by the projection algorithm; exhausting the budget
-    certifies nothing. Raises RelconnError when `max_vars` < 2,
-    `max_constraints` < 1 or `tries` < 0, and passes on the error of
-    conn_cpss (NonCpssError, ClauseExtractionError, ArityLimitError) for
-    the first formula whose relations lie outside the projection
-    algorithm's class.
+    certifies nothing. Each formula has at most 4 constraints. Raises
+    RelconnError when `max_vars` < 2 or `tries` < 0, and passes on the
+    error of conn_cpss (NonCpssError, ClauseExtractionError,
+    ArityLimitError) for the first formula whose relations lie outside the
+    projection algorithm's class.
     """
     import random
     from .generators import random_formula
     if max_vars < 2:
         raise RelconnError(f"max_vars must be at least 2, got {max_vars}")
-    if max_constraints < 1:
-        raise RelconnError(
-            f"max_constraints must be at least 1, got {max_constraints}")
     if tries < 0:
         raise RelconnError(f"tries must be at least 0, got {tries}")
     rng = random.Random(seed)
     for _ in range(tries):
-        phi = random_formula(rng, relations, max_vars, max_constraints)
+        phi = random_formula(rng, relations, max_vars, 4)
         report = conn_cpss(phi, check=False)
         if report.connected and not solution_graph.is_connected(phi):
             return phi

@@ -35,6 +35,10 @@ class VarsLimitError(RelconnError):
     """Formula has too many variables for exhaustive enumeration."""
 
 
+class DiameterLimitError(VarsLimitError):
+    """A solution graph component is too large for the diameter pass."""
+
+
 class NotASolutionError(RelconnError):
     """An endpoint passed to a path query does not satisfy the formula."""
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from . import catalog
-from .bitspace import iter_bits
+from .bitspace import coord_mask, full_mask, iter_bits
 from .errors import ClauseExtractionError, FormulaError, FormulaParseError
 from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, ArgPattern,
                         Relation, apply_pattern, check_property)
@@ -215,7 +216,6 @@ class CnfClause:
     """Disjunction of literals over variable names."""
     pos: frozenset[str]
     neg: frozenset[str]
-    origin: int | None = None
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         return (any(assignment[v] for v in self.pos)
@@ -231,7 +231,6 @@ class XorEquation:
     """GF(2) equation: sum of the variables equals rhs."""
     vars: frozenset[str]
     rhs: int
-    origin: int | None = None
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         s = 0
@@ -277,10 +276,14 @@ def gf2_reduce(rows: Iterable[tuple[int, int]]) -> tuple[dict[int, tuple[int, in
 
 @dataclass(frozen=True)
 class ClauseSet:
+    """A formula's clauses or equations in one Schaefer class, and in
+    constraint_relations, per constraint in formula order, the
+    (variables, relation) pair of constraint_relation they were read off."""
     schaefer_class: str
     variables: tuple[str, ...]
     clauses: tuple[CnfClause, ...] = ()
     equations: tuple[XorEquation, ...] = ()
+    constraint_relations: tuple[tuple[tuple[str, ...], Relation], ...] = ()
 
 
 def _cnf_implicates(vars_: tuple[str, ...], mask: int,
@@ -288,29 +291,16 @@ def _cnf_implicates(vars_: tuple[str, ...], mask: int,
     """Prime implicates of the given shape, as (positive, negative) var sets.
 
     shape: 'bijunctive' caps clause width at 2; 'horn' allows at most one
-    positive literal; 'dual_horn' at most one negative.
+    positive literal; 'dual_horn' at most one negative.  A clause holds iff
+    its cell, the tuples with coordinate 0 under every positive literal and
+    1 under every negative one, misses the mask.  Each shape is closed under
+    dropping literals and candidates come by width, so a clause is prime
+    iff it holds and no clause one literal shorter, met before, holds.
     """
     k = len(vars_)
-    coords = list(range(k))
-    members = list(iter_bits(mask))
-    valid: list[tuple[frozenset[str], frozenset[str]]] = []
-
-    def clause_valid(pos_mask: int, neg_mask: int) -> bool:
-        for t in members:
-            if (t & pos_mask) == 0 and (t & neg_mask) == neg_mask:
-                return False  # t falsifies every literal
-        return True
-
-    def mask_of(coord_set: tuple[int, ...]) -> int:
-        m = 0
-        for c in coord_set:
-            m |= 1 << (k - 1 - c)
-        return m
-
-    from itertools import combinations
+    coords = range(k)
     if shape == BIJUNCTIVE:
-        candidates = []
-        candidates.append(((), ()))
+        candidates = [((), ())]
         for width in (1, 2):
             for sel in combinations(coords, width):
                 for signs in range(1 << width):
@@ -331,19 +321,24 @@ def _cnf_implicates(vars_: tuple[str, ...], mask: int,
     else:
         raise ClauseExtractionError(f"no clause shape for {shape!r}")
 
-    for pos, neg in candidates:
-        if clause_valid(mask_of(pos), mask_of(neg)):
-            valid.append((frozenset(vars_[c] for c in pos),
-                          frozenset(vars_[c] for c in neg)))
-    # prime = minimal literal sets among the valid ones
-    lits = [(p | frozenset(("-" + v for v in n)), p, n) for p, n in valid]
-    lits.sort(key=lambda x: len(x[0]))
+    full = full_mask(k)
+    ones = [coord_mask(k, k - 1 - c) for c in coords]
+    zeros = [full ^ m for m in ones]
+    valid: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     prime: list[tuple[frozenset[str], frozenset[str]]] = []
-    kept: list[frozenset[str]] = []
-    for ls, p, n in lits:
-        if not any(k2 < ls or k2 == ls for k2 in kept):
-            kept.append(ls)
-            prime.append((p, n))
+    for pos, neg in candidates:
+        cell = full
+        for c in pos:
+            cell &= zeros[c]
+        for c in neg:
+            cell &= ones[c]
+        if cell & mask:
+            continue
+        valid.add((pos, neg))
+        if not (any((pos[:j] + pos[j + 1:], neg) in valid for j in range(len(pos)))
+                or any((pos, neg[:j] + neg[j + 1:]) in valid for j in range(len(neg)))):
+            prime.append((frozenset(vars_[c] for c in pos),
+                          frozenset(vars_[c] for c in neg)))
     return prime
 
 
@@ -376,23 +371,26 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
         raise ClauseExtractionError(f"unknown clause class {schaefer_class!r}")
     clauses: list[CnfClause] = []
     equations: list[XorEquation] = []
+    pairs = []
     for i in range(len(phi.constraints)):
-        vars_, rel = constraint_relation(phi, i)
+        vars_, rel = pair = constraint_relation(phi, i)
+        pairs.append(pair)
         if not check_property(rel, schaefer_class):
             raise ClauseExtractionError(
                 f"constraint {phi.constraints[i]} is not {schaefer_class}")
         if schaefer_class == AFFINE:
-            group_eqs = [XorEquation(names, rhs, i)
+            group_eqs = [XorEquation(names, rhs)
                          for names, rhs in _xor_basis(vars_, rel.mask)]
             group_cls = []
         else:
             group_eqs = []
-            group_cls = [CnfClause(pos, neg, i) for pos, neg
+            group_cls = [CnfClause(pos, neg) for pos, neg
                          in _cnf_implicates(vars_, rel.mask, schaefer_class)]
         _assert_group_equivalent(phi, i, vars_, group_cls, group_eqs)
         clauses.extend(group_cls)
         equations.extend(group_eqs)
-    return ClauseSet(schaefer_class, phi.variables, tuple(clauses), tuple(equations))
+    return ClauseSet(schaefer_class, phi.variables, tuple(clauses),
+                     tuple(equations), tuple(pairs))
 
 
 def _assert_group_equivalent(phi: Formula, i: int, vars_: tuple[str, ...],

@@ -16,7 +16,7 @@ set, which is what maximal_self_implicating_sets computes and verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import bitspace
@@ -31,7 +31,6 @@ from .solution_graph import _space
 class HornClause:
     head: str | None
     body: frozenset[str]
-    origin: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.body, frozenset):
@@ -111,7 +110,7 @@ def view_from_clause_set(cs: ClauseSet) -> HornView:
         if len(c.pos) > 1:
             raise HornStructureError(f"clause {c} has two positive literals")
         head = next(iter(c.pos)) if c.pos else None
-        clauses.append(HornClause(head, c.neg, c.origin))
+        clauses.append(HornClause(head, c.neg))
     return HornView(cs.variables, tuple(clauses))
 
 
@@ -328,7 +327,7 @@ def _rule_d(view: HornView, i: int, c: HornClause):
     if c.is_implication:
         reach = imp(view, c.variables())
         if any(r <= reach for r in view.restraint_sets()):
-            return _replace_at(view, i, HornClause(None, c.body, c.origin))
+            return _replace_at(view, i, HornClause(None, c.body))
     return None
 
 

@@ -12,6 +12,8 @@ The diameter runs all BFS sources of a component at once, as the bits of
 one reach int per vertex: D rounds of 2|E| ORs of ints about |C|/2 bits
 wide, for a component of |C| vertices, |E| edges and diameter D, with the
 reach ints held to REACH_BITS_MAX bits by running the sources in batches.
+A component of more than DIAMETER_VERTICES_MAX vertices raises
+DiameterLimitError before any neighbour list is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import bitspace
-from .errors import NotASolutionError, VarsLimitError
+from .errors import DiameterLimitError, NotASolutionError, VarsLimitError
 from .formulas import Formula
 from .relations import Relation
 
@@ -28,6 +30,10 @@ BRUTE_VARS_MAX = 24
 # Bits of the reach ints that the diameter pass holds at once (16 MiB):
 # one batch per side while a component has at most 16,384 vertices.
 REACH_BITS_MAX = 1 << 27
+# Largest component the diameter pass takes: its neighbour lists hold about
+# 300 bytes per vertex and its time grows with the square of the vertex
+# count (16,640 vertices take about 0.9 s on a 2-core host).
+DIAMETER_VERTICES_MAX = 1 << 17
 
 
 def check_size(n: int) -> int:
@@ -243,8 +249,14 @@ def _diameter(comps: list[int], n: int) -> int:
 
     One all-sources pass per component (_eccentricity_max), D rounds of
     2|E| ORs of ints about |C|/2 bits wide, in place of a BFS over the
-    whole 2^n-bit cube from each of its |C| vertices.
+    whole 2^n-bit cube from each of its |C| vertices.  Every component is
+    checked against DIAMETER_VERTICES_MAX before the first pass.
     """
+    size = max((comp.bit_count() for comp in comps), default=0)
+    if size > DIAMETER_VERTICES_MAX:
+        raise DiameterLimitError(
+            f"a component of {size} solutions exceeds the diameter bound "
+            f"{DIAMETER_VERTICES_MAX}")
     return max((_eccentricity_max(*_adjacency(comp, n)) for comp in comps),
                default=0)
 
@@ -287,6 +299,7 @@ def report(phi: Formula) -> SolutionGraphReport:
     n = phi.n
     space = solution_space(phi)
     comps = bitspace.component_masks(space, n)
+    diam = _diameter(comps, n)
     loc_min = bitspace.locally_minimal(space, n)
     comp_tuples = []
     minimums = []
@@ -302,7 +315,7 @@ def report(phi: Formula) -> SolutionGraphReport:
         n_variables=n,
         n_solutions=space.bit_count(),
         connected=len(comps) <= 1,
-        diameter=_diameter(comps, n),
+        diameter=diam,
         components=tuple(comp_tuples),
         minimums=tuple(minimums),
         locally_minimal=tuple(loc_by_comp),

@@ -107,6 +107,19 @@ class TestGraphQueries:
         code, out, _ = run(capsys, "diameter", sample("conp.cnfs"))
         assert (code, out) == (0, "2\n")
 
+    @pytest.mark.parametrize("command", ["diameter", "report"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_diameter_bound_exits_2(self, capsys, tmp_path, command, flags):
+        names = [f"x{i}" for i in range(18)]
+        path = tmp_path / "cube.cnfs"
+        path.write_text("rel ALL 2 : 00 01 10 11\nvar " + " ".join(names)
+                        + "\n" + "\n".join(f"ALL({a},{b})" for a, b
+                                            in zip(names[::2], names[1::2])))
+        code, out, err = run(capsys, command, path, *flags)
+        assert (code, out) == (2, "")
+        assert err == ("relconn: error: a component of 262144 solutions "
+                       "exceeds the diameter bound 131072\n")
+
     def test_report_text(self, capsys):
         code, out, _ = run(capsys, "report", sample("conp.cnfs"))
         assert code == 0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relconn import solution_graph
+from relconn import formulas, solution_graph
 from relconn.catalog import CATALOG
 from relconn.classify import classify_set
 from relconn.cpss import (conn_cpss, decide_connectivity, project,
@@ -306,6 +306,22 @@ class TestDecideConnectivity:
             assert d.connected == (len(solution_graph.components(phi)) == 1)
             assert "components" not in d.to_json()["detail"]
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_constraint_relation_per_constraint(self, monkeypatch, kind):
+        # to_clausal builds each constraint's relation; the projections
+        # reuse it instead of building it again
+        phi = planted_formula(kind, 5, 30, 40)
+        calls = []
+        original = formulas.apply_pattern
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(formulas, "apply_pattern", counting)
+        assert decide_connectivity(phi).method == "cpss"
+        assert len(calls) == len(phi.constraints) == 40
+
     def test_unknown_method(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
         with pytest.raises(ValueError):
@@ -322,14 +338,14 @@ class TestSeparationSearch:
     def test_hit_is_verified_when_found(self):
         m = CATALOG["M"]
         hit = search_separation_counterexample([m], seed=7, tries=300,
-                                               max_vars=6, max_constraints=4)
+                                               max_vars=6)
         if hit is not None:
             report = conn_cpss(hit, check=False)
             assert report.connected
             assert not solution_graph.is_connected(hit)
 
     @pytest.mark.parametrize("bad", [{"max_vars": 0}, {"max_vars": 1},
-                                     {"max_constraints": 0}, {"tries": -1}])
+                                     {"tries": -1}])
     def test_out_of_range_budget_raises(self, bad):
         with pytest.raises(RelconnError):
             search_separation_counterexample([CATALOG["M"]], seed=0, **bad)

@@ -18,7 +18,9 @@ from relconn.formulas import (Constraint, constraint_relation, evaluate,
                               to_clausal)
 from relconn.generators import close_under, random_cpss_pool, random_formula
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
-                               check_property, op_xor3)
+                               check_property, op_and, op_maj, op_or, op_xor3)
+
+SHAPES = (BIJUNCTIVE, HORN, DUAL_HORN)
 
 
 def parse(text):
@@ -168,6 +170,7 @@ class TestToClausal:
                     continue
                 cs = to_clausal(phi, cls)
                 assert clause_models(cs, phi.variables) == formula_models(phi)
+                assert cs.constraint_relations == ((vars_, crel),)
                 cases += 1
         assert cases > 150
 
@@ -228,6 +231,87 @@ class TestToClausal:
         phi = parse("rel NONE 2 : \nvar x y\nNONE(x,y)")
         cs = to_clausal(phi, HORN)
         assert clause_models(cs, phi.variables) == set()
+
+
+def member_loop_implicates(vars_, mask, shape):
+    """Prime implicates of the shape by testing each candidate clause
+    against every member tuple, then keeping the minimal literal sets
+    among the valid ones: the reference for formulas._cnf_implicates."""
+    k = len(vars_)
+    coords = list(range(k))
+    members = [t for t in range(1 << k) if (mask >> t) & 1]
+
+    def clause_valid(pos_mask, neg_mask):
+        return all((t & pos_mask) != 0 or (t & neg_mask) != neg_mask
+                   for t in members)
+
+    def mask_of(coord_set):
+        return sum(1 << (k - 1 - c) for c in coord_set)
+
+    candidates = [((), ())]
+    if shape == BIJUNCTIVE:
+        for width in (1, 2):
+            for sel in itertools.combinations(coords, width):
+                for signs in range(1 << width):
+                    pos = tuple(c for b, c in enumerate(sel) if signs >> b & 1)
+                    neg = tuple(c for b, c in enumerate(sel) if not signs >> b & 1)
+                    candidates.append((pos, neg))
+    else:
+        for width in range(1, k + 1):
+            for sel in itertools.combinations(coords, width):
+                candidates.append(((), sel))
+                for h in sel:
+                    candidates.append(((h,), tuple(c for c in sel if c != h)))
+        if shape == DUAL_HORN:
+            candidates = [(neg, pos) for pos, neg in candidates]
+    valid = [(frozenset(vars_[c] for c in pos), frozenset(vars_[c] for c in neg))
+             for pos, neg in candidates if clause_valid(mask_of(pos), mask_of(neg))]
+    lits = [(p | frozenset("-" + v for v in n), p, n) for p, n in valid]
+    lits.sort(key=lambda x: len(x[0]))
+    prime, kept = [], []
+    for ls, p, n in lits:
+        if not any(k2 <= ls for k2 in kept):
+            kept.append(ls)
+            prime.append((p, n))
+    return prime
+
+
+class TestCnfImplicates:
+    """Prime clauses read off falsifying cells against the member loop."""
+
+    @staticmethod
+    def check(k, mask, shape):
+        vars_ = tuple(f"x{j}" for j in range(k))
+        want = member_loop_implicates(vars_, mask, shape)
+        assert formulas._cnf_implicates(vars_, mask, shape) == want
+        return want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(0, (1 << (1 << k)) - 1),
+        st.sampled_from(SHAPES))))
+    @example((1, 0, HORN))
+    @example((6, 0, BIJUNCTIVE))
+    @example((6, (1 << 64) - 1, DUAL_HORN))
+    def test_hypothesis(self, case):
+        self.check(*case)
+
+    def test_seeded(self):
+        # random masks, and their closures under each shape's operation so
+        # that narrow clauses hold and the prime filter has work to do
+        rng = random.Random(12)
+        ops = {BIJUNCTIVE: [op_maj], HORN: [op_and], DUAL_HORN: [op_or]}
+        for k in range(1, 7):
+            full = (1 << (1 << k)) - 1
+            for shape in SHAPES:
+                assert self.check(k, 0, shape) == [(frozenset(), frozenset())]
+                assert self.check(k, full, shape) == []
+                sizes = set()
+                for _ in range(12):
+                    rel = Relation(k, rng.getrandbits(1 << k) & rng.getrandbits(1 << k))
+                    for r in (rel, close_under(rel, ops[shape])):
+                        sizes.add(len(self.check(k, r.mask, shape)))
+                assert k == 1 or max(sizes) > 1
 
 
 class TestCatalogFile:

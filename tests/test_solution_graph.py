@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from relconn import bitspace
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG, parse_relations
-from relconn.errors import NotASolutionError, VarsLimitError
+from relconn.errors import (DiameterLimitError, NotASolutionError,
+                            VarsLimitError)
 from relconn.formulas import evaluate, parse_formula
 from relconn.generators import random_formula
 from relconn.relations import Relation
@@ -85,6 +86,14 @@ def old_export_dot(phi):
                              f'"{bitspace.tuple_of_index(other, n)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def full_cube_formula(n):
+    """Every assignment to n (even) variables: one component of 2^n."""
+    names = [f"x{i}" for i in range(n)]
+    return parse("rel ALL 2 : 00 01 10 11\nvar " + " ".join(names) + "\n"
+                 + "\n".join(f"ALL({a},{b})"
+                             for a, b in zip(names[::2], names[1::2])))
 
 
 def sample_formulas():
@@ -357,6 +366,21 @@ class TestDiameter:
         d = sg.diameter(phi)
         assert time.perf_counter() - start < 2.0
         assert d == 18
+
+    def test_oversized_component_raises_before_adjacency(self, monkeypatch):
+        # 262,144 vertices, twice the bound: its neighbour lists would take
+        # about 80 MB, so the check must come before any of them is built
+        phi = full_cube_formula(18)
+        assert sg.component_spaces(phi)[0].bit_count() > sg.DIAMETER_VERTICES_MAX
+
+        def no_adjacency(comp, n):
+            raise AssertionError("neighbour lists built for an oversized component")
+
+        monkeypatch.setattr(sg, "_adjacency", no_adjacency)
+        for query in (sg.diameter, sg.report):
+            with pytest.raises(DiameterLimitError, match="262144 solutions"):
+                query(phi)
+        assert issubclass(DiameterLimitError, VarsLimitError)
 
     def test_reach_ints_stay_within_the_cap(self, monkeypatch):
         # Tracing every allocation slows the 16-variable pass tenfold, so
