@@ -345,7 +345,7 @@ class TestSeparationSearch:
             assert not solution_graph.is_connected(hit)
 
     @pytest.mark.parametrize("bad", [{"max_vars": 0}, {"max_vars": 1},
-                                     {"tries": -1}])
+                                     {"max_vars": -1}, {"tries": -1}])
     def test_out_of_range_budget_raises(self, bad):
         with pytest.raises(RelconnError):
             search_separation_counterexample([CATALOG["M"]], seed=0, **bad)
