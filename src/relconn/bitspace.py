@@ -5,12 +5,14 @@ iff the assignment with index i belongs to S.  Index convention: bit j of
 the index i (j = 0 is least significant) holds coordinate n - j, i.e. the
 first coordinate is the most significant bit.  All graph operations treat
 two indices as adjacent iff they differ in exactly one bit.  Relations
-(relations.Relation.mask) and solution spaces share this format.
+(relations.Relation.mask) and solution spaces share this format, and
+gf2_reduce, the package's one GF(2) row reduction, reads ints as vectors.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 
 @lru_cache(maxsize=None)
@@ -132,3 +134,38 @@ def iter_bits(s: int):
 def tuple_of_index(idx: int, n: int) -> str:
     """Bitstring of an index, first coordinate as the most significant bit."""
     return format(idx, f"0{n}b")
+
+
+def gf2_reduce(rows: Iterable[tuple[int, int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Reduced row echelon form over GF(2) of (bits, tag) rows.
+
+    Each row is reduced against the pivot rows it holds, highest bit first,
+    and its tag takes the same XORs; a row left nonzero becomes the pivot
+    row of its highest bit.  One back-substitution pass at the end clears
+    every pivot bit from the other pivot rows.  Returns the pivot rows by
+    pivot bit and the tags of the rows that reduced to zero, in input order.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    held = 0
+    zero_tags: list[int] = []
+    for bits, tag in rows:
+        while bits:
+            top = bits.bit_length() - 1
+            row = pivots.get(top)
+            if row is None:
+                pivots[top] = (bits, tag)
+                held |= 1 << top
+                break
+            bits ^= row[0]
+            tag ^= row[1]
+        else:
+            zero_tags.append(tag)
+    # a pivot row holds no higher pivot, so in ascending order every row it
+    # is reduced with is already free of all other pivots
+    for p in sorted(pivots):
+        bits, tag = pivots[p]
+        for q in iter_bits((bits & held) ^ (1 << p)):
+            bits ^= pivots[q][0]
+            tag ^= pivots[q][1]
+        pivots[p] = (bits, tag)
+    return pivots, zero_tags

@@ -13,7 +13,7 @@ solution-graph diameter of formulas built from the set:
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ArityLimitError, RelationError
 from .relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE, DUAL_HORN, HORN,
@@ -114,12 +114,12 @@ def _need(value: bool | None, what: str) -> bool:
     return value
 
 
-def classify_set(relations: Sequence[Relation],
-                 profiles: Iterable[RelationProfile] | None = None) -> SetClassification:
-    """Place a finite relation set into the four-way classification."""
+def classify_set(relations: Sequence[Relation]) -> SetClassification:
+    """Place a finite relation set into the four-way classification, from
+    the profile of each relation."""
     if not relations:
         raise RelationError("cannot classify an empty relation set")
-    profs = list(profiles) if profiles is not None else [profile(r) for r in relations]
+    profs = [profile(r) for r in relations]
 
     schaefer_kinds = []
     if all(p.bijunctive for p in profs):

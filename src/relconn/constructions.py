@@ -16,8 +16,9 @@ Two constructions:
   (M(x,y,z) = K(x,y,z) AND K(z,x,x) = L(x,y,z) AND L(z,x,x)).  The slot
   pattern is its only state: each step re-derives the Horn view from the
   pinned relation and checks it by enumeration, and the result is checked
-  to be M before it is returned.  It sweeps identifications, so it is
-  bounded by SAFE_CHECK_ARITY_MAX.
+  to be M before it is returned.  One walk over the distinct
+  identifications finds the failing ones and feeds the candidate choices,
+  so it is bounded by SAFE_CHECK_ARITY_MAX.
 
 reduce_sat_to_conn does not check its output; the test suite compares it
 with brute force.
@@ -31,18 +32,19 @@ from typing import Mapping
 from . import bitspace
 from . import horn as hornmod
 from .catalog import CATALOG
-from .classify import profile
 from .errors import ExpressionError, ReductionInputError, TriviallySatisfiableError
 from .formulas import Constraint, Formula, make_formula
 from .horn import HornClause, HornView
-from .relations import (IHSB_MINUS, ArgPattern, Relation, apply_pattern,
-                        check_property, componentwise, components,
+from .relations import (HORN, IHSB_MINUS, SAFE_CHECK_ARITY_MAX, SAFE_SHORTCUTS,
+                        SAFELY_CW_IHSB_MINUS, ArgPattern, Relation,
+                        apply_pattern, check_property, components,
                         walk_identifications)
 from . import solution_graph
 
 _P = CATALOG["P"]
 _N = CATALOG["N"]
 _M = CATALOG["M"]
+_SAFE = "relation is safely componentwise IHSB-; nothing to express"
 
 
 @dataclass(frozen=True)
@@ -206,17 +208,20 @@ def _express_candidates(rel: Relation):
     (whose minimum's 1-set is pinned to 1 in `state`), multi-implication
     clauses filtered to those whose variable reach holds no restraint set
     and whose body has an unimplied variable.  Later choices serve as
-    verified fallbacks.  The identification walk bounds the arity.
+    verified fallbacks.  The walk skips repeated images, whose states and
+    outcomes would repeat too; when no image fails, the relation is safely
+    componentwise IHSB- and the stream ends in ExpressionError.
     """
-    for labels, arity, mask in walk_identifications(rel):
-        identified = Relation(arity, mask)
-        if componentwise(identified, IHSB_MINUS):
+    unsafe = False
+    for labels, arity, mask in walk_identifications(rel, distinct=True):
+        failing = [comp for comp in components(Relation(arity, mask))
+                   if not check_property(comp, IHSB_MINUS)]
+        if not failing:
             continue
+        unsafe = True
         pattern = ArgPattern(labels)
         base = _initial_state(rel, pattern)
-        for comp in components(identified):
-            if check_property(comp, IHSB_MINUS):
-                continue
+        for comp in failing:
             lower = bitspace.minimum(comp.mask, comp.arity)
             if lower is None:
                 continue
@@ -225,9 +230,10 @@ def _express_candidates(rel: Relation):
             if state2.view.has_positive_units():
                 continue
             multi = [c for c in state2.view.clauses if c.is_multi_implication]
-            ordered = sorted(multi, key=lambda c: not _spec_filter(state2.view, c))
-            for cstar in ordered:
+            for cstar in sorted(multi, key=lambda c: not _spec_filter(state2.view, c)):
                 yield pattern, state2, cstar
+    if not unsafe:
+        raise ExpressionError(_SAFE)
 
 
 def _spec_filter(view: HornView, cstar: HornClause) -> bool:
@@ -251,14 +257,13 @@ def express_m_details(rel: Relation) -> ExpressOutcome:
     solution set over (x, y, z) is exactly M; the second constraint appears
     when the pinned relation is K or L rather than M itself.
     """
-    p = profile(rel)
-    if not p.horn:
+    if not check_property(rel, HORN):
         raise ExpressionError("relation is not Horn")
-    if p.safely_componentwise_ihsb_minus:
-        raise ExpressionError(
-            "relation is safely componentwise IHSB-; nothing to express")
-    name = rel.name or "R"
-    src = rel.renamed(name)
+    # above the sweep bound the walk raises ArityLimitError first
+    if rel.arity <= SAFE_CHECK_ARITY_MAX and any(
+            check_property(rel, prop) for prop in SAFE_SHORTCUTS[SAFELY_CW_IHSB_MINUS]):
+        raise ExpressionError(_SAFE)
+    src = rel.renamed(rel.name or "R")
     failures: list[str] = []
     for pattern, state2, cstar in _express_candidates(src):
         try:

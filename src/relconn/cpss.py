@@ -22,8 +22,8 @@ clause translation, one engine per clause class:
   basis; a projection is the particular solution plus the span of the
   basis restricted to the constraint's variables.
 
-Every GF(2) reduction here, and the clause translation's, is
-formulas.gf2_reduce: the affine engine's system, sat_schaefer's affine
+Every GF(2) reduction here, as everywhere in the package, is
+bitspace.gf2_reduce: the affine engine's system, sat_schaefer's affine
 case and the linear dependencies among a projection's columns.
 
 Each engine checks its base model against every clause or equation, and
@@ -36,12 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .bitspace import component_masks
+from .bitspace import component_masks, gf2_reduce
 from .classify import SetClassification, classify_set, predict, Predictions
 from .errors import (ClauseExtractionError, NonCpssError, RelconnError,
                      VarsLimitError)
-from .formulas import (ClauseSet, CnfClause, Formula, XorEquation,
-                       gf2_reduce, to_clausal)
+from .formulas import ClauseSet, CnfClause, Formula, XorEquation, to_clausal
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
 from . import solution_graph
 

@@ -11,6 +11,9 @@ Text format:
     rel IMP 2 : 00 10 11   optional inline relation definitions
     IMP(x,y)
     M(x,0,z)
+
+conjunction_space is the one routine that turns a conjunction into a
+bitmask: formula and Horn-view solution spaces and to_clausal's checks.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import catalog
-from .bitspace import coord_mask, full_mask, iter_bits
-from .errors import ClauseExtractionError, FormulaError, FormulaParseError
+from .bitspace import coord_mask, full_mask, gf2_reduce, iter_bits
+from .errors import (ClauseExtractionError, FormulaError, FormulaParseError,
+                     VarsLimitError)
 from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, ArgPattern,
                         Relation, apply_pattern, check_property)
 
@@ -30,6 +34,7 @@ VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _CONSTRAINT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*\Z")
 
 SCHAEFER_CLASSES = (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE)
+BRUTE_VARS_MAX = 24  # most variables whose assignments conjunction_space spans
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,65 @@ def evaluate(phi: Formula, assignment: Mapping[str, int]) -> bool:
     return True
 
 
+def conjunction_space(variables: Sequence[str],
+                      items: Iterable[tuple[int, int, Sequence[str]]]) -> int:
+    """Bitmask of the assignments to `variables` that meet every item.
+
+    Assignment index i encodes `variables` with the first one as the most
+    significant bit.  An item (mask, k, args) is a relation of arity k, as
+    a mask, applied to k arguments, each a variable or the constant "0" or
+    "1".  The tuples of the relation pick out 2^k disjoint subcubes that
+    cover the cube, so the item's indicator is the union of its members'
+    subcubes, or the complement of the union of its non-members' ones:
+    whichever side has fewer tuples is built.  The size bound is checked
+    before a lazy `items` builds any mask.
+    """
+    n = len(variables)
+    if n > BRUTE_VARS_MAX:
+        raise VarsLimitError(
+            f"{n} variables exceed the exhaustive bound {BRUTE_VARS_MAX}")
+    full = full_mask(n)
+    pos = {v: n - 1 - j for j, v in enumerate(variables)}
+    space = full
+    for mask, k, args in items:
+        flip = 2 * mask.bit_count() > 1 << k
+        indicator = 0
+        for t in iter_bits(mask ^ full_mask(k) if flip else mask):
+            term = full
+            for slot, a in enumerate(args):
+                bit = (t >> (k - 1 - slot)) & 1
+                if a == "0" or a == "1":
+                    if bit != (a == "1"):
+                        term = 0
+                        break
+                    continue
+                col = coord_mask(n, pos[a])
+                term &= col if bit else full ^ col
+                if not term:
+                    break
+            indicator |= term
+        space &= full ^ indicator if flip else indicator
+        if not space:
+            break
+    return space
+
+
+def clause_item(pos: Iterable[str], neg: Collection[str]) -> tuple[int, int, list[str]]:
+    """The clause OR(pos) OR NOT(neg) as a conjunction_space item over
+    (*pos, *neg): every tuple but the falsifying one, pos 0 and neg 1."""
+    args = [*pos, *neg]
+    return full_mask(len(args)) ^ (1 << ((1 << len(neg)) - 1)), len(args), args
+
+
+def equation_item(vars_: Collection[str], rhs: int) -> tuple[int, int, list[str]]:
+    """XOR(vars_) = rhs as a conjunction_space item: the tuples of parity rhs."""
+    k = len(vars_)
+    odd = 0
+    for p in range(k):
+        odd ^= coord_mask(k, p)
+    return odd if rhs else full_mask(k) ^ odd, k, list(vars_)
+
+
 def constraint_relation(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation]:
     """Relation of constraint i over its distinct variables, in name order.
 
@@ -233,45 +297,7 @@ class XorEquation:
     rhs: int
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
-        s = 0
-        for v in self.vars:
-            s ^= 1 if assignment[v] else 0
-        return s == self.rhs
-
-
-def gf2_reduce(rows: Iterable[tuple[int, int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Reduced row echelon form over GF(2) of (bits, tag) rows.
-
-    Each row is reduced against the pivot rows it holds, highest bit first,
-    and its tag takes the same XORs; a row left nonzero becomes the pivot
-    row of its highest bit.  One back-substitution pass at the end clears
-    every pivot bit from the other pivot rows.  Returns the pivot rows by
-    pivot bit and the tags of the rows that reduced to zero, in input order.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    held = 0
-    zero_tags: list[int] = []
-    for bits, tag in rows:
-        while bits:
-            top = bits.bit_length() - 1
-            row = pivots.get(top)
-            if row is None:
-                pivots[top] = (bits, tag)
-                held |= 1 << top
-                break
-            bits ^= row[0]
-            tag ^= row[1]
-        else:
-            zero_tags.append(tag)
-    # a pivot row holds no higher pivot, so in ascending order every row it
-    # is reduced with is already free of all other pivots
-    for p in sorted(pivots):
-        bits, tag = pivots[p]
-        for q in iter_bits((bits & held) ^ (1 << p)):
-            bits ^= pivots[q][0]
-            tag ^= pivots[q][1]
-        pivots[p] = (bits, tag)
-    return pivots, zero_tags
+        return sum(1 for v in self.vars if assignment[v]) % 2 == self.rhs
 
 
 @dataclass(frozen=True)
@@ -396,24 +422,21 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
 def _assert_group_equivalent(phi: Formula, i: int, vars_: tuple[str, ...],
                              clauses: list[CnfClause],
                              equations: list[XorEquation]) -> None:
-    """Check that constraint i and its clauses/equations agree on all 2^k
-    assignments to its k distinct variables.
+    """Check that constraint i and its clauses/equations have the same
+    conjunction_space over its k distinct variables.
 
-    The constraint is read straight off its library relation's mask, not
-    through apply_pattern.  The formula and the clause set are conjunctions
-    of these per-constraint groups, so agreement on every group makes them
-    define the same solutions, at any number of variables.
+    The constraint is read straight off its library relation's mask and its
+    args, not through apply_pattern.  The formula and the clause set are
+    conjunctions of these per-constraint groups, so agreement on every
+    group makes them define the same solutions, at any number of variables.
     """
     c = phi.constraints[i]
-    mask = phi.relation_of(c).mask
-    k = len(vars_)
-    for a in range(1 << k):
-        asg = {v: (a >> (k - 1 - j)) & 1 for j, v in enumerate(vars_)}
-        idx = 0
-        for arg in c.args:
-            idx = (idx << 1) | (int(arg) if arg in ("0", "1") else asg[arg])
-        rhs = (all(cl.satisfied_by(asg) for cl in clauses)
-               and all(e.satisfied_by(asg) for e in equations))
-        if rhs != bool((mask >> idx) & 1):
-            raise ClauseExtractionError(
-                f"clause conversion changed the solutions of {c} at {asg}")
+    want = conjunction_space(vars_, [(phi.relation_of(c).mask, len(c.args), c.args)])
+    got = conjunction_space(vars_, [clause_item(cl.pos, cl.neg) for cl in clauses]
+                            + [equation_item(e.vars, e.rhs) for e in equations])
+    diff = got ^ want
+    if diff:
+        a = (diff & -diff).bit_length() - 1  # the first assignment they differ on
+        asg = {v: (a >> (len(vars_) - 1 - j)) & 1 for j, v in enumerate(vars_)}
+        raise ClauseExtractionError(
+            f"clause conversion changed the solutions of {c} at {asg}")

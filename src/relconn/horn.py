@@ -22,9 +22,9 @@ from typing import Iterable, Mapping, Sequence
 from . import bitspace
 from .catalog import strip_comment
 from .errors import FormulaParseError, HornStructureError
-from .formulas import VAR_RE, ClauseSet, Formula, to_clausal
+from .formulas import (VAR_RE, ClauseSet, Formula, clause_item,
+                       conjunction_space, to_clausal)
 from .relations import HORN
-from .solution_graph import _space
 
 
 @dataclass(frozen=True)
@@ -230,15 +230,8 @@ def has_restraint_subset(view: HornView, subset: Iterable[str]) -> bool:
 
 def solution_space(view: HornView) -> int:
     """Bitmask of satisfying assignments, same index convention as formulas."""
-    return _space(view.variables, (_clause_relation(c) for c in view.clauses))
-
-
-def _clause_relation(c: HornClause) -> tuple[int, int, list[str]]:
-    """The clause as a relation over (head, *body), or over the body alone
-    for a restraint: every tuple but the falsifying one, head 0, body all 1."""
-    args = [*c.body] if c.head is None else [c.head, *c.body]
-    falsifying = (1 << len(c.body)) - 1
-    return bitspace.full_mask(len(args)) ^ (1 << falsifying), len(args), args
+    return conjunction_space(view.variables, (
+        clause_item(() if c.head is None else (c.head,), c.body) for c in view.clauses))
 
 
 def locally_minimal_solutions(view: HornView) -> list[int]:

@@ -29,8 +29,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .bitspace import (component_masks, coord_mask, full_mask, iter_bits,
-                       tuple_of_index)
+from .bitspace import (component_masks, coord_mask, full_mask, gf2_reduce,
+                       iter_bits, tuple_of_index)
 from .errors import ArityLimitError, PatternError, RelationError
 
 ARITY_MAX = 16
@@ -427,15 +427,7 @@ def _is_affine(mask: int, k: int) -> bool:
     if size & (size - 1) or not size:
         return not size
     t0 = (mask & -mask).bit_length() - 1
-    pivots: dict[int, int] = {}
-    for t in iter_bits(mask):
-        v = t ^ t0
-        while v:
-            top = v.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = v
-                break
-            v ^= pivots[top]
+    pivots, _ = gf2_reduce((t ^ t0, 0) for t in iter_bits(mask))
     return 1 << len(pivots) == size
 
 

@@ -4,9 +4,9 @@ The solution graph has the satisfying assignments as vertices, adjacent
 iff they differ in exactly one variable.  This module is the one query
 layer over solution bitmasks: every query on a formula or a Horn view
 (see horn) materialises the full assignment space once as a bitmask (see
-bitspace), built by one routine from relation masks, and reads it here.
-It is exact and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable
-formula counts as connected and as having diameter 0.
+bitspace) with formulas.conjunction_space and reads it here.  It is exact
+and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable formula counts
+as connected and as having diameter 0.
 
 The diameter runs all BFS sources of a component at once, as the bits of
 one reach int per vertex: D rounds of 2|E| ORs of ints about |C|/2 bits
@@ -19,14 +19,13 @@ DiameterLimitError before any neighbour list is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import bitspace
-from .errors import DiameterLimitError, NotASolutionError, VarsLimitError
-from .formulas import Formula
+from .errors import DiameterLimitError, NotASolutionError
+from .formulas import BRUTE_VARS_MAX, Formula, conjunction_space
 from .relations import Relation
 
-BRUTE_VARS_MAX = 24
 # Bits of the reach ints that the diameter pass holds at once (16 MiB):
 # one batch per side while a component has at most 16,384 vertices.
 REACH_BITS_MAX = 1 << 27
@@ -36,61 +35,11 @@ REACH_BITS_MAX = 1 << 27
 DIAMETER_VERTICES_MAX = 1 << 17
 
 
-def check_size(n: int) -> int:
-    """n itself, once it is known to be within the exhaustive bound."""
-    if n > BRUTE_VARS_MAX:
-        raise VarsLimitError(
-            f"{n} variables exceed the exhaustive bound {BRUTE_VARS_MAX}")
-    return n
-
-
 def solution_space(phi: Formula) -> int:
-    """Bitmask over all 2^n assignments; bit i set iff assignment i satisfies phi.
-
-    Assignment index i encodes phi.variables with the first variable as the
-    most significant bit.
-    """
-    return _space(phi.variables, ((phi.relation_of(c).mask, len(c.args), c.args)
-                                  for c in phi.constraints))
-
-
-def _space(variables: Sequence[str],
-           items: Iterable[tuple[int, int, Sequence[str]]]) -> int:
-    """Bitmask of the assignments to `variables` that meet every item.
-
-    An item (mask, k, args) is a relation of arity k, as a mask, applied to
-    k arguments, each a variable or the constant "0" or "1".  The tuples of
-    the relation pick out 2^k disjoint subcubes that cover the cube, so the
-    item's indicator is the union of its members' subcubes, or the
-    complement of the union of its non-members' ones: whichever side has
-    fewer tuples is built.  The size bound is checked before any item is
-    read, so a lazy `items` builds no mask for an oversized cube.
-    """
-    n = check_size(len(variables))
-    full = bitspace.full_mask(n)
-    pos = {v: n - 1 - j for j, v in enumerate(variables)}
-    space = full
-    for mask, k, args in items:
-        flip = 2 * mask.bit_count() > 1 << k
-        indicator = 0
-        for t in bitspace.iter_bits(mask ^ bitspace.full_mask(k) if flip else mask):
-            term = full
-            for slot, a in enumerate(args):
-                bit = (t >> (k - 1 - slot)) & 1
-                if a == "0" or a == "1":
-                    if bit != (a == "1"):
-                        term = 0
-                        break
-                    continue
-                col = bitspace.coord_mask(n, pos[a])
-                term &= col if bit else full ^ col
-                if not term:
-                    break
-            indicator |= term
-        space &= full ^ indicator if flip else indicator
-        if not space:
-            break
-    return space
+    """Bitmask over all 2^n assignments; bit i set iff assignment i satisfies
+    phi, the first of phi.variables being the most significant bit of i."""
+    return conjunction_space(phi.variables, (
+        (phi.relation_of(c).mask, len(c.args), c.args) for c in phi.constraints))
 
 
 def solutions(phi: Formula) -> list[int]:

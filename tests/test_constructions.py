@@ -11,17 +11,20 @@ import pytest
 from relconn import constructions, horn
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG
+from relconn.classify import profile
 from relconn.cli import main
 from relconn.constructions import (build_F, build_T, express_m,
                                    express_m_details, reduce_sat_to_conn)
 from relconn.errors import (ArityLimitError, ExpressionError,
-                            ReductionInputError, TriviallySatisfiableError)
-from relconn.formulas import (Constraint, make_formula, parse_formula)
+                            ReductionInputError, RelconnError,
+                            TriviallySatisfiableError)
+from relconn.formulas import (Constraint, format_formula, make_formula,
+                              parse_formula)
 from relconn.generators import (random_horn_not_safely_cw_ihsb_minus,
                                 random_horn_relation)
 from relconn.horn import HornView
-from relconn.relations import (Relation, apply_pattern,
-                               iter_identification_patterns)
+from relconn.relations import (IHSB_MINUS, Relation, apply_pattern,
+                               check_property, iter_identification_patterns)
 from relconn.solution_graph import formula_relation
 
 M = CATALOG["M"]
@@ -324,9 +327,10 @@ def seeded_express_inputs(seed, count, arity_max):
     return out
 
 
-def partition_loop(rel):
+def partition_loop(rel, distinct=False):
     """The identification loop the walk replaced: one apply_pattern per set
-    partition, in the same (labels, arity, mask) form."""
+    partition, in the same (labels, arity, mask) form.  `distinct` is taken
+    and ignored, so every partition comes out, repeated images too."""
     for pattern in iter_identification_patterns(rel.arity):
         image = apply_pattern(rel, pattern)
         yield pattern.slots, image.arity, image.mask
@@ -336,6 +340,35 @@ def implication_chain(k):
     """x1 -> x2 -> ... -> xk: Horn, one component, k + 1 tuples."""
     return Relation.from_tuples(k, ["0" * (k - j) + "1" * j for j in range(k + 1)],
                                 "CHAIN")
+
+
+def express_outcome(rel):
+    """The whole express_m_details outcome as comparable data: formula text,
+    shape and slots, or the error's type and message."""
+    try:
+        out = express_m_details(rel)
+    except RelconnError as exc:
+        return type(exc).__name__, str(exc)
+    return format_formula(out.formula), out.shape, out.slots
+
+
+def counting_walk(monkeypatch):
+    """Route constructions' identification walk through a call counter."""
+    calls = []
+    real = constructions.walk_identifications
+
+    def walk(rel, distinct=False):
+        calls.append(distinct)
+        return real(rel, distinct=distinct)
+
+    monkeypatch.setattr(constructions, "walk_identifications", walk)
+    return calls
+
+
+# Horn but not IHSB-: no negative clause, positive unit or implication that
+# holds on it excludes 011.  Its components {000, 001, 010} and {111}, and
+# those of every identification, are IHSB-.
+SAFE_NOT_IHSB = Relation.from_tuples(3, ["000", "001", "010", "111"], "S")
 
 
 class TestExpressMState:
@@ -378,6 +411,42 @@ class TestExpressMState:
                 m.setattr(constructions, "walk_identifications", partition_loop)
                 looped = next(constructions._express_candidates(src))
             assert walked == looped  # pattern, pinned state, c*
+
+    def test_outcome_matches_partition_loop(self, monkeypatch):
+        rels = seeded_express_inputs(47, 30, 7) + [
+            CATALOG["R_coNP"], SAFE_NOT_IHSB, implication_chain(4), M,
+            CATALOG["K"], CATALOG["L"]]
+        for rel in rels:
+            walked = express_outcome(rel)
+            with monkeypatch.context() as m:
+                m.setattr(constructions, "walk_identifications", partition_loop)
+                assert express_outcome(rel) == walked
+
+    def test_error_paths(self, monkeypatch):
+        calls = counting_walk(monkeypatch)
+        with pytest.raises(ExpressionError, match="not Horn"):
+            express_m_details(CATALOG["R_coNP"])
+        assert calls == []
+        # IHSB-: settled by the polymorphism, no walk at all
+        with pytest.raises(ExpressionError, match="safely componentwise"):
+            express_m_details(implication_chain(4))
+        assert calls == []
+        # not IHSB-, but no identification fails: one full walk decides
+        assert not check_property(SAFE_NOT_IHSB, IHSB_MINUS)
+        assert profile(SAFE_NOT_IHSB).safely_componentwise_ihsb_minus
+        with pytest.raises(ExpressionError, match="safely componentwise"):
+            express_m_details(SAFE_NOT_IHSB)
+        assert calls == [True]
+        with pytest.raises(ArityLimitError):
+            express_m_details(m_times(implication_chain(8)))
+        assert calls == [True, True]
+
+    def test_one_walk_per_call(self, monkeypatch):
+        calls = counting_walk(monkeypatch)
+        rels = seeded_express_inputs(53, 12, 7)
+        for rel in rels:
+            express_m_details(rel)
+        assert calls == [True] * len(rels)
 
     def test_seeded_sweep_reaches_m(self):
         shapes = set()

@@ -187,23 +187,39 @@ class TestToClausal:
                 assert clause_models(cs, phi.variables) == formula_models(phi)
 
     @pytest.mark.parametrize("n", (6, 20))
-    @pytest.mark.parametrize("kind, extractor, tuples", [
-        (HORN, "_cnf_implicates", ["00", "01", "11"]),
-        (AFFINE, "_xor_basis", ["00", "11"]),
+    @pytest.mark.parametrize("kind, extractor, tuples, args, corrupt", [
+        pytest.param(HORN, "_cnf_implicates", ["00", "01", "11"], ("a", "b"),
+                     lambda out: out[1:], id="horn-_cnf_implicates-tuples0"),
+        pytest.param(AFFINE, "_xor_basis", ["00", "11"], ("a", "b"),
+                     lambda out: out[1:], id="affine-_xor_basis-tuples1"),
+        # R(a,0,a,b) is a -> b; the tuples with a 1 in the constant's slot,
+        # or with the repeated slots apart, would add 10 if read wrongly
+        pytest.param(HORN, "_cnf_implicates", ["0000", "0001", "1011", "1110", "1000"],
+                     ("a", "0", "a", "b"), lambda out: out[1:],
+                     id="horn-constant-repeat"),
+        # R(a,0,a,b) is a + b = 1; flipping the right-hand side keeps the
+        # equation's variables but swaps its solutions
+        pytest.param(AFFINE, "_xor_basis", ["0001", "1010", "0100", "1000"],
+                     ("a", "0", "a", "b"),
+                     lambda out: [(names, rhs ^ 1) for names, rhs in out],
+                     id="affine-flipped-rhs"),
     ])
     def test_dropped_clause_is_caught(self, monkeypatch, n, kind, extractor,
-                                      tuples):
-        # a chain R(x0,x1), ..., R(x_{n-2},x_{n-1}); each constraint has one
-        # clause or equation, so dropping it changes the solutions.  The
+                                      tuples, args, corrupt):
+        # a chain R(x0,x1), ..., R(x_{n-2},x_{n-1}), with a, b in args
+        # standing for x_i, x_{i+1}; each constraint has one clause or
+        # equation, so corrupting it changes the solutions.  The
         # whole-formula enumeration this check replaced stopped at n = 16.
-        rel = Relation.from_tuples(2, tuples, "R")
-        phi = make_formula([Constraint("R", (f"x{i}", f"x{i + 1}"))
-                            for i in range(n - 1)], {"R": rel})
+        rel = Relation.from_tuples(len(args), tuples, "R")
+        phi = make_formula(
+            [Constraint("R", tuple({"a": f"x{i}", "b": f"x{i + 1}"}.get(a, a)
+                                   for a in args))
+             for i in range(n - 1)], {"R": rel})
         cs = to_clausal(phi, kind)
         assert len(cs.clauses) + len(cs.equations) == n - 1
         original = getattr(formulas, extractor)
         monkeypatch.setattr(formulas, extractor,
-                            lambda *args: original(*args)[1:])
+                            lambda *a: corrupt(original(*a)))
         with pytest.raises(ClauseExtractionError):
             to_clausal(phi, kind)
 
