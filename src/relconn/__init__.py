@@ -8,7 +8,7 @@ two gadget constructions behind the hardness results.
 
 from __future__ import annotations
 
-from .catalog import CATALOG, lookup, parse_relations
+from .catalog import CATALOG, parse_relations
 from .classify import (Predictions, RelationProfile, SetClassification,
                        classify_set, predict, profile)
 from .constructions import (ExpressOutcome, ReductionOutput, build_F, build_T,

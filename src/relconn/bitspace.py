@@ -5,14 +5,23 @@ iff the assignment with index i belongs to S.  Index convention: bit j of
 the index i (j = 0 is least significant) holds coordinate n - j, i.e. the
 first coordinate is the most significant bit.  All graph operations treat
 two indices as adjacent iff they differ in exactly one bit.  Relations
-(relations.Relation.mask) and solution spaces share this format, and
-gf2_reduce, the package's one GF(2) row reduction, reads ints as vectors.
+(relations.Relation.mask) and solution spaces share this format.
+
+conjunction_space is the package's one routine that plugs a relation into
+argument slots (constants and repeated variables): it builds formula and
+Horn-view solution spaces, apply_pattern's images, constraint relations
+and to_clausal's checks.  gf2_reduce, the one GF(2) row reduction, reads
+ints as vectors.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Hashable, Iterable, Sequence
+
+from .errors import VarsLimitError
+
+BRUTE_VARS_MAX = 24  # most variables whose assignments conjunction_space spans
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +143,54 @@ def iter_bits(s: int):
 def tuple_of_index(idx: int, n: int) -> str:
     """Bitstring of an index, first coordinate as the most significant bit."""
     return format(idx, f"0{n}b")
+
+
+def conjunction_space(variables: Sequence[Hashable],
+                      items: Iterable[tuple[int, int, Sequence[Hashable]]]) -> int:
+    """Bitmask of the assignments to `variables` that meet every item.
+
+    Assignment index i encodes `variables` with the first one as the most
+    significant bit.  An item (mask, k, args) is a relation of arity k, as
+    a mask, applied to k arguments, each a variable or the constant "0" or
+    "1"; a variable may fill several slots.  The tuples of the relation
+    that agree with the constants, and agree between the slots of each
+    variable, pick out disjoint subcubes that cover the cube, so the item's
+    indicator is the union of its members' subcubes, or the complement of
+    the union of its non-members' ones: whichever side has fewer tuples is
+    built.  The size bound is checked before a lazy `items` builds any mask.
+    """
+    n = len(variables)
+    if n > BRUTE_VARS_MAX:
+        raise VarsLimitError(
+            f"{n} variables exceed the exhaustive bound {BRUTE_VARS_MAX}")
+    full = full_mask(n)
+    ones = {v: coord_mask(n, n - 1 - j) for j, v in enumerate(variables)}
+    space = full
+    for mask, k, args in items:
+        cube = full_mask(k)  # the tuples that agree with the constants and repeats
+        first = {}  # variable -> bit position of its first slot
+        free = []
+        for slot, a in enumerate(args):
+            pos = k - 1 - slot
+            if a == "0" or a == "1":
+                cube &= coord_mask(k, pos) if a == "1" else ~coord_mask(k, pos)
+            elif a in first:
+                cube &= ~(coord_mask(k, pos) ^ coord_mask(k, first[a]))
+            else:
+                first[a] = pos
+                free.append((pos, ones[a]))
+        members = mask & cube
+        flip = 2 * members.bit_count() > cube.bit_count()
+        indicator = 0
+        for t in iter_bits(cube ^ members if flip else members):
+            term = full
+            for pos, one in free:
+                term &= one if (t >> pos) & 1 else full ^ one
+            indicator |= term
+        space &= full ^ indicator if flip else indicator
+        if not space:
+            break
+    return space
 
 
 def gf2_reduce(rows: Iterable[tuple[int, int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:

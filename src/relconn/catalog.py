@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import FormulaParseError
+from .errors import FormulaParseError, RelationError
 from .relations import Relation
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -57,7 +57,7 @@ def parse_relation_line(line: str) -> Relation:
         raise FormulaParseError(f"bad arity in relation line: {line!r}") from None
     try:
         return Relation.from_tuples(arity, parts[4:], name)
-    except Exception as exc:
+    except RelationError as exc:
         raise FormulaParseError(f"bad relation line {line!r}: {exc}") from None
 
 
@@ -89,11 +89,3 @@ def format_relation(rel: Relation, name: str | None = None) -> str:
         raise ValueError("relation has no name to format")
     return f"rel {name} {rel.arity} : " + " ".join(rel.tuples()) if rel.mask \
         else f"rel {name} {rel.arity} :"
-
-
-def lookup(source: str) -> Relation:
-    """Catalog relation by name."""
-    try:
-        return CATALOG[source]
-    except KeyError:
-        raise FormulaParseError(f"unknown relation {source!r}") from None

@@ -31,14 +31,14 @@ from typing import Mapping
 
 from . import bitspace
 from . import horn as hornmod
+from .bitspace import conjunction_space
 from .catalog import CATALOG
 from .errors import ExpressionError, ReductionInputError, TriviallySatisfiableError
 from .formulas import Constraint, Formula, make_formula
 from .horn import HornClause, HornView
 from .relations import (HORN, IHSB_MINUS, SAFE_CHECK_ARITY_MAX, SAFE_SHORTCUTS,
                         SAFELY_CW_IHSB_MINUS, ArgPattern, Relation,
-                        apply_pattern, check_property, components,
-                        walk_identifications)
+                        check_property, components, walk_identifications)
 from . import solution_graph
 
 _P = CATALOG["P"]
@@ -167,14 +167,9 @@ class _State:
         return self.view.variables
 
 
-def _pattern_of(slots: list[str], order: tuple[str, ...]) -> ArgPattern:
-    index = {v: j for j, v in enumerate(order)}
-    return ArgPattern(tuple(s if s in ("0", "1") else index[s] for s in slots))
-
-
 def _state(rel: Relation, slots: list[str], alive: tuple[str, ...]) -> _State:
     """Pin rel by the slots and read the Horn view off the pinned relation."""
-    pinned = apply_pattern(rel, _pattern_of(slots, alive))
+    pinned = Relation(len(alive), conjunction_space(alive, [(rel.mask, rel.arity, slots)]))
     if pinned.is_empty:
         raise ExpressionError("pinning left the constraint unsatisfiable")
     phi = make_formula([Constraint("R", alive)], {"R": pinned.renamed("R")}, alive)
@@ -335,7 +330,7 @@ def _shape_outcome(src: Relation, state: _State,
                    x: str, y: str, z: str) -> ExpressOutcome | None:
     roles = {x: "x", y: "y", z: "z"}
     slots = tuple(s if s in ("0", "1") else roles[s] for s in state.slots)
-    pinned = apply_pattern(src, _pattern_of(list(slots), ("x", "y", "z")))
+    pinned = Relation(3, conjunction_space(("x", "y", "z"), [(src.mask, src.arity, slots)]))
     shape = next((nm for nm in ("M", "K", "L") if pinned == CATALOG[nm]), None)
     if shape is None:
         return None

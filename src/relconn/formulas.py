@@ -12,8 +12,10 @@ Text format:
     IMP(x,y)
     M(x,0,z)
 
-conjunction_space is the one routine that turns a conjunction into a
-bitmask: formula and Horn-view solution spaces and to_clausal's checks.
+Constraint relations and to_clausal's checks are built by
+bitspace.conjunction_space, the one routine that plugs a relation into its
+arguments; clause_item and equation_item turn clauses and XOR equations
+into its items.
 """
 
 from __future__ import annotations
@@ -21,20 +23,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 from . import catalog
-from .bitspace import coord_mask, full_mask, gf2_reduce, iter_bits
-from .errors import (ClauseExtractionError, FormulaError, FormulaParseError,
-                     VarsLimitError)
-from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, ArgPattern,
-                        Relation, apply_pattern, check_property)
+from .bitspace import (conjunction_space, coord_mask, full_mask, gf2_reduce,
+                       iter_bits)
+from .errors import ClauseExtractionError, FormulaError, FormulaParseError
+from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
+                        check_property)
 
 VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _CONSTRAINT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*\Z")
 
 SCHAEFER_CLASSES = (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE)
-BRUTE_VARS_MAX = 24  # most variables whose assignments conjunction_space spans
 
 
 @dataclass(frozen=True)
@@ -200,49 +201,6 @@ def evaluate(phi: Formula, assignment: Mapping[str, int]) -> bool:
     return True
 
 
-def conjunction_space(variables: Sequence[str],
-                      items: Iterable[tuple[int, int, Sequence[str]]]) -> int:
-    """Bitmask of the assignments to `variables` that meet every item.
-
-    Assignment index i encodes `variables` with the first one as the most
-    significant bit.  An item (mask, k, args) is a relation of arity k, as
-    a mask, applied to k arguments, each a variable or the constant "0" or
-    "1".  The tuples of the relation pick out 2^k disjoint subcubes that
-    cover the cube, so the item's indicator is the union of its members'
-    subcubes, or the complement of the union of its non-members' ones:
-    whichever side has fewer tuples is built.  The size bound is checked
-    before a lazy `items` builds any mask.
-    """
-    n = len(variables)
-    if n > BRUTE_VARS_MAX:
-        raise VarsLimitError(
-            f"{n} variables exceed the exhaustive bound {BRUTE_VARS_MAX}")
-    full = full_mask(n)
-    pos = {v: n - 1 - j for j, v in enumerate(variables)}
-    space = full
-    for mask, k, args in items:
-        flip = 2 * mask.bit_count() > 1 << k
-        indicator = 0
-        for t in iter_bits(mask ^ full_mask(k) if flip else mask):
-            term = full
-            for slot, a in enumerate(args):
-                bit = (t >> (k - 1 - slot)) & 1
-                if a == "0" or a == "1":
-                    if bit != (a == "1"):
-                        term = 0
-                        break
-                    continue
-                col = coord_mask(n, pos[a])
-                term &= col if bit else full ^ col
-                if not term:
-                    break
-            indicator |= term
-        space &= full ^ indicator if flip else indicator
-        if not space:
-            break
-    return space
-
-
 def clause_item(pos: Iterable[str], neg: Collection[str]) -> tuple[int, int, list[str]]:
     """The clause OR(pos) OR NOT(neg) as a conjunction_space item over
     (*pos, *neg): every tuple but the falsifying one, pos 0 and neg 1."""
@@ -270,9 +228,8 @@ def constraint_relation(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation
     vars_sorted = tuple(sorted(c.variables()))
     if not vars_sorted:
         raise FormulaError(f"{c}: constraint has no variables")
-    pos = {v: j for j, v in enumerate(vars_sorted)}
-    slots = tuple(a if a in ("0", "1") else pos[a] for a in c.args)
-    return vars_sorted, apply_pattern(rel, ArgPattern(slots))
+    return vars_sorted, Relation(len(vars_sorted), conjunction_space(
+        vars_sorted, [(rel.mask, rel.arity, c.args)]))
 
 
 @dataclass(frozen=True)
@@ -412,26 +369,25 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
             group_eqs = []
             group_cls = [CnfClause(pos, neg) for pos, neg
                          in _cnf_implicates(vars_, rel.mask, schaefer_class)]
-        _assert_group_equivalent(phi, i, vars_, group_cls, group_eqs)
+        _assert_group_equivalent(phi.constraints[i], vars_, rel.mask,
+                                 group_cls, group_eqs)
         clauses.extend(group_cls)
         equations.extend(group_eqs)
     return ClauseSet(schaefer_class, phi.variables, tuple(clauses),
                      tuple(equations), tuple(pairs))
 
 
-def _assert_group_equivalent(phi: Formula, i: int, vars_: tuple[str, ...],
+def _assert_group_equivalent(c: Constraint, vars_: tuple[str, ...], want: int,
                              clauses: list[CnfClause],
                              equations: list[XorEquation]) -> None:
-    """Check that constraint i and its clauses/equations have the same
-    conjunction_space over its k distinct variables.
+    """Check that constraint c, whose relation over its k distinct variables
+    is the mask `want`, has the same conjunction_space as its clauses or
+    equations.
 
-    The constraint is read straight off its library relation's mask and its
-    args, not through apply_pattern.  The formula and the clause set are
-    conjunctions of these per-constraint groups, so agreement on every
-    group makes them define the same solutions, at any number of variables.
+    The formula and the clause set are conjunctions of these per-constraint
+    groups, so agreement on every group makes them define the same
+    solutions, at any number of variables.
     """
-    c = phi.constraints[i]
-    want = conjunction_space(vars_, [(phi.relation_of(c).mask, len(c.args), c.args)])
     got = conjunction_space(vars_, [clause_item(cl.pos, cl.neg) for cl in clauses]
                             + [equation_item(e.vars, e.rhs) for e in equations])
     diff = got ^ want

@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import bitspace
+from .bitspace import conjunction_space
 from .catalog import strip_comment
 from .errors import FormulaParseError, HornStructureError
-from .formulas import (VAR_RE, ClauseSet, Formula, clause_item,
-                       conjunction_space, to_clausal)
+from .formulas import VAR_RE, ClauseSet, Formula, clause_item, to_clausal
 from .relations import HORN
 
 

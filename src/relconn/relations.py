@@ -4,7 +4,8 @@ A relation of arity n is a set of tuples from {0,1}^n, held as one
 indicator int in the bitspace format: bit i is set iff the tuple with index
 i belongs (binary encoding, first coordinate = most significant bit).  On
 top of that sit the operations used throughout: substitution of
-constants and identification of variables via argument patterns, connected
+constants and identification of variables via argument patterns
+(apply_pattern, through bitspace.conjunction_space), connected
 components in the Hamming graph, the polymorphism properties that
 characterise the standard clause classes, OR/NAND expressibility, and the
 "safely" variants quantified over every identification of variables.
@@ -29,8 +30,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .bitspace import (component_masks, coord_mask, full_mask, gf2_reduce,
-                       iter_bits, tuple_of_index)
+from .bitspace import (component_masks, conjunction_space, coord_mask,
+                       full_mask, gf2_reduce, iter_bits, tuple_of_index)
 from .errors import ArityLimitError, PatternError, RelationError
 
 ARITY_MAX = 16
@@ -203,29 +204,13 @@ class ArgPattern:
 
 
 def apply_pattern(rel: Relation, pattern: ArgPattern) -> Relation:
-    """Relation obtained by substituting the pattern's slots into rel."""
+    """Relation obtained by substituting the pattern's slots into rel; the
+    output indices are the variables, output 0 the first coordinate."""
     if len(pattern.slots) != rel.arity:
         raise PatternError(
             f"pattern has {len(pattern.slots)} slots for arity {rel.arity}")
-    n = rel.arity
     m = pattern.out_arity
-    shifts = []  # (source shift within output index, target bit position)
-    fixed = 0
-    for i, s in enumerate(pattern.slots):
-        tgt = n - 1 - i
-        if s == CONST1:
-            fixed |= 1 << tgt
-        elif s != CONST0:
-            shifts.append((m - 1 - s, tgt))
-    mask = rel.mask
-    out = 0
-    for a in range(1 << m):
-        t = fixed
-        for src, tgt in shifts:
-            t |= ((a >> src) & 1) << tgt
-        if (mask >> t) & 1:
-            out |= 1 << a
-    return Relation(m, out)
+    return Relation(m, conjunction_space(range(m), [(rel.mask, rel.arity, pattern.slots)]))
 
 
 def set_partitions(n: int) -> Iterator[tuple[int, ...]]:

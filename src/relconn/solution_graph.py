@@ -4,7 +4,7 @@ The solution graph has the satisfying assignments as vertices, adjacent
 iff they differ in exactly one variable.  This module is the one query
 layer over solution bitmasks: every query on a formula or a Horn view
 (see horn) materialises the full assignment space once as a bitmask (see
-bitspace) with formulas.conjunction_space and reads it here.  It is exact
+bitspace) with bitspace.conjunction_space and reads it here.  It is exact
 and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable formula counts
 as connected and as having diameter 0.
 
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import bitspace
+from .bitspace import BRUTE_VARS_MAX, conjunction_space
 from .errors import DiameterLimitError, NotASolutionError
-from .formulas import BRUTE_VARS_MAX, Formula, conjunction_space
+from .formulas import Formula
 from .relations import Relation
 
 # Bits of the reach ints that the diameter pass holds at once (16 MiB):

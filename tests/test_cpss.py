@@ -312,13 +312,13 @@ class TestDecideConnectivity:
         # reuse it instead of building it again
         phi = planted_formula(kind, 5, 30, 40)
         calls = []
-        original = formulas.apply_pattern
+        original = formulas.constraint_relation
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(formulas, "apply_pattern", counting)
+        monkeypatch.setattr(formulas, "constraint_relation", counting)
         assert decide_connectivity(phi).method == "cpss"
         assert len(calls) == len(phi.constraints) == 40
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relconn import formulas
+from relconn.bitspace import conjunction_space
 from relconn.catalog import CATALOG, parse_relations
 from relconn.errors import (ClauseExtractionError, FormulaError,
                             FormulaParseError)
@@ -88,6 +89,77 @@ class TestEvaluate:
         phi = parse("var x\nOR(x,0)")
         assert not evaluate(phi, {"x": 0})
         assert evaluate(phi, {"x": 1})
+
+
+def space_by_evaluate(phi):
+    """Bitmask of the assignments evaluate accepts, first variable as the
+    most significant bit."""
+    n = phi.n
+    return sum(1 << i for i in range(1 << n)
+               if evaluate(phi, {v: (i >> (n - 1 - j)) & 1
+                                 for j, v in enumerate(phi.variables)}))
+
+
+def items_of(phi):
+    return [(phi.relation_of(c).mask, len(c.args), c.args) for c in phi.constraints]
+
+
+class TestConjunctionSpace:
+    """bitspace.conjunction_space against evaluate."""
+
+    def check(self, phi):
+        assert conjunction_space(phi.variables, items_of(phi)) == space_by_evaluate(phi)
+        for c in phi.constraints:
+            one = make_formula([c], phi.library, phi.variables)
+            assert conjunction_space(one.variables, items_of(one)) == \
+                space_by_evaluate(one), c
+
+    @pytest.mark.parametrize("text, want", [
+        # S over (x, 0, x): the tuples that agree with the constant and the
+        # repeat are 000 and 101, one of them a member: the members' side
+        ("rel S 3 : 101 110\nvar x y\nS(x,0,x)", 0b1100),
+        # P over (x, y, x): 000, 010, 101 and 111 agree with the repeat,
+        # three of them members: the non-members' side
+        ("var x y\nP(x,y,x)", 0b1110),
+        ("var x y\nK(x,1,y)\nM(y,0,x)", 0b1101),
+        # arguments all constants: a member keeps every assignment, a
+        # non-member none
+        ("var x y\nOR(1,0)\nOR(x,y)", 0b1110),
+        ("var x y\nOR(x,y)\nNAND(1,1)", 0),
+        ("var\nOR(0,1)", 1),
+        ("var\nNAND(1,1)", 0),
+    ])
+    def test_fixed_cases(self, text, want):
+        phi = parse(text)
+        assert conjunction_space(phi.variables, items_of(phi)) == want
+        self.check(phi)
+
+    def test_seeded_formulas(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            pool = []
+            for j in range(3):
+                k = rng.randint(1, 5)
+                # sparse and dense relations, so both sides get built
+                density = rng.choice((0.15, 0.5, 0.85))
+                pool.append(Relation.from_tuples(
+                    k, [t for t in range(1 << k) if rng.random() < density], f"R{j}"))
+            self.check(random_formula(rng, pool, max_vars=6, max_constraints=4,
+                                      const_prob=0.3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5), st.data())
+    def test_hypothesis_formulas(self, n, data):
+        variables = tuple(f"v{j}" for j in range(n))
+        library = {}
+        constraints = []
+        for j in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(1, 4))
+            library[f"R{j}"] = Relation(k, data.draw(st.integers(0, (1 << (1 << k)) - 1)))
+            args = data.draw(st.lists(st.sampled_from(variables + ("0", "1")),
+                                      min_size=k, max_size=k))
+            constraints.append(Constraint(f"R{j}", tuple(args)))
+        self.check(make_formula(constraints, library, variables))
 
 
 class TestConstraintRelation:
@@ -340,3 +412,9 @@ class TestCatalogFile:
     def test_conflicting_redefinition(self):
         with pytest.raises(FormulaParseError):
             parse_relations("rel A 2 : 01\nrel A 2 : 10\n")
+
+    @pytest.mark.parametrize("line", ["rel A 2 : 012", "rel A 2 : 1 01",
+                                      "rel A 0 :", "rel A 17 : 1", "rel A -1 :"])
+    def test_bad_tuple_or_arity(self, line):
+        with pytest.raises(FormulaParseError, match="line 1: bad relation line"):
+            parse_relations(line + "\n")

@@ -316,6 +316,16 @@ def apply_pattern_oracle(members, slots):
     return frozenset(out)
 
 
+def slots_of(raw):
+    """Pattern slots from drawn ints: -2 and -1 are the constants "0" and
+    "1", the rest name output variables in order of first use."""
+    if all(v < 0 for v in raw):
+        raw = [0] + list(raw[1:])
+    labels: dict[int, int] = {}
+    return tuple("01"[v + 2] if v < 0 else labels.setdefault(v, len(labels))
+                 for v in raw)
+
+
 def components_oracle(members, k):
     """Member sets of the Hamming-graph components, by smallest member."""
     rest = set(members)
@@ -352,15 +362,30 @@ class TestMaskAgainstMembers:
         assert is_nand_free(r) == \
             (not expresses_pair_oracle(r, frozenset({0b00, 0b01, 0b10})))
         assert [c.members for c in components(r)] == components_oracle(members, arity)
-        raw = data.draw(st.lists(st.integers(-2, arity - 1),
-                                 min_size=arity, max_size=arity))
-        if all(v < 0 for v in raw):
-            raw[0] = 0
-        labels: dict[int, int] = {}
-        slots = tuple("01"[v + 2] if v < 0 else labels.setdefault(v, len(labels))
-                      for v in raw)
+        slots = slots_of(data.draw(st.lists(st.integers(-2, arity - 1),
+                                            min_size=arity, max_size=arity)))
         assert apply_pattern(r, ArgPattern(slots)).members == \
             apply_pattern_oracle(members, slots)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_apply_pattern_to_arity_8(self, arity, data):
+        r = Relation(arity, data.draw(st.integers(0, (1 << (1 << arity)) - 1)))
+        slots = slots_of(data.draw(st.lists(st.integers(-2, arity - 1),
+                                            min_size=arity, max_size=arity)))
+        assert apply_pattern(r, ArgPattern(slots)).members == \
+            apply_pattern_oracle(r.members, slots)
+
+    def test_apply_pattern_seeded(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            arity = rng.randint(1, 8)
+            density = rng.choice((0.1, 0.5, 0.9))
+            r = Relation.from_tuples(
+                arity, [t for t in range(1 << arity) if rng.random() < density])
+            slots = slots_of([rng.randint(-2, arity - 1) for _ in range(arity)])
+            assert apply_pattern(r, ArgPattern(slots)).members == \
+                apply_pattern_oracle(r.members, slots)
 
 
 class TestFree:
