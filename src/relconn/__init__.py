@@ -31,8 +31,8 @@ from .horn import (HornClause, HornView, format_horn, imp, is_implied,
                    view_from_formula)
 from .relations import (ArgPattern, Relation, apply_pattern, check_property,
                         componentwise, components, enumerate_identifications,
-                        is_closed, is_safely, iter_identification_patterns,
-                        set_partitions)
+                        hull, is_closed, is_safely,
+                        iter_identification_patterns, set_partitions)
 from .solution_graph import (SolutionGraphReport, diameter, distance,
                              export_dot, is_connected, locally_minimal,
                              project_enumerate, report, solution_space,

@@ -34,6 +34,13 @@ def _read(path: str) -> str:
         raise RelconnError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise RelconnError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _load_formula(path: str) -> Formula:
     return parse_formula(_read(path), CATALOG)
 
@@ -132,7 +139,7 @@ def cmd_graph(args) -> int:
     if args.dot == "-":
         print(text, end="")
     else:
-        Path(args.dot).write_text(text)
+        _write(args.dot, text)
     return 0
 
 
@@ -199,7 +206,7 @@ def cmd_reduce(args) -> int:
             "gadget_variables": [list(g) for g in red.gadget_variables],
         })
     elif args.output and args.output != "-":
-        Path(args.output).write_text(text)
+        _write(args.output, text)
     else:
         print(text, end="")
     return 0

@@ -14,9 +14,10 @@ Two constructions:
   constants and identifications only) until the constraint's relation is
   exactly M, or K or L, which fold to M with one extra constraint
   (M(x,y,z) = K(x,y,z) AND K(z,x,x) = L(x,y,z) AND L(z,x,x)).  The slot
-  pattern is its only state: each step re-derives the Horn view from the
-  pinned relation and checks it by enumeration, and the result is checked
-  to be M before it is returned.  One walk over the distinct
+  pattern is its only state: each step reads the prime Horn clauses off
+  the pinned relation's mask (formulas.cnf_implicates), normalizes them
+  and checks the view's solutions against the mask, and the result is
+  checked to be M before it is returned.  One walk over the distinct
   identifications finds the failing ones and feeds the candidate choices,
   so it is bounded by SAFE_CHECK_ARITY_MAX.
 
@@ -34,7 +35,7 @@ from . import horn as hornmod
 from .bitspace import conjunction_space
 from .catalog import CATALOG
 from .errors import ExpressionError, ReductionInputError, TriviallySatisfiableError
-from .formulas import Constraint, Formula, make_formula
+from .formulas import Constraint, Formula, cnf_implicates, make_formula
 from .horn import HornClause, HornView
 from .relations import (HORN, IHSB_MINUS, SAFE_CHECK_ARITY_MAX, SAFE_SHORTCUTS,
                         SAFELY_CW_IHSB_MINUS, ArgPattern, Relation,
@@ -168,13 +169,20 @@ class _State:
 
 
 def _state(rel: Relation, slots: list[str], alive: tuple[str, ...]) -> _State:
-    """Pin rel by the slots and read the Horn view off the pinned relation."""
-    pinned = Relation(len(alive), conjunction_space(alive, [(rel.mask, rel.arity, slots)]))
-    if pinned.is_empty:
+    """Pin rel by the slots and read the Horn view off the pinned relation.
+
+    The prime Horn clauses are read over the sorted names, as to_clausal
+    reads a constraint's; `normalize` scans the clauses in that order.
+    """
+    item = [(rel.mask, rel.arity, slots)]
+    pinned = conjunction_space(alive, item)
+    if not pinned:
         raise ExpressionError("pinning left the constraint unsatisfiable")
-    phi = make_formula([Constraint("R", alive)], {"R": pinned.renamed("R")}, alive)
-    view = hornmod.normalize(hornmod.view_from_formula(phi))
-    if hornmod.solution_space(view) != pinned.mask:
+    names = tuple(sorted(alive))
+    clauses = [HornClause(next(iter(pos), None), neg)
+               for pos, neg in cnf_implicates(names, conjunction_space(names, item), HORN)]
+    view = hornmod.normalize(HornView(alive, tuple(clauses)))
+    if hornmod.solution_space(view) != pinned:
         raise ExpressionError("internal: normalized Horn view lost track of the relation")
     return _State(slots, view)
 

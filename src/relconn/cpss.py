@@ -40,7 +40,8 @@ from .bitspace import component_masks, gf2_reduce
 from .classify import SetClassification, classify_set, predict, Predictions
 from .errors import (ClauseExtractionError, NonCpssError, RelconnError,
                      VarsLimitError)
-from .formulas import ClauseSet, CnfClause, Formula, XorEquation, to_clausal
+from .formulas import (ClauseSet, CnfClause, Formula, XorEquation, make_formula,
+                       to_clausal)
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
 from . import solution_graph
 
@@ -500,11 +501,26 @@ def conn_cpss(phi: Formula, check: bool = True) -> CpssReport:
     return _conn_cpss(phi, _pick_class(classify_set(phi.used_relations()), check))
 
 
+_CONSTANTS = frozenset(("0", "1"))
+
+
 def _conn_cpss(phi: Formula, cls: str) -> CpssReport:
-    clause_set = to_clausal(phi, cls)
+    # a constraint on constants alone is true, and constrains nothing, or
+    # false, and leaves no solutions: connected by convention
+    live = [i for i, c in enumerate(phi.constraints) if not _CONSTANTS.issuperset(c.args)]
+    translated = phi
+    if len(live) < len(phi.constraints):
+        if not all(int("".join(c.args), 2) in phi.relation_of(c)
+                   for c in phi.constraints if _CONSTANTS.issuperset(c.args)):
+            return CpssReport(True, False, ())
+        if not live:
+            return CpssReport(True, True, ())
+        translated = make_formula([phi.constraints[i] for i in live],
+                                  phi.library, phi.variables)
+    clause_set = to_clausal(translated, cls)
     mask_of = _projector(clause_set)
     projections = tuple(_project_with(phi, i, pair, mask_of)
-                        for i, pair in enumerate(clause_set.constraint_relations))
+                        for i, pair in zip(live, clause_set.constraint_relations))
     satisfiable = not any(p.relation.is_empty for p in projections)
     # no solutions: connected by convention
     connected = not satisfiable or all(p.n_components <= 1 for p in projections)

@@ -269,7 +269,7 @@ class ClauseSet:
     constraint_relations: tuple[tuple[tuple[str, ...], Relation], ...] = ()
 
 
-def _cnf_implicates(vars_: tuple[str, ...], mask: int,
+def cnf_implicates(vars_: tuple[str, ...], mask: int,
                     shape: str) -> list[tuple[frozenset[str], frozenset[str]]]:
     """Prime implicates of the given shape, as (positive, negative) var sets.
 
@@ -368,7 +368,7 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
         else:
             group_eqs = []
             group_cls = [CnfClause(pos, neg) for pos, neg
-                         in _cnf_implicates(vars_, rel.mask, schaefer_class)]
+                         in cnf_implicates(vars_, rel.mask, schaefer_class)]
         _assert_group_equivalent(phi.constraints[i], vars_, rel.mask,
                                  group_cls, group_eqs)
         clauses.extend(group_cls)

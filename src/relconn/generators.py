@@ -1,22 +1,21 @@
 """Seeded random generators for relations, formulas and clause sets.
 
-Everything takes an explicit random.Random so runs are reproducible; the
-pool builders use rejection sampling against the classifier, which keeps
-them honest at the price of a few retries.
+Everything takes an explicit random.Random so runs are reproducible.  A
+relation of a polymorphism class comes out as relations.hull of a random
+relation, so it is in its class by construction.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .bitspace import iter_bits
 from .classify import profile
 from .errors import RelconnError
 from .formulas import Constraint, Formula, make_formula
 from .horn import HornClause, HornView
-from .relations import (Relation, op_and, op_maj, op_or, op_x_and_or,
-                        op_x_or_and, op_xor3)
+from .relations import (AFFINE, BIJUNCTIVE, HORN, IHSB_MINUS, IHSB_PLUS,
+                        Relation, hull)
 
 
 def random_relation(rng: random.Random, arity: int, density: float = 0.5,
@@ -30,38 +29,13 @@ def random_relation(rng: random.Random, arity: int, density: float = 0.5,
             return Relation(arity, mask)
 
 
-def close_under(rel: Relation, ops: Sequence[Callable[..., int]]) -> Relation:
-    """Smallest superset of rel closed under the given bitwise operations."""
-    mask = rel.mask
-    while True:
-        members = list(iter_bits(mask))
-        new: set[int] = set()
-        for op in ops:
-            if op.__code__.co_argcount == 2:
-                new.update(op(a, b) for a in members for b in members)
-            else:
-                new.update(op(a, b, c) for a in members for b in members
-                           for c in members)
-        grown = mask
-        for t in new:
-            grown |= 1 << t
-        if grown == mask:
-            return Relation(rel.arity, mask)
-        mask = grown
-
-
-def _pool(rng: random.Random, arity_max: int, count: int,
-          make: Callable[[random.Random, int], Relation],
-          accept: Callable[[Relation], bool], tries: int = 10000) -> list[Relation]:
-    out: list[Relation] = []
-    for _ in range(tries):
-        if len(out) >= count:
-            return out
-        arity = rng.randint(2, arity_max)
-        rel = make(rng, arity)
-        if accept(rel):
-            out.append(rel)
-    raise RelconnError("generator could not fill the requested pool")
+# pool kind -> (density of the random relation, the class whose hull it takes)
+_POOL_HULLS = {
+    "bijunctive": (0.4, BIJUNCTIVE),
+    "affine": (0.3, AFFINE),
+    "horn": (0.4, IHSB_MINUS),
+    "dual_horn": (0.4, IHSB_PLUS),
+}
 
 
 def random_cpss_pool(rng: random.Random, kind: str, count: int,
@@ -69,28 +43,16 @@ def random_cpss_pool(rng: random.Random, kind: str, count: int,
     """Relations that make a CPSS set of the given kind.
 
     kind: 'bijunctive' | 'horn' | 'dual_horn' | 'affine'.  The horn and
-    dual_horn kinds also demand the safe componentwise condition, checked
-    through the profile, so any mix drawn from one pool is CPSS.
+    dual_horn kinds take IHSB- and IHSB+ hulls, which are Horn and dual
+    Horn and, by relations.SAFE_SHORTCUTS, safely componentwise IHSB- and
+    IHSB+, so any mix drawn from one pool is CPSS.
     """
-    if kind == "bijunctive":
-        return _pool(rng, arity_max, count,
-                     lambda r, a: close_under(random_relation(r, a, 0.4), [op_maj]),
-                     lambda rel: True)
-    if kind == "affine":
-        return _pool(rng, arity_max, count,
-                     lambda r, a: close_under(random_relation(r, a, 0.3), [op_xor3]),
-                     lambda rel: True)
-    if kind == "horn":
-        return _pool(rng, arity_max, count,
-                     lambda r, a: close_under(random_relation(r, a, 0.4),
-                                              [op_and, op_x_and_or]),
-                     lambda rel: profile(rel).safely_componentwise_ihsb_minus is True)
-    if kind == "dual_horn":
-        return _pool(rng, arity_max, count,
-                     lambda r, a: close_under(random_relation(r, a, 0.4),
-                                              [op_or, op_x_or_and]),
-                     lambda rel: profile(rel).safely_componentwise_ihsb_plus is True)
-    raise RelconnError(f"unknown pool kind {kind!r}")
+    try:
+        density, prop = _POOL_HULLS[kind]
+    except KeyError:
+        raise RelconnError(f"unknown pool kind {kind!r}") from None
+    return [hull(random_relation(rng, rng.randint(2, arity_max), density), prop)
+            for _ in range(count)]
 
 
 def random_formula(rng: random.Random, relations: Sequence[Relation],
@@ -145,7 +107,7 @@ def random_horn_view(rng: random.Random, n_vars: int, n_clauses: int,
 def random_horn_relation(rng: random.Random, arity: int,
                          density: float = 0.35) -> Relation:
     """Random relation closed under AND (so Horn)."""
-    return close_under(random_relation(rng, arity, density), [op_and])
+    return hull(random_relation(rng, arity, density), HORN)
 
 
 def random_horn_not_safely_cw_ihsb_minus(rng: random.Random,
@@ -153,19 +115,13 @@ def random_horn_not_safely_cw_ihsb_minus(rng: random.Random,
                                          tries: int = 20000) -> Relation:
     """Random Horn relation that is not safely componentwise IHSB-."""
     for _ in range(tries):
-        arity = rng.randint(3, arity_max)
-        rel = random_horn_relation(rng, arity)
-        p = profile(rel)
-        if p.horn and p.safely_componentwise_ihsb_minus is False:
+        rel = random_horn_relation(rng, rng.randint(3, arity_max))
+        if profile(rel).safely_componentwise_ihsb_minus is False:
             return rel
     raise RelconnError("could not find a qualifying Horn relation")
 
 
-def random_safely_cw_bijunctive(rng: random.Random, arity_max: int = 4,
-                                tries: int = 20000) -> Relation:
-    for _ in range(tries):
-        arity = rng.randint(2, arity_max)
-        rel = close_under(random_relation(rng, arity, 0.4), [op_maj])
-        if profile(rel).safely_componentwise_bijunctive is True:
-            return rel
-    raise RelconnError("could not find a safely componentwise bijunctive relation")
+def random_safely_cw_bijunctive(rng: random.Random, arity_max: int = 4) -> Relation:
+    """Random bijunctive relation, hence safely componentwise bijunctive
+    (relations.SAFE_SHORTCUTS)."""
+    return hull(random_relation(rng, rng.randint(2, arity_max), 0.4), BIJUNCTIVE)

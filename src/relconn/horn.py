@@ -23,7 +23,7 @@ from . import bitspace
 from .bitspace import conjunction_space
 from .catalog import strip_comment
 from .errors import FormulaParseError, HornStructureError
-from .formulas import VAR_RE, ClauseSet, Formula, clause_item, to_clausal
+from .formulas import VAR_RE, Formula, clause_item, to_clausal
 from .relations import HORN
 
 
@@ -102,21 +102,11 @@ class HornView:
         return "\n".join(str(c) for c in self.clauses)
 
 
-def view_from_clause_set(cs: ClauseSet) -> HornView:
-    if cs.schaefer_class != HORN:
-        raise HornStructureError(f"clause set is {cs.schaefer_class}, not horn")
-    clauses = []
-    for c in cs.clauses:
-        if len(c.pos) > 1:
-            raise HornStructureError(f"clause {c} has two positive literals")
-        head = next(iter(c.pos)) if c.pos else None
-        clauses.append(HornClause(head, c.neg))
-    return HornView(cs.variables, tuple(clauses))
-
-
 def view_from_formula(phi: Formula) -> HornView:
     """Horn clauses of a formula whose relations are all Horn."""
-    return view_from_clause_set(to_clausal(phi, HORN))
+    cs = to_clausal(phi, HORN)
+    return HornView(cs.variables, tuple(HornClause(next(iter(c.pos), None), c.neg)
+                                        for c in cs.clauses))
 
 
 def parse_horn(text: str) -> HornView:

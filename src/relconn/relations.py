@@ -12,15 +12,16 @@ characterise the standard clause classes, OR/NAND expressibility, and the
 
 Every property is a test on the mask; none applies an operation to
 tuples of members (Schaefer 1978; Creignou-Khanna-Sudan 2001).  A
-bijunctive or IHSB- relation equals the intersection of the clauses of its
-class that hold on it, a Horn relation contains its AND-closure (built from
-down-closures), an affine relation is empty or a coset, and the dual
-classes flip every coordinate.  Each test costs O(k^2) big-int operations,
-or O(|R| k) for affine.  `is_closed` applies the operation to every tuple
-of members; it is the test oracle.  The safely variants walk the set
-partitions of the coordinates as a prefix tree of pair merges, once over
-the distinct images, after skipping the flags a polymorphism of the
-relation already settles.
+polymorphism property holds iff R equals its `hull`, the smallest relation
+of the class containing R: for bijunctive and IHSB- the clauses of the
+class that hold on R, for Horn the AND-closure (built from down-closures),
+for affine the coset R spans; the dual classes flip every coordinate.
+Each costs O(k^2) big-int operations, or O(|R| k) for affine.
+`is_closed` applies the operation to every tuple of members; it is the
+test oracle.  The safely variants walk the set partitions of the
+coordinates as a prefix tree of pair merges, once over the distinct
+images, after skipping the flags a polymorphism of the relation already
+settles.
 """
 
 from __future__ import annotations
@@ -70,30 +71,6 @@ BASE_PROPERTIES = (
 )
 
 
-def op_maj(a: int, b: int, c: int) -> int:
-    return (a & b) | (b & c) | (a & c)
-
-
-def op_and(a: int, b: int) -> int:
-    return a & b
-
-
-def op_or(a: int, b: int) -> int:
-    return a | b
-
-
-def op_xor3(a: int, b: int, c: int) -> int:
-    return a ^ b ^ c
-
-
-def op_x_and_or(a: int, b: int, c: int) -> int:
-    return a & (b | c)
-
-
-def op_x_or_and(a: int, b: int, c: int) -> int:
-    return a | (b & c)
-
-
 @dataclass(frozen=True)
 class Relation:
     """Immutable subset of {0,1}^arity as a bitspace indicator mask."""
@@ -113,6 +90,8 @@ class Relation:
     @classmethod
     def from_tuples(cls, arity: int, tuples: Iterable[str | int | Sequence[int]],
                     name: str | None = None) -> "Relation":
+        if not 1 <= arity <= ARITY_MAX:  # before a tuple builds a mask of that arity
+            raise RelationError(f"arity must be in 1..{ARITY_MAX}, got {arity}")
         mask = 0
         for t in tuples:
             if isinstance(t, str):
@@ -323,7 +302,7 @@ def is_closed(rel: Relation, op: str) -> bool:
         return all(a | b in mem for a, b in combinations_with_replacement(items, 2))
     if op == MAJ:
         # fully symmetric, unordered triples suffice
-        return all(op_maj(a, b, c) in mem
+        return all((a & b) | (b & c) | (a & c) in mem
                    for a, b, c in combinations_with_replacement(items, 3))
     if op == XOR3:
         return all(a ^ b ^ c in mem
@@ -382,57 +361,96 @@ def _unit_implication_cells(k: int) -> tuple[int, ...]:
                     for q, (_, zero) in enumerate(halves) if q != p])
 
 
-def _cut_out(mask: int, hull: int, cells: tuple[int, ...]) -> bool:
-    """Is R the hull minus every cell that R misses (the clauses valid on R)?"""
+def _cut_out(hull: int, mask: int, cells: tuple[int, ...]) -> int:
+    """The hull minus every cell that R misses (the clauses valid on R)."""
     outside = 0
     for cell in cells:
         if not mask & cell:
             outside |= cell
-    return hull & ~outside == mask
+    return hull & ~outside
 
 
-def _is_bijunctive(mask: int, k: int) -> bool:
-    """R is the intersection of the cylinders of its unary and binary projections."""
-    return _cut_out(mask, full_mask(k), _two_literal_cells(k))
+def _bijunctive_hull(mask: int, k: int) -> int:
+    """The intersection of the cylinders of R's unary and binary projections."""
+    return _cut_out(full_mask(k), mask, _two_literal_cells(k))
 
 
-def _is_horn(mask: int, k: int) -> bool:
-    """R contains its AND-closure: the tuples t of down(R) such that every
-    coordinate where t is 0 is 0 in some member above t."""
+def _horn_hull(mask: int, k: int) -> int:
+    """The AND-closure: the tuples t of down(R) such that every coordinate
+    where t is 0 is 0 in some member above t."""
     hull = _down(mask, k)
     for pos in range(k):
         hi = coord_mask(k, pos)
         hull &= hi | _down(mask & ~hi, k)
-    return hull == mask
+    return hull
+
+
+def _ihsb_minus_hull(mask: int, k: int) -> int:
+    """The negative clauses (down(R)), positive unit clauses and
+    implications that hold on R."""
+    return _cut_out(_down(mask, k), mask, _unit_implication_cells(k))
+
+
+def _affine_basis(mask: int) -> list[int]:
+    """A basis of the differences t ^ t0 from R's least member t0."""
+    t0 = (mask & -mask).bit_length() - 1
+    pivots, _ = gf2_reduce((t ^ t0, 0) for t in iter_bits(mask))
+    return [bits for bits, _ in pivots.values()]
+
+
+def _affine_hull(mask: int, k: int) -> int:
+    """Empty, or the coset of R's least member plus the span of the
+    differences: each basis vector v adds hull ^ v, one flip at a time."""
+    hull = mask & -mask
+    for v in _affine_basis(mask):
+        shifted = hull
+        for pos in iter_bits(v):
+            hi = coord_mask(k, pos)
+            shifted = ((shifted & hi) >> (1 << pos)) | ((shifted & ~hi) << (1 << pos))
+        hull |= shifted
+    return hull
 
 
 def _is_affine(mask: int, k: int) -> bool:
-    """R is empty or a coset: |R| = 2^rank of the differences from one member."""
+    """R equals its affine hull, which contains R and has 2^rank members;
+    counting them, not building the coset, keeps the test within |R|."""
     size = mask.bit_count()
     if size & (size - 1) or not size:
         return not size
-    t0 = (mask & -mask).bit_length() - 1
-    pivots, _ = gf2_reduce((t ^ t0, 0) for t in iter_bits(mask))
-    return 1 << len(pivots) == size
+    return 1 << len(_affine_basis(mask)) == size
 
 
-def _is_ihsb_minus(mask: int, k: int) -> bool:
-    """R is cut out by negative clauses (its down-closure), positive unit
-    clauses and implications that hold on it."""
-    return _cut_out(mask, _down(mask, k), _unit_implication_cells(k))
+# the dual classes flip every coordinate (x | y = not(not x & not y),
+# likewise for x | (y & z))
+_HULLS = {
+    BIJUNCTIVE: _bijunctive_hull,
+    HORN: _horn_hull,
+    DUAL_HORN: lambda mask, k: _flip(_horn_hull(_flip(mask, k), k), k),
+    AFFINE: _affine_hull,
+    IHSB_MINUS: _ihsb_minus_hull,
+    IHSB_PLUS: lambda mask, k: _flip(_ihsb_minus_hull(_flip(mask, k), k), k),
+}
 
 
-# one mask test per base property; the dual classes flip every coordinate
-# (x | y = not(not x & not y), likewise for x | (y & z))
+def hull(rel: Relation, prop: str) -> Relation:
+    """Smallest relation with the polymorphism property that contains rel:
+    its closure under the operation in _PROPERTY_OPS."""
+    if prop not in _HULLS:
+        raise RelationError(f"no hull for property {prop!r}")
+    return Relation(rel.arity, _HULLS[prop](rel.mask, rel.arity))
+
+
+# one mask test per base property: a polymorphism property holds iff R is
+# its own hull (the dual classes compare on the flipped mask)
 _MASK_CHECKS = {
     ZERO_VALID: lambda mask, k: mask & 1 == 1,
     ONE_VALID: lambda mask, k: mask >> ((1 << k) - 1) == 1,
-    BIJUNCTIVE: _is_bijunctive,
-    HORN: _is_horn,
-    DUAL_HORN: lambda mask, k: _is_horn(_flip(mask, k), k),
+    BIJUNCTIVE: lambda mask, k: _bijunctive_hull(mask, k) == mask,
+    HORN: lambda mask, k: _horn_hull(mask, k) == mask,
+    DUAL_HORN: lambda mask, k: _horn_hull(flip := _flip(mask, k), k) == flip,
     AFFINE: _is_affine,
-    IHSB_MINUS: _is_ihsb_minus,
-    IHSB_PLUS: lambda mask, k: _is_ihsb_minus(_flip(mask, k), k),
+    IHSB_MINUS: lambda mask, k: _ihsb_minus_hull(mask, k) == mask,
+    IHSB_PLUS: lambda mask, k: _ihsb_minus_hull(flip := _flip(mask, k), k) == flip,
 }
 
 

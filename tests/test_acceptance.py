@@ -26,8 +26,9 @@ from relconn.generators import (random_cpss_pool, random_formula,
                                 random_horn_not_safely_cw_ihsb_minus,
                                 random_horn_view, random_safely_cw_bijunctive)
 from relconn.horn import normalize, solution_space
-from relconn.relations import (ArgPattern, Relation, apply_pattern,
-                               components, op_maj)
+from relconn.relations import ArgPattern, Relation, apply_pattern, components
+
+from closure_oracle import op_maj
 
 M_MEMBERS = frozenset({0b000, 0b001, 0b010, 0b101, 0b111})
 

@@ -15,7 +15,7 @@ from relconn.classify import (CPSS, NOT_SAFELY_TIGHT,
                               SAFELY_TIGHT_NOT_SCHAEFER, SCHAEFER_NOT_CPSS,
                               classify_set, predict, profile)
 from relconn.errors import ArityLimitError
-from relconn.generators import close_under, random_relation
+from relconn.generators import random_relation
 from relconn.relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
                                DUAL_HORN, HORN, IHSB_MINUS, IHSB_PLUS,
                                SAFE_PROPERTIES, SAFE_SHORTCUTS,
@@ -24,9 +24,11 @@ from relconn.relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
                                SAFELY_OR_FREE, ArgPattern, Relation,
                                apply_pattern, check_property, componentwise,
                                first_unsafe_identification, is_closed,
-                               is_nand_free, is_or_free, is_safely, op_and,
-                               op_maj, op_or, op_x_and_or, op_x_or_and,
-                               op_xor3, set_partitions)
+                               is_nand_free, is_or_free, is_safely,
+                               set_partitions)
+
+from closure_oracle import (close_under, op_and, op_maj, op_or, op_x_and_or,
+                            op_x_or_and, op_xor3)
 
 
 def rel(arity, *tuples):

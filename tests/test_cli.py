@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,20 @@ class TestConn:
                              "--method", "cpss")
         assert code == 2 and out == ""
         assert err.startswith("relconn: error:")
+
+
+    @pytest.mark.parametrize("constants", ["0,1", "1,0"])
+    @pytest.mark.parametrize("method", ["auto", "cpss", "brute"])
+    def test_constraint_on_constants_alone(self, capsys, tmp_path, constants,
+                                           method):
+        # IMP(0,1) holds and IMP(1,0) leaves no solutions: connected either way
+        path = tmp_path / "imp.cnfs"
+        path.write_text(f"rel IMP 2 : 00 01 11\nIMP(x,y)\nIMP({constants})\n")
+        assert run(capsys, "conn", path, "--method", method) == (0, "connected\n", "")
+        code, out, err = run(capsys, "conn", path, "--method", method, "--json")
+        payload = json.loads(out)
+        assert (code, err, payload["connected"]) == (0, "", True)
+        assert payload["method"] == ("brute" if method == "brute" else "cpss")
 
 
 class TestGraphQueries:
@@ -223,6 +238,47 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["graph", sample("triangle.cnfs"), "--dot"],
+                                      ["reduce", sample("gr.cnfs"), "-o"]])
+    def test_unwritable_output(self, capsys, tmp_path, argv):
+        target = tmp_path / "no-such-dir" / "out"
+        code, out, err = run(capsys, *argv, target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"relconn: error: cannot write {target}: ")
+
+    @pytest.mark.parametrize("command,text", [
+        ("classify-set", "rel X 24 : {ones}\n"),
+        ("conn", "rel X 24 : {ones}\nX({args})\n"),
+    ], ids=["classify-set", "conn"])
+    def test_arity_checked_before_the_mask(self, capsys, tmp_path, command, text):
+        # the tuple of 24 ones would index bit 2^24 - 1 of a mask
+        path = tmp_path / "wide"
+        path.write_text(text.format(ones="1" * 24,
+                                    args=",".join(f"x{j}" for j in range(24))))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "arity must be in 1..16, got 24" in err
+        assert peak < 1 << 20  # the mask alone would take 2 MiB
+
+    def test_huge_arity_under_a_memory_cap(self, tmp_path):
+        # 40 ones would ask for a 2^40-bit mask; under the cap that is a
+        # MemoryError traceback unless the arity is checked first
+        pytest.importorskip("resource")
+        path = tmp_path / "huge.rel"
+        path.write_text(f"rel X 40 : {'1' * 40}\n")
+        cap = 3 << 29  # 1.5 GiB of address space
+        done = python("-c", "import resource, sys; "
+                      f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+                      "from relconn.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", "classify-set", str(path))
+        assert done.returncode == 2, done.stderr
+        assert "arity must be in 1..16, got 40" in done.stderr
 
 
 def python(*args: str) -> subprocess.CompletedProcess:

@@ -8,9 +8,12 @@ import time
 
 import pytest
 
+from pathlib import Path
+
 from relconn import constructions, horn
 from relconn import solution_graph as sg
-from relconn.catalog import CATALOG
+from relconn.bitspace import conjunction_space
+from relconn.catalog import CATALOG, parse_relations
 from relconn.classify import profile
 from relconn.cli import main
 from relconn.constructions import (build_F, build_T, express_m,
@@ -371,7 +374,59 @@ def counting_walk(monkeypatch):
 SAFE_NOT_IHSB = Relation.from_tuples(3, ["000", "001", "010", "111"], "S")
 
 
+def formula_state(rel, slots, alive):
+    """express-m's step by the route it replaced: the pinned relation as a
+    one-constraint formula, whose Horn view comes from to_clausal."""
+    pinned = Relation(len(alive), conjunction_space(alive, [(rel.mask, rel.arity, slots)]))
+    if pinned.is_empty:
+        raise ExpressionError("pinning left the constraint unsatisfiable")
+    phi = make_formula([Constraint("R", alive)], {"R": pinned.renamed("R")}, alive)
+    view = horn.normalize(horn.view_from_formula(phi))
+    if horn.solution_space(view) != pinned.mask:
+        raise ExpressionError("internal: normalized Horn view lost track of the relation")
+    return constructions._State(slots, view)
+
+
+SAMPLE_RELATIONS = [rel for path in sorted(
+    (Path(__file__).resolve().parent.parent / "samples").glob("*.rel"))
+    for rel in parse_relations(path.read_text()).values()]
+
+
 class TestExpressMState:
+    def test_state_matches_formula_route(self, monkeypatch):
+        """Every step's view, and so every outcome, is the one the formula
+        route gives: the same clauses in the same order."""
+        rels = seeded_express_inputs(59, 30, 7) + SAMPLE_RELATIONS + [
+            CATALOG["R_coNP"], SAFE_NOT_IHSB, CATALOG["K"], CATALOG["L"]]
+        real = constructions._state
+        steps = []
+
+        def both(rel, slots, alive):
+            got = real(rel, slots, alive)
+            assert got == formula_state(rel, slots, alive)
+            steps.append(alive)
+            return got
+
+        for rel in rels:
+            direct = express_outcome(rel)
+            with monkeypatch.context() as m:
+                m.setattr(constructions, "_state", formula_state)
+                assert express_outcome(rel) == direct
+            with monkeypatch.context() as m:
+                m.setattr(constructions, "_state", both)
+                assert express_outcome(rel) == direct
+        assert len(steps) > 40
+
+    def test_ten_or_more_names_read_in_sorted_order(self):
+        # c10 sorts before c2, so slot order and name order part here
+        rng = random.Random(61)
+        for arity in (10, 11):
+            names = tuple(f"c{j + 1}" for j in range(arity))
+            for density in (0.005, 0.01):
+                rel = random_horn_relation(rng, arity, density)
+                assert constructions._state(rel, list(names), names) == \
+                    formula_state(rel, list(names), names)
+
     def test_wrong_view_is_caught(self, monkeypatch):
         """A normal form that loses a clause no longer matches the pinned
         relation, and the per-step check says so."""

@@ -241,6 +241,36 @@ class TestConnCpss:
         assert report.satisfiable is False
         assert report.connected is True
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constraints_on_constants_alone(self, kind):
+        # pool formulas with some constraints' arguments all set to
+        # constants, a member tuple (true) or a random one (often false);
+        # each projection keeps its constraint's index
+        rng = random.Random(13)
+        checked = set()
+        for phi in pool_formulas(kind, seed=19, count=40):
+            constraints = list(phi.constraints)
+            for i in rng.sample(range(len(constraints)), rng.randint(1, len(constraints))):
+                c = constraints[i]
+                rel = phi.relation_of(c)
+                constants = rng.choice(rel.tuples() + ["".join(rng.choice("01") for _ in c.args)])
+                constraints[i] = Constraint(c.relation, tuple(constants))
+            psi = make_formula(constraints, phi.library, phi.variables)
+            report = conn_cpss(psi)
+            sg = solution_graph.report(psi)
+            assert report.connected == sg.connected
+            assert report.satisfiable == (sg.n_solutions > 0)
+            live = [i for i, c in enumerate(psi.constraints) if c.variables()]
+            if report.projections:
+                assert [p.constraint_index for p in report.projections] == live
+                assert [p.constraint for p in report.projections] == \
+                    [str(psi.constraints[i]) for i in live]
+                if live != list(range(len(live))):
+                    checked.add("index gap")
+            checked.add((report.satisfiable, bool(live)))
+        assert checked == {"index gap", (True, True), (True, False), (False, True),
+                           (False, False)}
+
     def test_non_cpss_rejected(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
         with pytest.raises(NonCpssError):

@@ -17,9 +17,11 @@ from relconn.errors import (ClauseExtractionError, FormulaError,
 from relconn.formulas import (Constraint, constraint_relation, evaluate,
                               format_formula, make_formula, parse_formula,
                               to_clausal)
-from relconn.generators import close_under, random_cpss_pool, random_formula
+from relconn.generators import random_cpss_pool, random_formula
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
-                               check_property, op_and, op_maj, op_or, op_xor3)
+                               check_property)
+
+from closure_oracle import close_under, op_and, op_maj, op_or, op_xor3
 
 SHAPES = (BIJUNCTIVE, HORN, DUAL_HORN)
 
@@ -260,13 +262,13 @@ class TestToClausal:
 
     @pytest.mark.parametrize("n", (6, 20))
     @pytest.mark.parametrize("kind, extractor, tuples, args, corrupt", [
-        pytest.param(HORN, "_cnf_implicates", ["00", "01", "11"], ("a", "b"),
-                     lambda out: out[1:], id="horn-_cnf_implicates-tuples0"),
+        pytest.param(HORN, "cnf_implicates", ["00", "01", "11"], ("a", "b"),
+                     lambda out: out[1:], id="horn-cnf_implicates-tuples0"),
         pytest.param(AFFINE, "_xor_basis", ["00", "11"], ("a", "b"),
                      lambda out: out[1:], id="affine-_xor_basis-tuples1"),
         # R(a,0,a,b) is a -> b; the tuples with a 1 in the constant's slot,
         # or with the repeated slots apart, would add 10 if read wrongly
-        pytest.param(HORN, "_cnf_implicates", ["0000", "0001", "1011", "1110", "1000"],
+        pytest.param(HORN, "cnf_implicates", ["0000", "0001", "1011", "1110", "1000"],
                      ("a", "0", "a", "b"), lambda out: out[1:],
                      id="horn-constant-repeat"),
         # R(a,0,a,b) is a + b = 1; flipping the right-hand side keeps the
@@ -324,7 +326,7 @@ class TestToClausal:
 def member_loop_implicates(vars_, mask, shape):
     """Prime implicates of the shape by testing each candidate clause
     against every member tuple, then keeping the minimal literal sets
-    among the valid ones: the reference for formulas._cnf_implicates."""
+    among the valid ones: the reference for formulas.cnf_implicates."""
     k = len(vars_)
     coords = list(range(k))
     members = [t for t in range(1 << k) if (mask >> t) & 1]
@@ -371,7 +373,7 @@ class TestCnfImplicates:
     def check(k, mask, shape):
         vars_ = tuple(f"x{j}" for j in range(k))
         want = member_loop_implicates(vars_, mask, shape)
-        assert formulas._cnf_implicates(vars_, mask, shape) == want
+        assert formulas.cnf_implicates(vars_, mask, shape) == want
         return want
 
     @settings(max_examples=300, deadline=None)

@@ -8,12 +8,15 @@ import pytest
 
 from relconn.classify import classify_set, profile
 from relconn.formulas import evaluate
-from relconn.generators import (close_under, random_cpss_pool, random_formula,
+from relconn.generators import (random_cpss_pool, random_formula,
                                 random_horn_not_safely_cw_ihsb_minus,
-                                random_horn_view, random_relation,
-                                random_safely_cw_bijunctive)
+                                random_horn_relation, random_horn_view,
+                                random_relation, random_safely_cw_bijunctive)
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
-                               check_property, op_and, op_maj)
+                               check_property)
+
+from closure_oracle import (close_under, op_and, op_maj, op_or, op_x_and_or,
+                            op_x_or_and, op_xor3)
 
 
 class TestPools:
@@ -119,3 +122,72 @@ class TestTargetedRelations:
             assert check_property(closed, HORN)
             assert check_property(closed, BIJUNCTIVE)
             assert close_under(closed, [op_and, op_maj]).members == closed.members
+
+
+# The generators as they were when each one closed a random relation by the
+# op loop and filtered the result through the profile: the same rng state
+# must give the same relations, so seeded inputs elsewhere do not move.
+
+def replay_pool(rng, kind, count, arity_max=4):
+    density, ops, accept = {
+        "bijunctive": (0.4, [op_maj], lambda rel: True),
+        "affine": (0.3, [op_xor3], lambda rel: True),
+        "horn": (0.4, [op_and, op_x_and_or],
+                 lambda rel: profile(rel).safely_componentwise_ihsb_minus is True),
+        "dual_horn": (0.4, [op_or, op_x_or_and],
+                      lambda rel: profile(rel).safely_componentwise_ihsb_plus is True),
+    }[kind]
+    out = []
+    while len(out) < count:
+        arity = rng.randint(2, arity_max)
+        rel = close_under(random_relation(rng, arity, density), ops)
+        if accept(rel):
+            out.append(rel)
+    return out
+
+
+def replay_horn_relation(rng, arity, density=0.35):
+    return close_under(random_relation(rng, arity, density), [op_and])
+
+
+def replay_horn_not_safe(rng, arity_max=6):
+    while True:
+        rel = replay_horn_relation(rng, rng.randint(3, arity_max))
+        p = profile(rel)
+        if p.horn and p.safely_componentwise_ihsb_minus is False:
+            return rel
+
+
+def replay_safely_cw_bijunctive(rng, arity_max=4):
+    while True:
+        rel = close_under(random_relation(rng, rng.randint(2, arity_max), 0.4), [op_maj])
+        if profile(rel).safely_componentwise_bijunctive is True:
+            return rel
+
+
+class TestReplay:
+    @staticmethod
+    def same(make, replay, seed):
+        """make and replay from one seed give equal outputs and leave the rng
+        in the same state."""
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert make(rng) == replay(ref)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("kind", ["bijunctive", "affine", "horn", "dual_horn"])
+    def test_pools(self, kind):
+        for seed in range(8):
+            self.same(lambda r: random_cpss_pool(r, kind, 5, arity_max=5),
+                      lambda r: replay_pool(r, kind, 5, arity_max=5), seed)
+
+    def test_horn_relation(self):
+        for seed in range(8):
+            for arity in (1, 4, 6):
+                self.same(lambda r: random_horn_relation(r, arity),
+                          lambda r: replay_horn_relation(r, arity), seed)
+
+    def test_targeted(self):
+        for seed in range(8):
+            self.same(lambda r: random_horn_not_safely_cw_ihsb_minus(r, arity_max=5),
+                      lambda r: replay_horn_not_safe(r, arity_max=5), seed)
+            self.same(random_safely_cw_bijunctive, replay_safely_cw_bijunctive, seed)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from relconn import relations
 from relconn.errors import ArityLimitError, PatternError, RelationError
-from relconn.generators import close_under, random_relation
+from relconn.generators import random_relation
 from relconn.relations import (_PROPERTY_OPS, AFFINE, BASE_PROPERTIES,
                                BIJUNCTIVE, DUAL_HORN, HORN, IHSB_MINUS,
                                IHSB_PLUS, ONE_VALID, SAFE_CHECK_ARITY_MAX,
@@ -20,11 +20,13 @@ from relconn.relations import (_PROPERTY_OPS, AFFINE, BASE_PROPERTIES,
                                ArgPattern, Relation, apply_pattern,
                                check_property, componentwise, components,
                                enumerate_identifications,
-                               first_unsafe_identification, is_closed,
+                               first_unsafe_identification, hull, is_closed,
                                is_nand_free, is_or_free, is_safely,
-                               iter_identification_patterns, op_and, op_maj,
-                               op_or, op_x_and_or, op_x_or_and, op_xor3,
-                               set_partitions, walk_identifications)
+                               iter_identification_patterns, set_partitions,
+                               walk_identifications)
+
+from closure_oracle import (close_under, op_and, op_maj, op_or, op_x_and_or,
+                            op_x_or_and, op_xor3)
 
 
 def rel(arity, *tuples):
@@ -232,6 +234,51 @@ class TestMaskChecks:
                 assert got == is_closed(r, op), (prop, r)
                 seen.add((prop, got))
         assert seen == {(prop, v) for prop in _PROPERTY_OPS for v in (True, False)}
+
+
+# the generators' pool pairs: x & (y | z) at y = z is x & y, likewise for or
+_POOL_PAIRS = {IHSB_MINUS: [op_and, op_x_and_or], IHSB_PLUS: [op_or, op_x_or_and]}
+
+
+class TestHull:
+    """hull against the op-loop closure, and check_property as R == hull(R)."""
+
+    @staticmethod
+    def check(r):
+        for prop, op in _PROPERTY_OPS.items():
+            h = hull(r, prop)
+            assert h == close_under(r, [_CLOSE_OPS[op]]), (prop, r)
+            assert check_property(r, prop) == (h == r), (prop, r)
+        for prop, ops in _POOL_PAIRS.items():
+            assert hull(r, prop) == close_under(r, ops), (prop, r)
+
+    @pytest.mark.parametrize("arity", range(1, 7))
+    def test_empty_and_full(self, arity):
+        for mask in (0, (1 << (1 << arity)) - 1):
+            self.check(Relation(arity, mask))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_hypothesis(self, arity, data):
+        # the cubic oracle takes seconds on most relations of arity 5 or 6
+        # that are not sparse, so those draw few members
+        members = data.draw(st.frozensets(
+            st.integers(0, 2 ** arity - 1), max_size=2 ** arity if arity <= 4 else 6))
+        self.check(Relation.from_tuples(arity, members))
+
+    def test_seeded(self):
+        rng = random.Random(17)
+        for arity in range(1, 7):
+            for density in (0.1, 0.3, 0.6):
+                for _ in range(6 if arity < 6 else 2):
+                    r = random_relation(rng, arity, density if arity < 5 else density / 4,
+                                        nonempty=False)
+                    self.check(r)
+                    self.check(hull(r, rng.choice(sorted(_PROPERTY_OPS))))
+
+    def test_validity_has_no_hull(self):
+        with pytest.raises(RelationError, match="no hull"):
+            hull(OR, ZERO_VALID)
 
 
 def walk_oracle(r):
