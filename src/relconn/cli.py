@@ -52,8 +52,12 @@ def _load_relations(path: str):
     return rels
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_json_text(obj), end="")
 
 
 def cmd_classify_relation(args) -> int:
@@ -199,13 +203,13 @@ def cmd_reduce(args) -> int:
     red = reduce_sat_to_conn(psi)
     text = format_formula(red.formula)
     if args.json:
-        _emit_json({
+        text = _json_text({
             "formula": text,
             "input_variables": list(red.input_variables),
             "chain_variables": list(red.chain_variables),
             "gadget_variables": [list(g) for g in red.gadget_variables],
         })
-    elif args.output and args.output != "-":
+    if args.output and args.output != "-":
         _write(args.output, text)
     else:
         print(text, end="")
@@ -326,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce",
                        help="satisfiability to disconnectivity over M")
     p.add_argument("file", help="formula file over P and N")
-    p.add_argument("-o", "--output", metavar="OUT", help="write formula here")
+    p.add_argument("-o", "--output", metavar="OUT",
+                   help="write the output (formula or JSON) here")
     _add_json(p)
     p.set_defaults(func=cmd_reduce)
 

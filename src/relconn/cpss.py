@@ -9,15 +9,26 @@ projection forces a disconnected graph), but the converse can fail, so
 conn_cpss guards its precondition.
 
 All projections of a formula come from one solver state built once on its
-clause translation, one engine per clause class:
+clause translation, by one of two engines:
 
-- Horn: clause-counter unit propagation (Dowling-Gallier 1984) of the
-  minimal model, then per tuple only its 1-assumptions from that state;
-- dual Horn: the Horn engine on the flipped clauses;
-- bijunctive: one SCC condensation of the implication graph
-  (Aspvall-Plass-Tarjan 1979) with reachability between components as
-  bitsets; a tuple is feasible iff none of its literals reaches the
-  negation of another (or of itself);
+- Horn, dual Horn and bijunctive clauses: clause-counter unit propagation
+  over literals (var, value).  The base state is the unit clauses
+  propagated once.  Satisfiability is decided by extending the base
+  state to a model: each unset variable takes the class default (0, or 1
+  for dual Horn), or the other value when the default conflicts; if both
+  conflict, there is no model.  On satisfiable clauses, a tuple belongs to
+  a projection iff its literals propagate from the base state without
+  conflict.  That is complete for the three classes.  On Horn clauses, a
+  conflict-free state extends to a model by setting every unset variable
+  to 0, so unit propagation refutes every unsatisfiable Horn clause set
+  (Dowling-Gallier 1984); dual Horn is the same with 1.  On a satisfiable
+  2-CNF, a conflict-free state leaves untouched only clauses of the
+  formula whose variables are all unset, which any model of the formula
+  satisfies, so the state extends to a model (Even-Itai-Shamir 1976).
+  The default never conflicts on Horn or dual Horn clauses, so
+  sat_schaefer, which propagates the assumptions and then extends to a
+  model the same way, returns the minimal Horn model and the maximal dual
+  Horn one.
 - affine: one GF(2) elimination, a particular solution plus a nullspace
   basis; a projection is the particular solution plus the span of the
   basis restricted to the constraint's variables.
@@ -28,196 +39,118 @@ case and the linear dependencies among a projection's columns.
 
 Each engine checks its base model against every clause or equation, and
 every projection against the constraint's own relation.  sat_schaefer
-answers single satisfiability queries with its own per-call model check.
+checks every model it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitspace import component_masks, gf2_reduce
 from .classify import SetClassification, classify_set, predict, Predictions
-from .errors import (ClauseExtractionError, NonCpssError, RelconnError,
-                     VarsLimitError)
-from .formulas import (ClauseSet, CnfClause, Formula, XorEquation, make_formula,
-                       to_clausal)
+from .errors import (ClauseExtractionError, FormulaError, NonCpssError,
+                     RelconnError, VarsLimitError)
+from .formulas import CONSTANTS, ClauseSet, Formula, XorEquation, to_clausal
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
 from . import solution_graph
 
-Clauses = list[tuple[frozenset[str], frozenset[str]]]
+Literal = tuple[str, int]  # (variable, value): true iff the variable has it
+LiteralClause = tuple[Literal, ...]
+# clauses as literal tuples, the clauses that hold each literal, the set
+# variables and per clause the count of its literals not yet false
+State = tuple[list[LiteralClause], dict[Literal, list[int]], dict[str, int], list[int]]
+
+# the value an unset variable tries first when a state extends to a model
+_DEFAULT = {BIJUNCTIVE: 0, HORN: 0, DUAL_HORN: 1}
 
 
-def _condition_cnf(clauses: Sequence[CnfClause],
-                   assumptions: Mapping[str, int]) -> Clauses | None:
-    """Clauses after substituting the assumptions; None when one is falsified."""
-    out = []
-    for c in clauses:
-        if any(assumptions.get(v) == 1 for v in c.pos) or \
-           any(assumptions.get(v) == 0 for v in c.neg):
-            continue
-        pos = frozenset(v for v in c.pos if v not in assumptions)
-        neg = frozenset(v for v in c.neg if v not in assumptions)
-        if not pos and not neg:
-            return None
-        out.append((pos, neg))
-    return out
+def _propagate(seeds: Iterable[Literal], clauses: Sequence[LiteralClause],
+               holding: Mapping[Literal, list[int]], value: Mapping[str, int],
+               left: Sequence[int]) -> tuple[dict[str, int], dict[int, int]] | None:
+    """Unit propagation with clause counters.
 
-
-def _implication_graph(index: Mapping[str, int], clauses: Clauses) -> list[list[int]]:
-    """Implication graph of non-empty 2-clauses; variable i has the literal
-    nodes 2i (true) and 2i + 1 (false)."""
-    adj: list[list[int]] = [[] for _ in range(2 * len(index))]
-    for pos, neg in clauses:
-        lits = [2 * index[v] for v in pos] + [2 * index[v] + 1 for v in neg]
-        if len(lits) == 1:
-            adj[lits[0] ^ 1].append(lits[0])
-        elif len(lits) == 2:
-            a, b = lits
-            adj[a ^ 1].append(b)
-            adj[b ^ 1].append(a)
-        else:
-            raise ClauseExtractionError("clause too wide for the 2-SAT solver")
-    return adj
-
-
-def _tarjan(adj: list[list[int]]) -> tuple[list[int], int]:
-    """Strongly connected components by iterative Tarjan.
-
-    Returns (component id per node, number of components).  Ids increase
-    from the sinks up: an edge between two components goes to the lower id.
+    Over a state where `value` holds the set variables and left[j] counts
+    the literals of clause j that are not false, sets the seed literals and
+    every literal they force: a clause left with one literal that is not
+    false forces it, a clause left with none is a conflict.  Returns the
+    newly set variables and the changed counters, or None on a conflict.
+    `value` and `left` are only read, so one base state serves many queries.
     """
-    size = len(adj)
-    comp = [-1] * size
-    low = [0] * size
-    num = [0] * size
-    visited = [False] * size
-    on_stack = [False] * size
-    stack: list[int] = []
-    counter = 0
-    n_comp = 0
-    for root in range(size):
-        if visited[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                visited[node] = True
-                num[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(ptr, len(adj[node])):
-                nxt = adj[node][k]
-                if not visited[nxt]:
-                    work[-1] = (node, k + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], num[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == num[node]:
-                while True:
-                    top = stack.pop()
-                    on_stack[top] = False
-                    comp[top] = n_comp
-                    if top == node:
-                        break
-                n_comp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comp, n_comp
-
-
-def _model_2cnf(variables: Sequence[str], comp: list[int]) -> dict[str, int] | None:
-    """Model read off the condensation, or None when some x and -x share a
-    component."""
-    model = {}
-    for i, v in enumerate(variables):
-        if comp[2 * i] == comp[2 * i + 1]:
-            return None
-        model[v] = 1 if comp[2 * i] < comp[2 * i + 1] else 0
-    return model
-
-
-def _sat_2cnf(variables: Sequence[str], clauses: Clauses) -> dict[str, int] | None:
-    """Implication-graph 2-SAT; returns a model or None."""
-    adj = _implication_graph({v: i for i, v in enumerate(variables)}, clauses)
-    return _model_2cnf(variables, _tarjan(adj)[0])
-
-
-def _horn_propagate(seeds: Sequence[str], heads: list[str | None],
-                    occ: dict[str, list[int]], need: list[int],
-                    ones: frozenset[str] = frozenset()) -> tuple[set[str], dict[int, int]] | None:
-    """Unit propagation with clause counters (Dowling-Gallier).
-
-    Over a state where the variables in `ones` are 1 and need[j] body
-    literals of clause j are still unset, sets the seeds to 1 and follows
-    what they force.  Returns the newly forced variables and the changed
-    counters, or None when a goal clause fires.  `need` and `ones` are
-    only read, so one base state serves many queries.
-    """
-    new: set[str] = set()
-    left: dict[int, int] = {}
+    new: dict[str, int] = {}
+    count: dict[int, int] = {}
     queue = list(seeds)
     while queue:
-        v = queue.pop()
-        if v in ones or v in new:
+        v, b = queue.pop()
+        old = value.get(v, new.get(v))
+        if old is not None:
+            if old != b:
+                return None
             continue
-        new.add(v)
-        for j in occ.get(v, ()):
-            r = left.get(j, need[j]) - 1
-            left[j] = r
+        new[v] = b
+        for j in holding.get((v, 1 - b), ()):
+            r = count.get(j, left[j]) - 1
+            count[j] = r
             if r == 0:
-                if heads[j] is None:
-                    return None
-                queue.append(heads[j])
-    return new, left
+                return None
+            if r == 1:  # force the one literal that is not false
+                for u, c in clauses[j]:
+                    if value.get(u, new.get(u)) != 1 - c:
+                        queue.append((u, c))
+                        break
+    return new, count
 
 
-HornState = tuple[list[str | None], list[int], dict[str, list[int]], frozenset[str]]
+def _clausal_state(cs: ClauseSet) -> State | None:
+    """The base state of a Horn, dual Horn or bijunctive clause set: its
+    unit clauses propagated; None when they conflict.
 
-
-def _horn_base(clauses: Clauses) -> HornState | None:
-    """Propagated state of a Horn clause list, or None when it is unsat.
-
-    The state is the clause heads (None for a goal clause), the counters
-    of body literals still unset, the clauses whose body holds each
-    variable, and the ones of the minimal model.
+    Raises ClauseExtractionError for a clause outside the set's class.
     """
-    heads: list[str | None] = []
-    need: list[int] = []
-    occ: dict[str, list[int]] = {}
-    for j, (pos, neg) in enumerate(clauses):
-        if len(pos) > 1:
-            raise ClauseExtractionError("clause with two positive literals is not Horn")
-        heads.append(next(iter(pos)) if pos else None)
-        need.append(len(neg))
-        for v in neg:
-            occ.setdefault(v, []).append(j)
-    facts = [h for h, r in zip(heads, need) if r == 0]
-    if None in facts:
+    cls = cs.schaefer_class
+    if cls not in _DEFAULT:
+        raise ClauseExtractionError(f"unknown clause class {cls!r}")
+    clauses: list[LiteralClause] = []
+    holding: dict[Literal, list[int]] = {}
+    for j, c in enumerate(cs.clauses):
+        npos, nneg = len(c.pos), len(c.neg)
+        if (npos + nneg > 2 if cls == BIJUNCTIVE else
+                npos > 1 if cls == HORN else nneg > 1):
+            raise ClauseExtractionError(f"clause {c} is not {cls}")
+        lits = tuple((v, 1) for v in c.pos) + tuple((v, 0) for v in c.neg)
+        clauses.append(lits)
+        for lit in lits:
+            holding.setdefault(lit, []).append(j)
+    state = clauses, holding, {}, [len(lits) for lits in clauses]
+    units = [lits[0] for lits in clauses if len(lits) == 1]
+    if 0 in state[3] or _extend(state, units, (), 0) is None:
         return None
-    base = _horn_propagate(facts, heads, occ, need)
-    if base is None:
-        return None
-    ones, left = base
-    return heads, [left.get(j, r) for j, r in enumerate(need)], occ, frozenset(ones)
+    return state
 
 
-def _sat_horn(variables: Sequence[str], clauses: Clauses) -> dict[str, int] | None:
-    """Minimal-model Horn satisfiability (all-zero default), linear time."""
-    base = _horn_base(clauses)
-    if base is None:
+def _extend(state: State, seeds: Iterable[Literal], variables: Sequence[str],
+            default: int) -> dict[str, int] | None:
+    """Sets the seeds, then each unset variable to `default`, or to the
+    other value when that conflicts, propagating every step into the state
+    in place.  Returns the values set, or None when the seeds conflict or
+    some variable conflicts both ways."""
+    clauses, holding, value, left = state
+
+    def commit(step: tuple[dict[str, int], dict[int, int]] | None) -> bool:
+        if step is None:
+            return False
+        value.update(step[0])
+        for j, r in step[1].items():
+            left[j] = r
+        return True
+
+    if not commit(_propagate(seeds, *state)):
         return None
-    ones = base[-1]
-    return {v: (1 if v in ones else 0) for v in variables}
+    for v in variables:
+        if v not in value and not commit(_propagate([(v, default)], *state)
+                                         or _propagate([(v, 1 - default)], *state)):
+            return None
+    return value
 
 
 AffineSystem = tuple[list[str], dict[int, tuple[int, int]], dict[str, int]]
@@ -258,31 +191,19 @@ def sat_schaefer(cs: ClauseSet,
     """Polynomial satisfiability of a clause set under a partial assignment.
 
     Returns (satisfiable, model); the model extends the assumptions and is
-    re-checked against the clauses before being returned.
+    re-checked against the clauses before being returned.  A Horn clause
+    set gets its minimal such model, a dual Horn one its maximal one.
     """
     assumptions = {v: 1 if b else 0 for v, b in (assumptions or {}).items()}
     if cs.schaefer_class == AFFINE:
         system = _affine_reduce(cs.variables, cs.equations, assumptions)
-        model = None if system is None else system[2]
+        model = None if system is None else {**system[2], **assumptions}
     else:
-        conditioned = _condition_cnf(cs.clauses, assumptions)
-        if conditioned is None:
-            return False, None
-        rest = [v for v in cs.variables if v not in assumptions]
-        if cs.schaefer_class == BIJUNCTIVE:
-            model = _sat_2cnf(rest, conditioned)
-        elif cs.schaefer_class == HORN:
-            model = _sat_horn(rest, conditioned)
-        elif cs.schaefer_class == DUAL_HORN:
-            flipped = [(neg, pos) for pos, neg in conditioned]
-            model = _sat_horn(rest, flipped)
-            if model is not None:
-                model = {v: 1 - b for v, b in model.items()}
-        else:
-            raise ClauseExtractionError(f"unknown clause class {cs.schaefer_class!r}")
+        state = _clausal_state(cs)
+        model = None if state is None else _extend(
+            state, assumptions.items(), cs.variables, _DEFAULT[cs.schaefer_class])
     if model is None:
         return False, None
-    model.update(assumptions)
     _assert_model(cs, model)
     return True, model
 
@@ -310,71 +231,26 @@ def _no_solutions(vars_: tuple[str, ...]) -> int:
     return 0
 
 
-def _horn_projector(cs: ClauseSet, flip: bool) -> MaskOf:
-    """Horn engine; with flip, dual Horn through the flipped clauses."""
-    clauses = [(c.neg, c.pos) if flip else (c.pos, c.neg) for c in cs.clauses]
-    base = _horn_base(clauses)
-    if base is None:
+def _clausal_projector(cs: ClauseSet) -> MaskOf:
+    """Unit-propagation engine: with the clauses satisfiable, a tuple
+    belongs iff its literals propagate from the base state without
+    conflict."""
+    state = _clausal_state(cs)
+    if state is None:
         return _no_solutions
-    heads, need, occ, ones = base
-    _assert_model(cs, {v: int(v in ones) ^ flip for v in cs.variables})
-
-    def mask_of(vars_: tuple[str, ...]) -> int:
-        k = len(vars_)
-        out = 0
-        for a in range(1 << k):
-            up, down = [], []
-            for j, v in enumerate(vars_):
-                (up if ((a >> (k - 1 - j)) & 1) ^ flip else down).append(v)
-            if any(v in ones for v in down):
-                continue
-            forced = _horn_propagate(up, heads, occ, need, ones)
-            if forced is not None and not any(v in forced[0] for v in down):
-                out |= 1 << a
-        return out
-    return mask_of
-
-
-def _bijunctive_projector(cs: ClauseSet) -> MaskOf:
-    """2-SAT engine: a set of literals extends to a solution iff the formula
-    is satisfiable and no literal of the set reaches the negation of one of
-    them in the implication graph."""
-    clauses = _condition_cnf(cs.clauses, {})  # None: an empty clause
-    if clauses is None:
-        return _no_solutions
-    index = {v: i for i, v in enumerate(cs.variables)}
-    adj = _implication_graph(index, clauses)
-    comp, n_comp = _tarjan(adj)
-    model = _model_2cnf(cs.variables, comp)
+    clauses, holding, value, left = state
+    model = _extend((clauses, holding, dict(value), list(left)), (),
+                    cs.variables, _DEFAULT[cs.schaefer_class])
     if model is None:
         return _no_solutions
     _assert_model(cs, model)
-    # reach[c]: bitset of the components reachable from component c.  Edges
-    # go to lower ids, so visiting nodes by increasing id finishes every
-    # successor component first.
-    reach = [1 << c for c in range(n_comp)]
-    for node in sorted(range(len(adj)), key=comp.__getitem__):
-        c = comp[node]
-        r = reach[c]
-        for nxt in adj[node]:
-            r |= reach[comp[nxt]]
-        reach[c] = r
 
     def mask_of(vars_: tuple[str, ...]) -> int:
         k = len(vars_)
-        # literal slot 2j + b stands for "vars_[j] = b"; node 2i + 1 - b
-        nodes = [2 * index[v] + 1 - b for v in vars_ for b in (0, 1)]
-        clash = [0] * (2 * k)
-        for p, node_p in enumerate(nodes):
-            r = reach[comp[node_p]]
-            for q, node_q in enumerate(nodes):
-                if (r >> comp[node_q ^ 1]) & 1:
-                    clash[p] |= 1 << q
         out = 0
         for a in range(1 << k):
-            slots = [2 * j + ((a >> (k - 1 - j)) & 1) for j in range(k)]
-            chosen = sum(1 << s for s in slots)
-            if not any(clash[s] & chosen for s in slots):
+            seeds = [(v, (a >> (k - 1 - j)) & 1) for j, v in enumerate(vars_)]
+            if _propagate(seeds, *state) is not None:
                 out |= 1 << a
         return out
     return mask_of
@@ -411,13 +287,7 @@ def _affine_projector(cs: ClauseSet) -> MaskOf:
 def _projector(cs: ClauseSet) -> MaskOf:
     if cs.schaefer_class == AFFINE:
         return _affine_projector(cs)
-    if cs.schaefer_class == BIJUNCTIVE:
-        return _bijunctive_projector(cs)
-    if cs.schaefer_class in (HORN, DUAL_HORN):
-        return _horn_projector(cs, flip=cs.schaefer_class == DUAL_HORN)
-    raise ClauseExtractionError(f"unknown clause class {cs.schaefer_class!r}")
-
-
+    return _clausal_projector(cs)
 
 
 def _pick_class(classification: SetClassification, check: bool) -> str:
@@ -456,13 +326,16 @@ def project(phi: Formula, i: int, clause_set: ClauseSet | None = None,
 
     Tuple a belongs iff the formula stays satisfiable with Var(C_i) pinned
     to a, so this is the i-th constraint's view of the whole formula, not
-    the constraint's own relation.
+    the constraint's own relation.  Raises FormulaError when constraint i
+    is on constants alone.
     """
     if clause_set is None:
         cls = _pick_class(classify_set(phi.used_relations()), check)
         clause_set = to_clausal(phi, cls)
-    return _project_with(phi, i, clause_set.constraint_relations[i],
-                         _projector(clause_set))
+    pair = clause_set.constraint_relations[i]
+    if not pair[0]:
+        raise FormulaError(f"{phi.constraints[i]}: constraint has no variables")
+    return _project_with(phi, i, pair, _projector(clause_set))
 
 
 def _project_with(phi: Formula, i: int, pair: tuple[tuple[str, ...], Relation],
@@ -501,26 +374,17 @@ def conn_cpss(phi: Formula, check: bool = True) -> CpssReport:
     return _conn_cpss(phi, _pick_class(classify_set(phi.used_relations()), check))
 
 
-_CONSTANTS = frozenset(("0", "1"))
-
-
 def _conn_cpss(phi: Formula, cls: str) -> CpssReport:
-    # a constraint on constants alone is true, and constrains nothing, or
-    # false, and leaves no solutions: connected by convention
-    live = [i for i, c in enumerate(phi.constraints) if not _CONSTANTS.issuperset(c.args)]
-    translated = phi
-    if len(live) < len(phi.constraints):
-        if not all(int("".join(c.args), 2) in phi.relation_of(c)
-                   for c in phi.constraints if _CONSTANTS.issuperset(c.args)):
-            return CpssReport(True, False, ())
-        if not live:
-            return CpssReport(True, True, ())
-        translated = make_formula([phi.constraints[i] for i in live],
-                                  phi.library, phi.variables)
-    clause_set = to_clausal(translated, cls)
+    # a false constraint on constants alone leaves no solutions, connected
+    # by convention; a true one has no clause and no projection
+    if not all(int("".join(c.args), 2) in phi.relation_of(c)
+               for c in phi.constraints if CONSTANTS.issuperset(c.args)):
+        return CpssReport(True, False, ())
+    clause_set = to_clausal(phi, cls)
     mask_of = _projector(clause_set)
     projections = tuple(_project_with(phi, i, pair, mask_of)
-                        for i, pair in zip(live, clause_set.constraint_relations))
+                        for i, pair in enumerate(clause_set.constraint_relations)
+                        if pair[0])
     satisfiable = not any(p.relation.is_empty for p in projections)
     # no solutions: connected by convention
     connected = not satisfiable or all(p.n_components <= 1 for p in projections)

@@ -36,6 +36,7 @@ VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _CONSTRAINT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*\Z")
 
 SCHAEFER_CLASSES = (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE)
+CONSTANTS = frozenset(("0", "1"))
 
 
 @dataclass(frozen=True)
@@ -261,12 +262,13 @@ class XorEquation:
 class ClauseSet:
     """A formula's clauses or equations in one Schaefer class, and in
     constraint_relations, per constraint in formula order, the
-    (variables, relation) pair of constraint_relation they were read off."""
+    (variables, relation) pair of constraint_relation they were read off;
+    ((), None) for a constraint on constants alone."""
     schaefer_class: str
     variables: tuple[str, ...]
     clauses: tuple[CnfClause, ...] = ()
     equations: tuple[XorEquation, ...] = ()
-    constraint_relations: tuple[tuple[tuple[str, ...], Relation], ...] = ()
+    constraint_relations: tuple[tuple[tuple[str, ...], Relation | None], ...] = ()
 
 
 def cnf_implicates(vars_: tuple[str, ...], mask: int,
@@ -346,31 +348,36 @@ def _xor_basis(vars_: tuple[str, ...],
 def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
     """Rewrite every constraint as clauses/equations of the given class.
 
-    Raises ClauseExtractionError when some constraint relation is not
-    closed under the class's characteristic operation, or when a
-    constraint's clauses/equations do not define exactly its relation.
+    A constraint on constants alone becomes no clause when it is true and
+    the empty clause (the equation 0 = 1) when it is false.  Raises
+    ClauseExtractionError when some constraint relation is not closed under
+    the class's characteristic operation, or when a constraint's
+    clauses/equations do not define exactly its relation.
     """
     if schaefer_class not in SCHAEFER_CLASSES:
         raise ClauseExtractionError(f"unknown clause class {schaefer_class!r}")
     clauses: list[CnfClause] = []
     equations: list[XorEquation] = []
     pairs = []
-    for i in range(len(phi.constraints)):
-        vars_, rel = pair = constraint_relation(phi, i)
-        pairs.append(pair)
-        if not check_property(rel, schaefer_class):
-            raise ClauseExtractionError(
-                f"constraint {phi.constraints[i]} is not {schaefer_class}")
+    for i, c in enumerate(phi.constraints):
+        if CONSTANTS.issuperset(c.args):
+            vars_, mask = (), (phi.relation_of(c).mask >> int("".join(c.args), 2)) & 1
+            pairs.append((vars_, None))
+        else:
+            vars_, rel = pair = constraint_relation(phi, i)
+            if not check_property(rel, schaefer_class):
+                raise ClauseExtractionError(f"constraint {c} is not {schaefer_class}")
+            mask = rel.mask
+            pairs.append(pair)
         if schaefer_class == AFFINE:
             group_eqs = [XorEquation(names, rhs)
-                         for names, rhs in _xor_basis(vars_, rel.mask)]
+                         for names, rhs in _xor_basis(vars_, mask)]
             group_cls = []
         else:
             group_eqs = []
             group_cls = [CnfClause(pos, neg) for pos, neg
-                         in cnf_implicates(vars_, rel.mask, schaefer_class)]
-        _assert_group_equivalent(phi.constraints[i], vars_, rel.mask,
-                                 group_cls, group_eqs)
+                         in cnf_implicates(vars_, mask, schaefer_class)]
+        _assert_group_equivalent(c, vars_, mask, group_cls, group_eqs)
         clauses.extend(group_cls)
         equations.extend(group_eqs)
     return ClauseSet(schaefer_class, phi.variables, tuple(clauses),

@@ -19,7 +19,7 @@ DiameterLimitError before any neighbour list is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator
 
 from . import bitspace
 from .bitspace import BRUTE_VARS_MAX, conjunction_space
@@ -39,8 +39,12 @@ DIAMETER_VERTICES_MAX = 1 << 17
 def solution_space(phi: Formula) -> int:
     """Bitmask over all 2^n assignments; bit i set iff assignment i satisfies
     phi, the first of phi.variables being the most significant bit of i."""
-    return conjunction_space(phi.variables, (
-        (phi.relation_of(c).mask, len(c.args), c.args) for c in phi.constraints))
+    return conjunction_space(phi.variables, _items(phi))
+
+
+def _items(phi: Formula) -> Iterator[tuple[int, int, tuple[str, ...]]]:
+    """The constraints as conjunction_space items."""
+    return ((phi.relation_of(c).mask, len(c.args), c.args) for c in phi.constraints)
 
 
 def solutions(phi: Formula) -> list[int]:
@@ -53,23 +57,10 @@ def solution_strings(phi: Formula) -> list[str]:
     return [bitspace.tuple_of_index(i, n) for i in solutions(phi)]
 
 
-def _project(phi: Formula, order: Sequence[str]) -> Relation:
-    """The solutions restricted to the variables in `order`, in that order."""
-    n = phi.n
-    src = [n - 1 - phi.variables.index(v) for v in order]
-    k = len(src)
-    mask = 0
-    for idx in bitspace.iter_bits(solution_space(phi)):
-        a = 0
-        for j, bitpos in enumerate(src):
-            a |= ((idx >> bitpos) & 1) << (k - 1 - j)
-        mask |= 1 << a
-    return Relation(k, mask)
-
-
 def formula_relation(phi: Formula) -> Relation:
     """The set of solutions as a relation over the variables in name order."""
-    return _project(phi, sorted(phi.variables))
+    order = sorted(phi.variables)
+    return Relation(len(order), conjunction_space(order, _items(phi)))
 
 
 def component_spaces(phi: Formula) -> list[int]:
@@ -276,7 +267,15 @@ def project_enumerate(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation]:
     """Projection of the solution set onto constraint i's variables, by
     enumeration.  Tuple order: the constraint's distinct variables sorted."""
     vars_ = tuple(sorted(phi.constraints[i].variables()))
-    return vars_, _project(phi, vars_)
+    k = len(vars_)
+    src = [phi.n - 1 - phi.variables.index(v) for v in vars_]
+    mask = 0
+    for idx in bitspace.iter_bits(solution_space(phi)):
+        a = 0
+        for j, bitpos in enumerate(src):
+            a |= ((idx >> bitpos) & 1) << (k - 1 - j)
+        mask |= 1 << a
+    return vars_, Relation(k, mask)
 
 
 def export_dot(phi: Formula) -> str:

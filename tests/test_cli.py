@@ -190,6 +190,16 @@ class TestConstructions:
         assert payload["chain_variables"] == ["q0", "q1"]
         assert len(payload["gadget_variables"]) == 5
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_reduce_output_file_holds_what_would_print(self, capsys, tmp_path,
+                                                       extra):
+        target = tmp_path / "out"
+        code, out, err = run(capsys, "reduce", sample("gr.cnfs"), "-o", target,
+                             *extra)
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text() == run(capsys, "reduce", sample("gr.cnfs"),
+                                         *extra)[1]
+
     def test_reduce_trivial_input(self, capsys, tmp_path):
         trivial = tmp_path / "n.cnfs"
         trivial.write_text("var x y\nN(x,y)\n")
@@ -373,3 +383,36 @@ class TestRepeatedCalls:
         for argv in (["classify-set", sample("m.rel")],
                      ["classify-set", sample("m.rel"), "--json"]):
             assert fresh_process(argv) == run(capsys, *argv)
+
+
+
+def readme_examples():
+    """(argv, expected stdout) for each `$ relconn ...` line in the README's
+    sh blocks; its output runs to the next blank line or the block's end."""
+    examples, current, in_sh = [], None, False
+    for line in (SAMPLES.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh, current = line == "```sh" and not in_sh, None
+        elif in_sh and line.startswith("$ relconn "):
+            current = []
+            examples.append((line.split()[2:], current))
+        elif in_sh and line and current is not None:
+            current.append(line + "\n")
+        else:
+            current = None
+    return [(argv, "".join(out)) for argv, out in examples]
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadme:
+    def test_examples_found(self):
+        assert len(README_EXAMPLES) == 5
+
+    @pytest.mark.parametrize("argv, want", README_EXAMPLES,
+                             ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+    def test_example_output(self, capsys, monkeypatch, argv, want):
+        # the README's paths are relative to the repository root
+        monkeypatch.chdir(SAMPLES.parent)
+        assert run(capsys, *argv) == (0, want, "")

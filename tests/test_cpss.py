@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from relconn import formulas, solution_graph
 from relconn.catalog import CATALOG
 from relconn.classify import classify_set
-from relconn.cpss import (conn_cpss, decide_connectivity, project,
+from relconn.cpss import (_projector, conn_cpss, decide_connectivity, project,
                           sat_schaefer, search_separation_counterexample)
-from relconn.errors import NonCpssError, RelconnError, VarsLimitError
-from relconn.formulas import Constraint, make_formula, parse_formula, to_clausal
-from relconn.generators import random_cpss_pool, random_formula
-from relconn.relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
+from relconn.errors import (ClauseExtractionError, FormulaError, NonCpssError,
+                            RelconnError, VarsLimitError)
+from relconn.formulas import (ClauseSet, CnfClause, Constraint, make_formula,
+                              parse_formula, to_clausal)
+from relconn.generators import random_cpss_pool, random_formula, random_relation
+from relconn.relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation, hull
 from relconn.solution_graph import project_enumerate
 
 KINDS = (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE)
@@ -33,20 +36,27 @@ RF(y,x,w)
 """
 
 
-def brute_sat(cs, assumptions):
-    """Enumerate assignments directly against the clauses and equations."""
+def brute_models(cs, assumptions):
+    """Every model of the clauses and equations that extends the
+    assumptions, by enumeration."""
     free = [v for v in cs.variables if v not in assumptions]
     for bits in itertools.product((0, 1), repeat=len(free)):
         model = dict(assumptions)
         model.update(zip(free, bits))
         if all(c.satisfied_by(model) for c in cs.clauses) and \
                 all(e.satisfied_by(model) for e in cs.equations):
-            return True
-    return False
+            yield model
+
+
+def brute_sat(cs, assumptions):
+    return next(brute_models(cs, assumptions), None) is not None
 
 
 def project_by_sat_oracle(phi, i, cs):
-    """Projection mask onto constraint i by one sat_schaefer call per tuple."""
+    """Projection mask onto constraint i by one sat_schaefer call per tuple.
+
+    sat_schaefer runs on the same unit propagation as project, so this
+    oracle is not independent of the engine; project_enumerate is."""
     vars_ = tuple(sorted(phi.constraints[i].variables()))
     k = len(vars_)
     mask = 0
@@ -75,23 +85,63 @@ def cached_pool(kind, seed):
     return tuple(random_cpss_pool(random.Random(seed), kind, 4))
 
 
-@st.composite
-def cpss_formulas(draw):
-    """(kind, formula) over a CPSS pool of the kind; n <= 10, constants and
-    repeated arguments allowed."""
-    kind = draw(st.sampled_from(KINDS))
-    pool = cached_pool(kind, draw(st.integers(0, 5)))
+@functools.lru_cache(maxsize=None)
+def cached_hulls(kind, seed):
+    """Hulls of random relations of arity 2-4 in one Schaefer class: a
+    relation set of that class, not necessarily CPSS."""
+    rng = random.Random(seed)
+    return tuple(hull(random_relation(rng, rng.randint(2, 4),
+                                      rng.choice((0.2, 0.5, 0.8))), kind)
+                 for _ in range(3))
+
+
+def draw_formula(draw, pool, max_vars, constants_alone=False):
+    """A formula of 1-6 constraints over the pool and 1..max_vars
+    variables; constants and repeated arguments allowed, and with
+    constants_alone, constraints whose arguments are all constants."""
     library = {f"R{j}": rel.renamed(f"R{j}") for j, rel in enumerate(pool)}
-    variables = [f"x{i}" for i in range(draw(st.integers(1, 10)))]
+    variables = [f"x{i}" for i in range(draw(st.integers(1, max_vars)))]
     constraints = []
     for _ in range(draw(st.integers(1, 6))):
         name = draw(st.sampled_from(sorted(library)))
         args = draw(st.lists(st.sampled_from(variables + ["0", "1"]),
                              min_size=library[name].arity,
                              max_size=library[name].arity)
-                    .filter(lambda a: any(x not in ("0", "1") for x in a)))
+                    .filter(lambda a: constants_alone
+                            or any(x not in ("0", "1") for x in a)))
         constraints.append(Constraint(name, tuple(args)))
-    return kind, make_formula(constraints, library, variables)
+    return make_formula(constraints, library, variables)
+
+
+@st.composite
+def cpss_formulas(draw):
+    """(kind, formula) over a CPSS pool of the kind; n <= 10, constants and
+    repeated arguments allowed."""
+    kind = draw(st.sampled_from(KINDS))
+    pool = cached_pool(kind, draw(st.integers(0, 5)))
+    return kind, draw_formula(draw, pool, 10)
+
+
+@st.composite
+def schaefer_queries(draw):
+    """(clause set, assumptions): a formula over hulls of one class with
+    n <= 8, constraints on constants alone allowed, and 0..n of its
+    variables pinned."""
+    kind = draw(st.sampled_from(KINDS))
+    phi = draw_formula(draw, cached_hulls(kind, draw(st.integers(0, 7))), 8,
+                       constants_alone=True)
+    pinned = draw(st.lists(st.sampled_from(phi.variables), unique=True))
+    return to_clausal(phi, kind), {v: draw(st.integers(0, 1)) for v in pinned}
+
+
+def clause_set(kind, *texts, variables=("x", "y")):
+    """A clause set from clause texts such as "x -y"."""
+    clauses = []
+    for text in texts:
+        lits = text.split()
+        clauses.append(CnfClause(frozenset(v for v in lits if v[0] != "-"),
+                                 frozenset(v[1:] for v in lits if v[0] == "-")))
+    return ClauseSet(kind, variables, tuple(clauses))
 
 
 def planted_formula(kind, seed, n, m):
@@ -141,6 +191,70 @@ class TestSatSchaefer:
                 assert all(model[v] == b for v, b in assumptions.items())
         assert checked > 10
 
+    @settings(max_examples=300, deadline=None)
+    @given(schaefer_queries())
+    def test_matches_brute_force(self, query):
+        cs, assumptions = query
+        ok, model = sat_schaefer(cs, assumptions)
+        assert ok == brute_sat(cs, assumptions)
+        if ok:
+            assert set(model) == set(cs.variables) | set(assumptions)
+            assert {v: model[v] for v in assumptions} == assumptions
+        else:
+            assert model is None
+
+    @pytest.mark.parametrize("kind, extreme", [(HORN, min), (DUAL_HORN, max)])
+    def test_horn_minimal_and_dual_horn_maximal_model(self, kind, extreme):
+        # Horn models are closed under AND and dual Horn ones under OR, so
+        # the coordinatewise minimum (maximum) of all models is a model
+        rng = random.Random(21 + len(kind))
+        checked = 0
+        for seed in range(8):
+            for _ in range(15):
+                phi = random_formula(rng, cached_hulls(kind, seed), 7, 6)
+                cs = to_clausal(phi, kind)
+                pinned = rng.sample(phi.variables, rng.randint(0, 2))
+                assumptions = {v: rng.randint(0, 1) for v in pinned}
+                ok, model = sat_schaefer(cs, assumptions)
+                models = list(brute_models(cs, assumptions))
+                assert ok == bool(models)
+                if ok:
+                    checked += 1
+                    assert model in models
+                    assert model == {v: extreme(m[v] for m in models) for v in model}
+        assert checked > 50
+
+    def test_fallback_value(self):
+        # x = 0 forces both y and -y, so x takes the other value
+        cs = clause_set(BIJUNCTIVE, "x y", "x -y")
+        assert sat_schaefer(cs) == (True, {"x": 1, "y": 0})
+        assert _projector(cs)(("x",)) == 0b10
+        assert _projector(cs)(("x", "y")) == 0b1100
+
+    def test_four_two_clauses_without_units(self):
+        # no unit clause, so the base state is conflict-free; extending it
+        # to a model finds both values of x conflicting.  z is in no clause,
+        # so its literals propagate without conflict from the base state
+        cs = clause_set(BIJUNCTIVE, "x y", "x -y", "-x y", "-x -y",
+                        variables=("x", "y", "z"))
+        assert sat_schaefer(cs) == (False, None)
+        assert _projector(cs)(("x", "y")) == 0
+        assert _projector(cs)(("z",)) == 0
+
+    @pytest.mark.parametrize("kind, text", [(BIJUNCTIVE, "x y -z"),
+                                            (HORN, "x y -z"),
+                                            (DUAL_HORN, "x -y -z")])
+    def test_shape_guard(self, kind, text):
+        phi = parse_formula("var x y z\nIMP(x,y)",
+                            {"IMP": Relation.from_tuples(2, [0, 1, 3])})
+        good = to_clausal(phi, kind)
+        bad = dataclasses.replace(
+            good, clauses=good.clauses + clause_set(kind, text).clauses)
+        with pytest.raises(ClauseExtractionError, match=f"is not {kind}"):
+            sat_schaefer(bad)
+        with pytest.raises(ClauseExtractionError, match=f"is not {kind}"):
+            project(phi, 0, bad)
+
     def test_model_is_checked(self):
         phi = parse_formula("var x y\nIMP(x,y)",
                             {"IMP": Relation.from_tuples(2, [0, 1, 3])})
@@ -173,6 +287,23 @@ class TestProject:
     def test_engines_match_oracles(self, case):
         kind, phi = case
         assert_projections_match_oracles(phi, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constraint_on_constants_alone(self, kind):
+        # true: no clause; false: the empty clause (0 = 1); projecting onto
+        # the constants' own constraint has no variables to project onto
+        rel, true, false = ((Relation.from_tuples(2, ["00", "11"]), "0,0", "0,1")
+                            if kind == AFFINE else
+                            (Relation.from_tuples(2, ["00", "01", "11"]), "0,1", "1,0"))
+        for const, sat in ((true, True), (false, False)):
+            phi = parse_formula(f"var x y\nR(x,y)\nR({const})", {"R": rel})
+            cs = to_clausal(phi, kind)
+            got = project(phi, 0, cs)
+            assert got.relation == project_enumerate(phi, 0)[1]
+            assert (not got.relation.is_empty) == sat
+            assert project(phi, 0).relation == got.relation
+            with pytest.raises(FormulaError, match="no variables"):
+                project(phi, 1, cs)
 
     def test_f_fixture_projections(self):
         phi = parse_formula(F_TEXT, CATALOG)

@@ -14,9 +14,9 @@ from relconn.bitspace import conjunction_space
 from relconn.catalog import CATALOG, parse_relations
 from relconn.errors import (ClauseExtractionError, FormulaError,
                             FormulaParseError)
-from relconn.formulas import (Constraint, constraint_relation, evaluate,
-                              format_formula, make_formula, parse_formula,
-                              to_clausal)
+from relconn.formulas import (CnfClause, Constraint, XorEquation,
+                              constraint_relation, evaluate, format_formula,
+                              make_formula, parse_formula, to_clausal)
 from relconn.generators import random_cpss_pool, random_formula
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
                                check_property)
@@ -316,6 +316,26 @@ class TestToClausal:
             assert (frozenset(), 1) in eqs
         if mask == (1 << (1 << k)) - 1:
             assert eqs == []
+
+    @pytest.mark.parametrize("kind", (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE))
+    def test_constraints_on_constants_alone(self, kind):
+        # a true one adds nothing, a false one the empty clause or 0 = 1;
+        # constraint_relations keeps one entry per constraint
+        rel = Relation.from_tuples(2, ["00", "11"] if kind == AFFINE
+                                   else ["00", "01", "11"], "R")
+        for args in ("00", "01", "10", "11"):
+            phi = make_formula([Constraint("R", ("x", "y")), Constraint("R", tuple(args)),
+                                Constraint("R", ("y", "x"))], {"R": rel})
+            cs = to_clausal(phi, kind)
+            assert clause_models(cs, phi.variables) == formula_models(phi)
+            assert cs.constraint_relations == (constraint_relation(phi, 0), ((), None),
+                                               constraint_relation(phi, 2))
+            false = int(args, 2) not in rel
+            empty = [c for c in cs.clauses if not c.pos and not c.neg] + \
+                [e for e in cs.equations if not e.vars]
+            assert len(empty) == false
+            assert not false or empty in ([CnfClause(frozenset(), frozenset())],
+                                          [XorEquation(frozenset(), 1)])
 
     def test_empty_relation_gives_empty_clause(self):
         phi = parse("rel NONE 2 : \nvar x y\nNONE(x,y)")

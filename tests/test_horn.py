@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relconn import horn
+from relconn import solution_graph as sg
 from relconn.catalog import CATALOG
 from relconn.errors import HornStructureError, VarsLimitError
 from relconn.formulas import parse_formula
@@ -59,6 +60,15 @@ class TestParsing:
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
         v = view_from_formula(phi)
         assert sorted(str(c) for c in v.clauses) == ["x | -y -z", "z | -x"]
+
+    @pytest.mark.parametrize("const, want", [("0,1", ["y | -x"]),
+                                             ("1,0", ["-", "y | -x"])])
+    def test_from_formula_with_a_constraint_on_constants_alone(self, const, want):
+        # a true one adds no clause, a false one the empty clause
+        phi = parse_formula(f"rel IMP 2 : 00 01 11\nvar x y\nIMP(x,y)\nIMP({const})")
+        v = view_from_formula(phi)
+        assert sorted(str(c) for c in v.clauses) == want
+        assert horn.solution_space(v) == sg.solution_space(phi)
 
 
 class TestImp:
@@ -225,6 +235,5 @@ class TestSolutionSpace:
 
     def test_matches_formula_engine(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
-        from relconn import solution_graph as sg
         v = view_from_formula(phi)
         assert horn.solution_space(v) == sg.solution_space(phi)

@@ -18,7 +18,7 @@ from relconn import solution_graph as sg
 from relconn.catalog import CATALOG, parse_relations
 from relconn.errors import (DiameterLimitError, NotASolutionError,
                             VarsLimitError)
-from relconn.formulas import evaluate, parse_formula
+from relconn.formulas import evaluate, make_formula, parse_formula
 from relconn.generators import random_formula
 from relconn.relations import Relation
 
@@ -265,6 +265,23 @@ class TestProjections:
         vars1, proj1 = sg.project_enumerate(phi, 1)
         assert vars1 == ("w", "x", "y")
         assert set(proj1.tuples()) == {"000", "001", "011", "110"}
+
+    def test_formula_relation_is_the_solutions_in_name_order(self):
+        # oracle: each solution's bits moved into sorted name order
+        rng = random.Random(9)
+        pool = [CATALOG["M"], CATALOG["OR"], Relation.from_tuples(2, ["00", "11"]),
+                Relation.from_tuples(3, ["001", "010", "100", "111"])]
+        for _ in range(60):
+            phi = random_formula(rng, pool, 11, 6, const_prob=0.2)
+            shuffled = list(phi.variables)
+            rng.shuffle(shuffled)
+            phi = make_formula(phi.constraints, phi.library, shuffled)
+            order = sorted(shuffled)
+            want = 0
+            for t in sg.solution_strings(phi):
+                bits = dict(zip(phi.variables, t))
+                want |= 1 << int("".join(bits[v] for v in order), 2)
+            assert sg.formula_relation(phi) == Relation(phi.n, want)
 
     def test_projection_of_unsat_is_empty(self):
         phi = parse("rel NONE 1 :\nvar x y\nNONE(x)\nOR(x,y)")
