@@ -12,16 +12,38 @@ argument slots (constants and repeated variables): it builds formula and
 Horn-view solution spaces, apply_pattern's images, constraint relations
 and to_clausal's checks.  gf2_reduce, the one GF(2) row reduction, reads
 ints as vectors.
+
+Components and BFS levels have two routes.  The bitmask route works on
+the whole mask: each step shifts and ORs it along one dimension, 2^n/64
+words, and spread and component_masks take the steps as Gauss–Seidel
+sweeps (a dimension's flips are ORed in before the next dimension reads
+them) while bfs_levels takes n of them per level.  Its cost follows the
+eccentricity times 2^n.  The explicit route (flip_levels) lists the
+members once with iter_bits into a hash set and searches over single-bit
+flips: n set probes per member, whatever the width of the cube.  Each
+call starts on the bitmask route and moves to the explicit one once its
+steps reach step_budget, the explicit route's cost for the whole space
+(|S|·n probes of PROBE_WORDS words each).  As in ski rental, a call
+then costs at most about twice what the cheaper route alone would.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, compress
 from typing import Hashable, Iterable, Sequence
 
 from .errors import VarsLimitError
 
 BRUTE_VARS_MAX = 24  # most variables whose assignments conjunction_space spans
+# Cost of one set probe of the explicit route, in 64-bit words of bitmask
+# shift-and-OR work (see step_budget).  On a 2-core Xeon under CPython 3.11
+# a probe took about 100 ns and a step about 7 ns per word at n = 14-18,
+# plus about 0.5 us of interpreter work per step, which the word count
+# leaves out.  Of the values tried (0 to 64, and no switch), 24 gave the
+# least total time over the sparse and dense benchmark inputs, within
+# about 5% of taking the faster route on every call.
+PROBE_WORDS = 24
 
 
 @lru_cache(maxsize=None)
@@ -49,12 +71,17 @@ def coord_mask(n: int, pos: int) -> int:
 def neighbors(s: int, n: int) -> int:
     """Union of all single-bit flips of the members of s."""
     out = 0
-    for pos in range(n):
-        step = 1 << pos
-        hi = coord_mask(n, pos)
-        lo = full_mask(n) ^ hi
-        out |= ((s & lo) << step) | ((s & hi) >> step)
+    for step, hi in _dimensions(n):
+        out |= ((s << step) & hi) | ((s & hi) >> step)
     return out
+
+
+@lru_cache(maxsize=None)
+def _dimensions(n: int) -> tuple[tuple[int, int], ...]:
+    """(2^pos, coord_mask(n, pos)) for each bit position: a flip along pos
+    moves the members whose bit pos is 0 up by 2^pos into the coord mask,
+    and the members inside it down."""
+    return tuple((1 << pos, coord_mask(n, pos)) for pos in range(n))
 
 
 def edge_starts(s: int, n: int, pos: int) -> int:
@@ -63,40 +90,136 @@ def edge_starts(s: int, n: int, pos: int) -> int:
     return s & ~coord_mask(n, pos) & (s >> (1 << pos))
 
 
+def step_budget(space: int, n: int) -> int:
+    """Bitmask steps that cost as much as the explicit route on `space`.
+
+    A step shifts and ORs the 2^n-bit mask along one dimension, 2^n/64
+    words; the explicit route makes n set probes per member, each worth
+    PROBE_WORDS words.
+    """
+    return PROBE_WORDS * space.bit_count() * n // max(1, (1 << n) >> 6)
+
+
+def _sweep(comp: int, space: int, n: int, steps: int) -> tuple[int | None, int]:
+    """Grow comp inside `space` by Gauss–Seidel sweeps, at most `steps` steps.
+
+    Each step ORs the flips of comp along one dimension into comp before
+    the next dimension's step reads it; the dimensions are taken in turn
+    until n steps in a row add nothing.  Returns the component and the
+    steps left, or None and 0 once the steps run out.
+    """
+    quiet = 0
+    while quiet < n:
+        for step, hi in _dimensions(n):
+            if not steps:
+                return None, 0
+            steps -= 1
+            grown = comp | ((((comp << step) & hi) | ((comp & hi) >> step)) & space)
+            if grown == comp:
+                quiet += 1
+                if quiet == n:
+                    break
+            else:
+                comp, quiet = grown, 0
+    return comp, steps
+
+
 def spread(seed: int, space: int, n: int) -> int:
-    """Connected component(s) of `space` reachable from the seed set."""
-    comp = seed & space
-    while True:
-        grown = comp | (neighbors(comp, n) & space)
-        if grown == comp:
-            return comp
-        comp = grown
+    """Connected component(s) of `space` reachable from the seed set:
+    Gauss–Seidel sweeps within step_budget, then the explicit route."""
+    seed &= space
+    comp, _ = _sweep(seed, space, n, step_budget(space, n))
+    if comp is None:
+        unseen = set(iter_bits(space))
+        comp = mask_of(chain.from_iterable(flip_levels(iter_bits(seed), unseen, n)))
+    return comp
 
 
 def component_masks(space: int, n: int) -> list[int]:
-    """Connected components of `space`, ordered by smallest member index."""
+    """Connected components of `space`, ordered by smallest member index.
+
+    Gauss–Seidel sweeps from the lowest member not yet covered, within one
+    step_budget for the whole call; once it is spent, the members left are
+    labelled by the explicit route.
+    """
     comps = []
     rest = space
+    steps = step_budget(space, n)
     while rest:
-        seed = rest & -rest
-        comp = spread(seed, rest, n)
+        comp, steps = _sweep(rest & -rest, rest, n, steps)
+        if comp is None:
+            return comps + _flip_components(rest, n)
         comps.append(comp)
         rest ^= comp
     return comps
 
 
-def bfs_levels(seed: int, space: int, n: int, stop: int = 0) -> list[int]:
+def _flip_components(space: int, n: int) -> list[int]:
+    """Connected components of `space` by the explicit route, ordered by
+    smallest member index."""
+    members = list(iter_bits(space))
+    unseen = set(members)
+    return [mask_of(chain.from_iterable(flip_levels((v,), unseen, n)))
+            for v in members if v in unseen]
+
+
+def bfs_levels(seed: int, space: int, n: int, stop: int = 0,
+               rounds: int | None = None) -> list[int]:
     """Level sets of a breadth-first search from the seed set inside `space`,
-    ending with the first level that meets `stop`."""
+    ending with the first level that meets `stop`, or after `rounds` rounds.
+
+    A search that runs dry within its rounds returns fewer than rounds + 1
+    levels, none of them meeting `stop`.
+    """
     levels = [seed & space]
     seen = levels[0]
-    while not levels[-1] & stop:
+    while not levels[-1] & stop and (rounds is None or len(levels) <= rounds):
         frontier = neighbors(levels[-1], n) & space & ~seen
         if not frontier:
             break
         levels.append(frontier)
         seen |= frontier
     return levels
+
+
+def flip_levels(seeds: Iterable[int], unseen: set[int], n: int,
+                stop: int | None = None) -> list[list[int]]:
+    """Level sets of a breadth-first search over single-bit flips, by index.
+
+    The explicit route: the search starts from the seeds and runs through
+    the indices in `unseen`, removing each one it reaches (and the seeds),
+    so it costs n set probes per vertex reached, whatever the width of the
+    cube.  It ends with the first level that holds `stop`, which must be
+    in `unseen` or among the seeds, or when it runs dry.
+    """
+    level = list(seeds)
+    unseen.difference_update(level)
+    levels = [level]
+    flips = [1 << pos for pos in range(n)]
+    while stop is None or stop in unseen:
+        found = []
+        for v in level:
+            for f in flips:
+                w = v ^ f
+                if w in unseen:
+                    unseen.remove(w)
+                    found.append(w)
+        if not found:
+            break
+        levels.append(found)
+        level = found
+    return levels
+
+
+def mask_of(indices: Iterable[int]) -> int:
+    """The bitmask with the given bits set."""
+    indices = list(indices)
+    if not indices:
+        return 0
+    buf = bytearray(max(indices) // 8 + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def locally_minimal(space: int, n: int) -> int:
@@ -130,10 +253,24 @@ def iter_bits(s: int):
     """Yield the set bit indices of s in ascending order.
 
     Linear in the width of s: one pass over its little-endian bytes, with
-    a table of the set bits of each byte value.
+    a table of the set bits of each byte value.  When s has fewer set bits
+    than 64-bit words, the pass reads the bytes a word at a time and skips
+    the zero words in C (itertools.compress), so that a sparse mask costs
+    Python work per member rather than per byte.
     """
+    words = (s.bit_length() + 63) >> 6
+    data = s.to_bytes(words << 3, "little")
+    if s.bit_count() < words:
+        for i in compress(range(words), memoryview(data).cast("Q")):
+            base = i << 6
+            for byte in data[i << 3:(i + 1) << 3]:
+                if byte:
+                    for j in _BYTE_BITS[byte]:
+                        yield base + j
+                base += 8
+        return
     base = 0
-    for byte in s.to_bytes((s.bit_length() + 7) // 8, "little"):
+    for byte in data:
         if byte:
             for j in _BYTE_BITS[byte]:
                 yield base + j

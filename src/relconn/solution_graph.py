@@ -8,6 +8,11 @@ bitspace) with bitspace.conjunction_space and reads it here.  It is exact
 and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable formula counts
 as connected and as having diameter 0.
 
+Connectivity, components and st-paths pick one of bitspace's two routes
+per call: bitmask sweeps or BFS rounds over the whole 2^n-bit mask while
+they cost less than the explicit route, then a hash-set search over
+single-bit flips whose cost follows the component rather than the cube.
+
 The diameter runs all BFS sources of a component at once, as the bits of
 one reach int per vertex: D rounds of 2|E| ORs of ints about |C|/2 bits
 wide, for a component of |C| vertices, |E| edges and diameter D, with the
@@ -19,7 +24,7 @@ DiameterLimitError before any neighbour list is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import bitspace
 from .bitspace import BRUTE_VARS_MAX, conjunction_space
@@ -91,35 +96,52 @@ def _index_of(phi: Formula, assignment: str) -> int:
     return int(assignment, 2)
 
 
-def _search(phi: Formula, s: str, t: str) -> tuple[list[int], int, int | None]:
-    """BFS levels from solution s, the index of t, and the level holding t.
+def _search(phi: Formula, s: str, t: str
+            ) -> tuple[int, int | None, Callable[[int, int], bool] | None]:
+    """Breadth-first search from solution s towards solution t.
 
-    The endpoints must satisfy the formula, otherwise NotASolutionError.
+    Returns the index of t, its distance from s, and a test of whether an
+    index lies at a given distance below that one; None and None when t is
+    unreachable.
+
+    Bitmask rounds (bitspace.bfs_levels, n steps each) run while they cost
+    less than the explicit route (bitspace.step_budget); a search still
+    open then is run again by the explicit route.  The endpoints must
+    satisfy the formula, otherwise NotASolutionError.
     """
+    n = phi.n
     space = solution_space(phi)
     si, ti = _index_of(phi, s), _index_of(phi, t)
     for name, idx in (("s", si), ("t", ti)):
         if not (space >> idx) & 1:
             raise NotASolutionError(f"{name} does not satisfy the formula")
-    levels = bitspace.bfs_levels(1 << si, space, phi.n, 1 << ti)
-    hit = len(levels) - 1 if (levels[-1] >> ti) & 1 else None
-    return levels, ti, hit
+    rounds = bitspace.step_budget(space, n) // max(n, 1)
+    masks = bitspace.bfs_levels(1 << si, space, n, 1 << ti, rounds)
+    if (masks[-1] >> ti) & 1:
+        return ti, len(masks) - 1, lambda w, d: (masks[d] >> w) & 1
+    if len(masks) <= rounds:  # ran dry within its rounds
+        return ti, None, None
+    unseen = set(bitspace.iter_bits(space))
+    sets = [set(level) for level in bitspace.flip_levels((si,), unseen, n, ti)]
+    hit = len(sets) - 1 if ti in sets[-1] else None
+    return ti, hit, lambda w, d: w in sets[d]
 
 
 def st_connected(phi: Formula, s: str, t: str) -> tuple[bool, list[str] | None]:
-    """Are two solutions in the same component?  Returns a shortest path too.
+    """Are two solutions in the same component?  Returns a shortest path too:
+    walking back from t, each step takes the lowest-index neighbour one
+    level closer to s.
 
     The endpoints must satisfy the formula, otherwise NotASolutionError.
     """
     n = phi.n
-    levels, ti, hit = _search(phi, s, t)
+    ti, hit, at_level = _search(phi, s, t)
     if hit is None:
         return False, None
     path = [ti]
     cur = ti
     for d in range(hit - 1, -1, -1):
-        prev = bitspace.neighbors(1 << cur, n) & levels[d]
-        cur = (prev & -prev).bit_length() - 1
+        cur = min(w for w in (cur ^ (1 << pos) for pos in range(n)) if at_level(w, d))
         path.append(cur)
     path.reverse()
     return True, [bitspace.tuple_of_index(i, n) for i in path]
@@ -127,7 +149,7 @@ def st_connected(phi: Formula, s: str, t: str) -> tuple[bool, list[str] | None]:
 
 def distance(phi: Formula, s: str, t: str) -> int | None:
     """Shortest-path distance between two solutions, None if disconnected."""
-    return _search(phi, s, t)[2]
+    return _search(phi, s, t)[1]
 
 
 def _adjacency(comp: int, n: int) -> tuple[list[list[int]], list[int]]:

@@ -172,8 +172,12 @@ class TestFixtures:
         assert levels == exhausted[:3]
         assert bitspace.bfs_levels(1, space, n, 1) == [1]
         # 000 and 001 are adjacent in M's path 010 - 000 - 001 - 101 - 111
-        levels, ti, hit = sg._search(parse(M_PHI), "000", "001")
-        assert (len(levels), hit) == (2, 1) and (levels[-1] >> ti) & 1
+        ti, hit, at_level = sg._search(parse(M_PHI), "000", "001")
+        assert (ti, hit) == (0b001, 1)
+        assert at_level(0b000, 0) and not at_level(0b001, 0)
+        # a round budget ends the search early; a dry search ends within it
+        assert bitspace.bfs_levels(1, space, n, 1 << 0b1111, rounds=2) == exhausted[:3]
+        assert bitspace.bfs_levels(1, space, n, rounds=9) == exhausted
 
     def test_st_rejects_non_solution(self):
         phi = parse(M_PHI)
