@@ -26,16 +26,13 @@ from .formulas import (ClauseSet, CnfClause, Constraint, Formula, XorEquation,
                        to_clausal)
 from .horn import (HornClause, HornView, format_horn, imp, is_implied,
                    is_maximal_self_implicating, is_self_implicating,
-                   maximal_self_implicating_sets,
-                   maximum_self_implicating_subset, normalize, parse_horn,
+                   maximal_self_implicating_sets, normalize, parse_horn,
                    view_from_formula)
 from .relations import (ArgPattern, Relation, apply_pattern, check_property,
-                        componentwise, components, enumerate_identifications,
-                        hull, is_closed, is_safely,
-                        iter_identification_patterns, set_partitions)
+                        componentwise, components, first_unsafe_identification,
+                        hull, is_closed)
 from .solution_graph import (SolutionGraphReport, diameter, distance,
-                             export_dot, is_connected, locally_minimal,
-                             project_enumerate, report, solution_space,
-                             solutions, st_connected)
+                             export_dot, is_connected, locally_minimal, report,
+                             solution_space, solutions, st_connected)
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ then costs at most about twice what the cheaper route alone would.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, compress
 from typing import Hashable, Iterable, Sequence
 
@@ -46,42 +45,57 @@ BRUTE_VARS_MAX = 24  # most variables whose assignments conjunction_space spans
 PROBE_WORDS = 24
 
 
-@lru_cache(maxsize=None)
+# Widths whose masks stay cached for the life of the process; all of them
+# together hold about 540 KiB.  Of the wider widths only the one built last
+# is kept: width n holds (n + 1) 2^n bits of masks, 11.5 MiB at n = 22.
+MASKS_KEPT_WIDTH_MAX = 17
+# width -> (full_mask(n), ((2^pos, coord_mask(n, pos)) for each pos))
+_WIDTH_MASKS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+
+
+def _build_width(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Build and cache the masks of width n, first dropping the wider width
+    cached before it (see MASKS_KEPT_WIDTH_MAX).  Callers read the cache as
+    `_WIDTH_MASKS.get(n) or _build_width(n)`, so a hit costs no call."""
+    full = (1 << (1 << n)) - 1
+    dims = []
+    for pos in range(n):
+        period = 1 << (pos + 1)
+        mask = ((1 << (1 << pos)) - 1) << (1 << pos)  # one period: low half 0s, high half 1s
+        length = period
+        while length < 1 << n:
+            mask |= mask << length
+            length *= 2
+        dims.append((1 << pos, mask & full))
+    if n > MASKS_KEPT_WIDTH_MAX:
+        for wide in [m for m in _WIDTH_MASKS if m > MASKS_KEPT_WIDTH_MAX]:
+            del _WIDTH_MASKS[wide]
+    entry = _WIDTH_MASKS[n] = full, tuple(dims)
+    return entry
+
+
 def full_mask(n: int) -> int:
     """All 2^n indices."""
-    return (1 << (1 << n)) - 1
+    return (_WIDTH_MASKS.get(n) or _build_width(n))[0]
 
 
-@lru_cache(maxsize=None)
 def coord_mask(n: int, pos: int) -> int:
     """Indices whose bit `pos` is 1 (pos counted from the least significant bit)."""
     if not 0 <= pos < n:
         raise ValueError(f"bit position {pos} out of range for {n} coordinates")
-    period = 1 << (pos + 1)
-    block = ((1 << (1 << pos)) - 1) << (1 << pos)  # one period: low half 0s, high half 1s
-    width = 1 << n
-    mask = block
-    length = period
-    while length < width:
-        mask |= mask << length
-        length *= 2
-    return mask & full_mask(n)
+    return (_WIDTH_MASKS.get(n) or _build_width(n))[1][pos][1]
 
 
 def neighbors(s: int, n: int) -> int:
-    """Union of all single-bit flips of the members of s."""
+    """Union of all single-bit flips of the members of s.
+
+    A flip along pos moves the members whose bit pos is 0 up by 2^pos into
+    the coord mask, and the members inside it down.
+    """
     out = 0
-    for step, hi in _dimensions(n):
+    for step, hi in (_WIDTH_MASKS.get(n) or _build_width(n))[1]:
         out |= ((s << step) & hi) | ((s & hi) >> step)
     return out
-
-
-@lru_cache(maxsize=None)
-def _dimensions(n: int) -> tuple[tuple[int, int], ...]:
-    """(2^pos, coord_mask(n, pos)) for each bit position: a flip along pos
-    moves the members whose bit pos is 0 up by 2^pos into the coord mask,
-    and the members inside it down."""
-    return tuple((1 << pos, coord_mask(n, pos)) for pos in range(n))
 
 
 def edge_starts(s: int, n: int, pos: int) -> int:
@@ -110,7 +124,7 @@ def _sweep(comp: int, space: int, n: int, steps: int) -> tuple[int | None, int]:
     """
     quiet = 0
     while quiet < n:
-        for step, hi in _dimensions(n):
+        for step, hi in (_WIDTH_MASKS.get(n) or _build_width(n))[1]:
             if not steps:
                 return None, 0
             steps -= 1
@@ -278,8 +292,9 @@ def iter_bits(s: int):
 
 
 def tuple_of_index(idx: int, n: int) -> str:
-    """Bitstring of an index, first coordinate as the most significant bit."""
-    return format(idx, f"0{n}b")
+    """Bitstring of an index, first coordinate as the most significant bit;
+    the one assignment to no variables is the empty string."""
+    return format(idx, f"0{n}b") if n else ""
 
 
 def conjunction_space(variables: Sequence[Hashable],

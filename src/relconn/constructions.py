@@ -216,7 +216,7 @@ def _express_candidates(rel: Relation):
     componentwise IHSB- and the stream ends in ExpressionError.
     """
     unsafe = False
-    for labels, arity, mask in walk_identifications(rel, distinct=True):
+    for labels, arity, mask in walk_identifications(rel):
         failing = [comp for comp in components(Relation(arity, mask))
                    if not check_property(comp, IHSB_MINUS)]
         if not failing:

@@ -44,14 +44,16 @@ checks every model it returns.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .bitspace import component_masks, gf2_reduce
+from .bitspace import BRUTE_VARS_MAX, component_masks, gf2_reduce
 from .classify import SetClassification, classify_set, predict, Predictions
 from .errors import (ClauseExtractionError, FormulaError, NonCpssError,
                      RelconnError, VarsLimitError)
-from .formulas import CONSTANTS, ClauseSet, Formula, XorEquation, to_clausal
+from .formulas import (CONSTANTS, ClauseSet, Constraint, Formula, XorEquation,
+                       make_formula, to_clausal)
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
 from . import solution_graph
 
@@ -320,8 +322,7 @@ class Projection:
         }
 
 
-def project(phi: Formula, i: int, clause_set: ClauseSet | None = None,
-            check: bool = True) -> Projection:
+def project(phi: Formula, i: int, clause_set: ClauseSet | None = None) -> Projection:
     """Projection of the solution set onto the variables of constraint i.
 
     Tuple a belongs iff the formula stays satisfiable with Var(C_i) pinned
@@ -330,7 +331,7 @@ def project(phi: Formula, i: int, clause_set: ClauseSet | None = None,
     is on constants alone.
     """
     if clause_set is None:
-        cls = _pick_class(classify_set(phi.used_relations()), check)
+        cls = _pick_class(classify_set(phi.used_relations()), True)
         clause_set = to_clausal(phi, cls)
     pair = clause_set.constraint_relations[i]
     if not pair[0]:
@@ -439,6 +440,32 @@ def decide_connectivity(phi: Formula, method: str = "auto") -> ConnDecision:
     raise AssertionError("unreachable")
 
 
+def random_formula(rng: random.Random, relations: Sequence[Relation],
+                   max_vars: int, max_constraints: int,
+                   const_prob: float = 0.1) -> Formula:
+    """Random conjunction over the given relations; repeats and constants
+    in argument lists are deliberately common."""
+    n = rng.randint(2, max_vars)
+    variables = tuple(f"x{i}" for i in range(1, n + 1))
+    library = {}
+    for j, rel in enumerate(relations):
+        library[rel.name or f"REL{j}"] = rel.renamed(rel.name or f"REL{j}")
+    names = list(library)
+    constraints = []
+    for _ in range(rng.randint(1, max_constraints)):
+        name = rng.choice(names)
+        arity = library[name].arity
+        while True:
+            args = tuple(
+                rng.choice(("0", "1")) if rng.random() < const_prob
+                else rng.choice(variables)
+                for _ in range(arity))
+            if any(a not in ("0", "1") for a in args):
+                break
+        constraints.append(Constraint(name, args))
+    return make_formula(constraints, library, variables)
+
+
 def search_separation_counterexample(relations: Sequence[Relation], seed: int,
                                      tries: int = 200,
                                      max_vars: int = 8) -> Formula | None:
@@ -447,15 +474,16 @@ def search_separation_counterexample(relations: Sequence[Relation], seed: int,
     Experimental: a hit certifies that the given relation set is not
     handled faithfully by the projection algorithm; exhausting the budget
     certifies nothing. Each formula has at most 4 constraints. Raises
-    RelconnError when `max_vars` < 2 or `tries` < 0, and passes on the
-    error of conn_cpss (NonCpssError, ClauseExtractionError,
-    ArityLimitError) for the first formula whose relations lie outside the
-    projection algorithm's class.
+    RelconnError when `max_vars` is outside 2..BRUTE_VARS_MAX or `tries`
+    < 0, and passes on the error of conn_cpss (NonCpssError,
+    ClauseExtractionError, ArityLimitError) for the first formula whose
+    relations lie outside the projection algorithm's class.
     """
-    import random
-    from .generators import random_formula
     if max_vars < 2:
         raise RelconnError(f"max_vars must be at least 2, got {max_vars}")
+    if max_vars > BRUTE_VARS_MAX:
+        raise RelconnError(f"max_vars must be at most the exhaustive bound "
+                           f"{BRUTE_VARS_MAX}, got {max_vars}")
     if tries < 0:
         raise RelconnError(f"tries must be at least 0, got {tries}")
     rng = random.Random(seed)

@@ -55,10 +55,6 @@ class HornClause:
     def is_restraint(self) -> bool:
         return self.head is None and bool(self.body)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.head is None and not self.body
-
     def variables(self) -> frozenset[str]:
         return self.body | ({self.head} if self.head is not None else frozenset())
 
@@ -224,12 +220,6 @@ def solution_space(view: HornView) -> int:
         clause_item(() if c.head is None else (c.head,), c.body) for c in view.clauses))
 
 
-def locally_minimal_solutions(view: HornView) -> list[int]:
-    """Solutions none of whose 1-coordinates can be flipped down."""
-    return list(bitspace.iter_bits(
-        bitspace.locally_minimal(solution_space(view), view.n)))
-
-
 def ones_set(view: HornView, idx: int) -> frozenset[str]:
     """The variables set to 1 by assignment index idx."""
     n = view.n
@@ -257,21 +247,6 @@ def maximal_self_implicating_sets(view: HornView) -> list[frozenset[str]]:
                 f"component minimum {sorted(u)} fails the structure check")
         out.append(u)
     return out
-
-
-def maximum_self_implicating_subset(view: HornView,
-                                    ground: Iterable[str]) -> frozenset[str]:
-    """Largest self-implicating subset of `ground` (unions stay self-implicating,
-    so the maximum is unique); computed by peeling unsupported members."""
-    u = set(ground)
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(u):
-            if x not in imp(view, u - {x}):
-                u.discard(x)
-                changed = True
-    return frozenset(u)
 
 
 # --- normal form ---------------------------------------------------------

@@ -172,15 +172,6 @@ class ArgPattern:
     def out_arity(self) -> int:
         return 1 + max(s for s in self.slots if isinstance(s, int))
 
-    @property
-    def is_identification(self) -> bool:
-        """True when the pattern only merges variables (no constants)."""
-        return all(isinstance(s, int) for s in self.slots)
-
-    @classmethod
-    def identity(cls, n: int) -> "ArgPattern":
-        return cls(tuple(range(n)))
-
 
 def apply_pattern(rel: Relation, pattern: ArgPattern) -> Relation:
     """Relation obtained by substituting the pattern's slots into rel; the
@@ -190,32 +181,6 @@ def apply_pattern(rel: Relation, pattern: ArgPattern) -> Relation:
             f"pattern has {len(pattern.slots)} slots for arity {rel.arity}")
     m = pattern.out_arity
     return Relation(m, conjunction_space(range(m), [(rel.mask, rel.arity, pattern.slots)]))
-
-
-def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n items as restricted-growth label vectors.
-
-    Labels are block numbers in order of first appearance, so blocks come
-    out ordered by their least element.  Lexicographic order; the single
-    block (0,...,0) is first and the identity partition is last.
-    """
-    labels = [0] * n
-
-    def rec(i: int, maxl: int):
-        if i == n:
-            yield tuple(labels)
-            return
-        for lab in range(maxl + 2):
-            labels[i] = lab
-            yield from rec(i + 1, max(maxl, lab))
-
-    if n:
-        yield from rec(1, 0)
-
-
-def iter_identification_patterns(n: int) -> Iterator[ArgPattern]:
-    for labels in set_partitions(n):
-        yield ArgPattern(labels)
 
 
 def _merge(mask: int, w: int, keep: int, drop: int) -> int:
@@ -236,19 +201,20 @@ def _merge(mask: int, w: int, keep: int, drop: int) -> int:
     return mask
 
 
-def walk_identifications(rel: Relation, distinct: bool = False
-                         ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(labels, arity, mask) of every identification of rel's variables.
+def walk_identifications(rel: Relation) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(labels, arity, mask) of each distinct identification of rel's variables.
 
-    Walks the set partitions as a prefix tree: coordinate i either opens a
-    new block or merges into an earlier block, and a merge child's mask
-    comes from its parent's by one `_merge` into the block's first
-    coordinate.  Leaves come out in `set_partitions` order and each mask is
-    `apply_pattern(rel, ArgPattern(labels)).mask`.  With `distinct`, a node
-    equal to one walked before (same depth, blocks and mask, hence the same
-    subtree) is skipped, so each distinct image comes out once, at its
-    first pattern.  Bounded by SAFE_CHECK_ARITY_MAX since the count grows
-    like the Bell numbers.
+    An identification is a set partition of the coordinates, as a
+    restricted-growth label vector: labels are block numbers in order of
+    first appearance.  The walk runs over the partitions as a prefix tree:
+    coordinate i either opens a new block or merges into an earlier block,
+    and a merge child's mask comes from its parent's by one `_merge` into
+    the block's first coordinate.  Leaves come out in lexicographic order
+    of their labels and each mask is `apply_pattern(rel,
+    ArgPattern(labels)).mask`.  A node equal to one walked before (same
+    depth, blocks and mask, hence the same subtree) is skipped, so each
+    distinct image comes out once, at its first pattern.  Bounded by
+    SAFE_CHECK_ARITY_MAX since the count grows like the Bell numbers.
     """
     if rel.arity > SAFE_CHECK_ARITY_MAX:
         raise ArityLimitError(
@@ -259,11 +225,10 @@ def walk_identifications(rel: Relation, distinct: bool = False
     while stack:
         labels, blocks, mask = stack.pop()
         depth = len(labels)
-        if distinct:
-            key = (depth, blocks, mask)
-            if key in seen:
-                continue
-            seen.add(key)
+        key = (depth, blocks, mask)
+        if key in seen:
+            continue
+        seen.add(key)
         if depth == k:
             yield labels, blocks, mask
             continue
@@ -271,16 +236,6 @@ def walk_identifications(rel: Relation, distinct: bool = False
         stack.append((labels + (blocks,), blocks + 1, mask))
         for b in range(blocks - 1, -1, -1):
             stack.append((labels + (b,), blocks, _merge(mask, w, w - 1 - b, w - 1 - blocks)))
-
-
-def enumerate_identifications(rel: Relation) -> Iterator[Relation]:
-    """Every relation obtained from rel by identifying variables.
-
-    One per set partition, in `set_partitions` order, so rel itself is the
-    last item.
-    """
-    for _, arity, mask in walk_identifications(rel):
-        yield Relation(arity, mask)
 
 
 def components(rel: Relation) -> list[Relation]:
@@ -555,7 +510,7 @@ def _first_failures(rel: Relation, props: Sequence[str]) -> dict[str, ArgPattern
     """
     open_props = list(props)
     found: dict[str, ArgPattern] = {}
-    for labels, arity, mask in walk_identifications(rel, distinct=True):
+    for labels, arity, mask in walk_identifications(rel):
         failing = [prop for prop in open_props if not _SAFE_CHECKS[prop](mask, arity)]
         if failing:
             pattern = ArgPattern(labels)
@@ -580,11 +535,6 @@ def safely_flags(rel: Relation, base: dict[str, bool]) -> dict[str, bool]:
                if any(base[b] for b in SAFE_SHORTCUTS[prop])}
     failed = _first_failures(rel, [p for p in SAFE_PROPERTIES if p not in settled])
     return {prop: prop not in failed for prop in SAFE_PROPERTIES}
-
-
-def is_safely(rel: Relation, prop: str) -> bool:
-    """Does the property hold for every identification of variables of rel?"""
-    return first_unsafe_identification(rel, prop) is None
 
 
 def first_unsafe_identification(rel: Relation, prop: str) -> ArgPattern | None:

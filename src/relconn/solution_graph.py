@@ -57,11 +57,6 @@ def solutions(phi: Formula) -> list[int]:
     return list(bitspace.iter_bits(solution_space(phi)))
 
 
-def solution_strings(phi: Formula) -> list[str]:
-    n = phi.n
-    return [bitspace.tuple_of_index(i, n) for i in solutions(phi)]
-
-
 def formula_relation(phi: Formula) -> Relation:
     """The set of solutions as a relation over the variables in name order."""
     order = sorted(phi.variables)
@@ -93,7 +88,7 @@ def _index_of(phi: Formula, assignment: str) -> int:
     if len(assignment) != n or any(ch not in "01" for ch in assignment):
         raise NotASolutionError(
             f"assignment {assignment!r} is not a bitstring over {n} variables")
-    return int(assignment, 2)
+    return int(assignment, 2) if n else 0
 
 
 def _search(phi: Formula, s: str, t: str
@@ -283,21 +278,6 @@ def report(phi: Formula) -> SolutionGraphReport:
         minimums=tuple(minimums),
         locally_minimal=tuple(loc_by_comp),
     )
-
-
-def project_enumerate(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation]:
-    """Projection of the solution set onto constraint i's variables, by
-    enumeration.  Tuple order: the constraint's distinct variables sorted."""
-    vars_ = tuple(sorted(phi.constraints[i].variables()))
-    k = len(vars_)
-    src = [phi.n - 1 - phi.variables.index(v) for v in vars_]
-    mask = 0
-    for idx in bitspace.iter_bits(solution_space(phi)):
-        a = 0
-        for j, bitpos in enumerate(src):
-            a |= ((idx >> bitpos) & 1) << (k - 1 - j)
-        mask |= 1 << a
-    return vars_, Relation(k, mask)
 
 
 def export_dot(phi: Formula) -> str:

@@ -1,21 +1,20 @@
-"""Seeded random generators for relations, formulas and clause sets.
+"""Seeded random relations, formulas and Horn clause sets for the tests.
 
 Everything takes an explicit random.Random so runs are reproducible.  A
 relation of a polymorphism class comes out as relations.hull of a random
-relation, so it is in its class by construction.
+relation, so it is in its class by construction.  random_formula lives in
+relconn.cpss, next to the separation search that draws from it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
-from .classify import profile
-from .errors import RelconnError
-from .formulas import Constraint, Formula, make_formula
-from .horn import HornClause, HornView
-from .relations import (AFFINE, BIJUNCTIVE, HORN, IHSB_MINUS, IHSB_PLUS,
-                        Relation, hull)
+from relconn.classify import profile
+from relconn.errors import RelconnError
+from relconn.horn import HornClause, HornView
+from relconn.relations import (AFFINE, BIJUNCTIVE, HORN, IHSB_MINUS, IHSB_PLUS,
+                               Relation, hull)
 
 
 def random_relation(rng: random.Random, arity: int, density: float = 0.5,
@@ -45,7 +44,8 @@ def random_cpss_pool(rng: random.Random, kind: str, count: int,
     kind: 'bijunctive' | 'horn' | 'dual_horn' | 'affine'.  The horn and
     dual_horn kinds take IHSB- and IHSB+ hulls, which are Horn and dual
     Horn and, by relations.SAFE_SHORTCUTS, safely componentwise IHSB- and
-    IHSB+, so any mix drawn from one pool is CPSS.
+    IHSB+, so any mix drawn from one pool is CPSS.  A bijunctive relation is
+    safely componentwise bijunctive by the same table.
     """
     try:
         density, prop = _POOL_HULLS[kind]
@@ -53,32 +53,6 @@ def random_cpss_pool(rng: random.Random, kind: str, count: int,
         raise RelconnError(f"unknown pool kind {kind!r}") from None
     return [hull(random_relation(rng, rng.randint(2, arity_max), density), prop)
             for _ in range(count)]
-
-
-def random_formula(rng: random.Random, relations: Sequence[Relation],
-                   max_vars: int, max_constraints: int,
-                   const_prob: float = 0.1) -> Formula:
-    """Random conjunction over the given relations; repeats and constants
-    in argument lists are deliberately common."""
-    n = rng.randint(2, max_vars)
-    variables = tuple(f"x{i}" for i in range(1, n + 1))
-    library = {}
-    for j, rel in enumerate(relations):
-        library[rel.name or f"REL{j}"] = rel.renamed(rel.name or f"REL{j}")
-    names = list(library)
-    constraints = []
-    for _ in range(rng.randint(1, max_constraints)):
-        name = rng.choice(names)
-        arity = library[name].arity
-        while True:
-            args = tuple(
-                rng.choice(("0", "1")) if rng.random() < const_prob
-                else rng.choice(variables)
-                for _ in range(arity))
-            if any(a not in ("0", "1") for a in args):
-                break
-        constraints.append(Constraint(name, args))
-    return make_formula(constraints, library, variables)
 
 
 def random_horn_view(rng: random.Random, n_vars: int, n_clauses: int,
@@ -119,9 +93,3 @@ def random_horn_not_safely_cw_ihsb_minus(rng: random.Random,
         if profile(rel).safely_componentwise_ihsb_minus is False:
             return rel
     raise RelconnError("could not find a qualifying Horn relation")
-
-
-def random_safely_cw_bijunctive(rng: random.Random, arity_max: int = 4) -> Relation:
-    """Random bijunctive relation, hence safely componentwise bijunctive
-    (relations.SAFE_SHORTCUTS)."""
-    return hull(random_relation(rng, rng.randint(2, arity_max), 0.4), BIJUNCTIVE)

@@ -19,16 +19,17 @@ from relconn import solution_graph as sg
 from relconn.catalog import CATALOG
 from relconn.classify import classify_set, predict, profile
 from relconn.constructions import build_F, build_T, express_m, reduce_sat_to_conn
-from relconn.cpss import conn_cpss
+from relconn.cpss import conn_cpss, random_formula
 from relconn.errors import ExpressionError
 from relconn.formulas import Constraint, make_formula, parse_formula
-from relconn.generators import (random_cpss_pool, random_formula,
-                                random_horn_not_safely_cw_ihsb_minus,
-                                random_horn_view, random_safely_cw_bijunctive)
 from relconn.horn import normalize, solution_space
 from relconn.relations import ArgPattern, Relation, apply_pattern, components
 
 from closure_oracle import op_maj
+from horn_oracle import locally_minimal_solutions
+from random_inputs import (random_cpss_pool, random_horn_not_safely_cw_ihsb_minus,
+                           random_horn_view)
+from solution_oracle import project_enumerate, solution_strings
 
 M_MEMBERS = frozenset({0b000, 0b001, 0b010, 0b101, 0b111})
 
@@ -171,7 +172,7 @@ def test_criterion_4_horn_structure_suite():
                 independent_count += 1
         assert independent_count == len(comps)
 
-        minima = hornmod.locally_minimal_solutions(view)
+        minima = locally_minimal_solutions(view)
         assert (len(comps) > 1) == any(m != 0 for m in minima)
         assert len(minima) == len(comps)
         for comp in comps:
@@ -184,11 +185,11 @@ def test_criterion_4_horn_structure_suite():
 
 def test_criterion_5_distance_non_expansion():
     rng = random.Random(500)
-    pool = [random_safely_cw_bijunctive(rng) for _ in range(6)]
+    pool = random_cpss_pool(rng, "bijunctive", 6)
     formulas = pairs = 0
     for _ in range(200):
         phi = random_formula(rng, rng.sample(pool, 3), 7, 5)
-        sols = sg.solution_strings(phi)
+        sols = solution_strings(phi)
         graph = nx.Graph()
         graph.add_nodes_from(sols)
         for a, b in itertools.combinations(sols, 2):
@@ -311,7 +312,7 @@ def test_criterion_8_non_separation_fixtures():
     t = build_T()
     assert not sg.is_connected(t)
     for i in range(len(t.constraints)):
-        _, proj = sg.project_enumerate(t, i)
+        _, proj = project_enumerate(t, i)
         assert len(components(proj)) == 1
 
     f = build_F()
@@ -319,7 +320,7 @@ def test_criterion_8_non_separation_fixtures():
     # projections to {x,y,z} and {x,y,w}: the images of 0000 and 1100
     # land in one component each
     for i, (img_a, img_b) in ((0, ("000", "110")), (1, ("000", "011"))):
-        _, proj = sg.project_enumerate(f, i)
+        _, proj = project_enumerate(f, i)
         placement = {t_: j for j, comp in enumerate(components(proj))
                      for t_ in comp.tuples()}
         assert placement[img_a] == placement[img_b]

@@ -7,7 +7,9 @@ PROBE_WORDS huge (Gauss–Seidel sweeps and bitmask rounds only).
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,8 +20,8 @@ import bitspace_oracle as oracle
 from relconn import bitspace, horn, relations
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG, parse_relations
+from relconn.cpss import random_formula
 from relconn.formulas import parse_formula
-from relconn.generators import random_formula
 from relconn.relations import Relation
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -209,6 +211,54 @@ class TestRouteSwitch:
 IMP = Relation.from_tuples(2, ["00", "10", "11"], "IMP")
 POOL = [CATALOG["M"], CATALOG["OR"], CATALOG["NAND"], CATALOG["K"], IMP,
         CATALOG["P"], CATALOG["N"], CATALOG["R_coNP"]]
+
+
+def coord_by_definition(n, pos):
+    """Indices with bit pos set: by the indices up to width 8, wider as
+    repeated bytes of one period (for pos < 3, a byte holds whole periods)."""
+    if n <= 8:
+        return sum(1 << i for i in range(1 << n) if (i >> pos) & 1)
+    half = 1 << max(pos - 3, 0)
+    period = (b"\xaa", b"\xcc", b"\xf0")[pos] if pos < 3 else b"\0" * half + b"\xff" * half
+    return int.from_bytes(period * ((1 << (n - 3)) // len(period)), "little")
+
+
+class TestMaskCache:
+    def test_masks_by_definition(self):
+        # the widths around the kept bound, the first wide one read again
+        # after the next has dropped it
+        kept = bitspace.MASKS_KEPT_WIDTH_MAX
+        for n in (0, 1, 2, 3, 7, 8, 9, kept, kept + 1, kept + 2, kept + 1):
+            assert bitspace.full_mask(n) == (1 << (1 << n)) - 1
+            for pos in range(n):
+                assert bitspace.coord_mask(n, pos) == coord_by_definition(n, pos)
+            with pytest.raises(ValueError):
+                bitspace.coord_mask(n, n)
+            with pytest.raises(ValueError):
+                bitspace.coord_mask(n, -1)
+
+    def test_sweep_keeps_one_wide_width(self):
+        """Component searches at widths 4 to 22 leave the masks of the
+        widths up to MASKS_KEPT_WIDTH_MAX and of width 22 alone."""
+        kept = bitspace.MASKS_KEPT_WIDTH_MAX
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(4, 23):
+                space = bitspace.full_mask(n) ^ 1
+                assert bitspace.component_masks(space, n) == [space]
+            del space
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # width n holds 2^n bits for its full mask and 2^n per coordinate;
+        # ints store 30 bits in 4 bytes, plus a header per int
+        bits = sum((n + 1) << n for n in range(4, kept + 1)) + (23 << 22)
+        assert held < bits / 8 * 32 / 30 + 256 * 1024
+        assert max(bitspace._WIDTH_MASKS) == 22
+        assert all(n <= kept for n in bitspace._WIDTH_MASKS if n != 22)
 
 
 class TestSolutionGraph:

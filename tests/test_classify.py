@@ -15,7 +15,6 @@ from relconn.classify import (CPSS, NOT_SAFELY_TIGHT,
                               SAFELY_TIGHT_NOT_SCHAEFER, SCHAEFER_NOT_CPSS,
                               classify_set, predict, profile)
 from relconn.errors import ArityLimitError
-from relconn.generators import random_relation
 from relconn.relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
                                DUAL_HORN, HORN, IHSB_MINUS, IHSB_PLUS,
                                SAFE_PROPERTIES, SAFE_SHORTCUTS,
@@ -24,11 +23,12 @@ from relconn.relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
                                SAFELY_OR_FREE, ArgPattern, Relation,
                                apply_pattern, check_property, componentwise,
                                first_unsafe_identification, is_closed,
-                               is_nand_free, is_or_free, is_safely,
-                               set_partitions)
+                               is_nand_free, is_or_free)
 
 from closure_oracle import (close_under, op_and, op_maj, op_or, op_x_and_or,
                             op_x_or_and, op_xor3)
+from identification_oracle import set_partitions
+from random_inputs import random_relation
 
 
 def rel(arity, *tuples):
@@ -76,7 +76,7 @@ class TestProfiles:
         for prop in BASE_PROPERTIES:
             assert getattr(p, prop) == check_property(r, prop), prop
         for prop in SAFE_PROPERTIES:
-            assert getattr(p, prop) == is_safely(r, prop), prop
+            assert getattr(p, prop) == (first_unsafe_identification(r, prop) is None), prop
 
 
 # The identification sweep as it was before the walk: every set partition

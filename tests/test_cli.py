@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from relconn import cpss
 from relconn.cli import main
 from relconn.formulas import parse_formula
 from relconn.catalog import CATALOG
@@ -154,6 +155,58 @@ class TestGraphQueries:
         assert target.read_text() == out
 
 
+class TestNoVariables:
+    """A formula whose constraints are all on constants has one assignment,
+    to no variables, printed as the empty string; stconn takes it back."""
+
+    @pytest.fixture
+    def holds(self, tmp_path):
+        path = tmp_path / "holds.cnfs"
+        path.write_text("rel IMP 2 : 00 01 11\nIMP(0,1)\n")
+        return path
+
+    @pytest.fixture
+    def fails(self, tmp_path):
+        path = tmp_path / "fails.cnfs"
+        path.write_text("rel IMP 2 : 00 01 11\nIMP(1,0)\n")
+        return path
+
+    def test_components(self, capsys, holds, fails):
+        assert run(capsys, "components", holds) == (0, "\n", "")
+        code, out, err = run(capsys, "components", holds, "--json")
+        assert (code, err, json.loads(out)) == (0, "", {"components": [[""]]})
+        assert run(capsys, "components", fails) == (0, "unsatisfiable\n", "")
+
+    def test_report(self, capsys, holds):
+        code, out, err = run(capsys, "report", holds)
+        assert (code, err) == (0, "")
+        assert out == ("variables: 0\nsolutions: 1\nconnected: true\n"
+                       "diameter: 0\ncomponent 0: \n")
+        code, out, _ = run(capsys, "report", holds, "--json")
+        payload = json.loads(out)
+        assert payload["components"] == payload["locally_minimal"] == [[""]]
+        assert payload["minimums"] == [""]
+        assert (payload["n_variables"], payload["n_solutions"]) == (0, 1)
+
+    def test_graph(self, capsys, holds):
+        assert run(capsys, "graph", holds, "--dot", "-") == \
+            (0, 'graph solutions {\n  "";\n}\n', "")
+
+    def test_stconn_takes_the_empty_assignment(self, capsys, holds):
+        assert run(capsys, "stconn", holds, "", "") == (0, "connected: \n", "")
+        code, out, err = run(capsys, "stconn", holds, "", "", "--json")
+        assert (code, err, json.loads(out)) == \
+            (0, "", {"connected": True, "path": [""]})
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_stconn_errors(self, capsys, holds, fails, flags):
+        assert run(capsys, "stconn", holds, "0", "", *flags) == (
+            2, "", "relconn: error: assignment '0' is not a bitstring over "
+                   "0 variables\n")
+        assert run(capsys, "stconn", fails, "", "", *flags) == (
+            2, "", "relconn: error: s does not satisfy the formula\n")
+
+
 class TestHorn:
     def test_imp(self, capsys):
         code, out, _ = run(capsys, "horn", "imp", sample("clauses.horn"), "u")
@@ -229,13 +282,22 @@ class TestConstructions:
 
     @pytest.mark.parametrize("flag,value", [("--max-vars", "0"),
                                             ("--max-vars", "1"),
-                                            ("--tries", "-1")])
-    def test_cpss_search_rejects_out_of_range_budget(self, capsys, flag,
-                                                     value):
+                                            ("--tries", "-1"),
+                                            ("--max-vars", "25")])
+    def test_cpss_search_rejects_out_of_range_budget(self, capsys, monkeypatch,
+                                                     flag, value):
+        # rejected before the search draws its first formula
+        def no_search(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(cpss, "random_formula", no_search)
         code, out, err = run(capsys, "cpss-search", sample("m.rel"),
                              flag, value)
         assert code == 2 and out == ""
         assert err.startswith("relconn: error:")
+        if value == "25":
+            assert err == ("relconn: error: max_vars must be at most the "
+                           "exhaustive bound 24, got 25\n")
 
 
 class TestErrors:

@@ -16,14 +16,17 @@ from relconn import formulas, solution_graph
 from relconn.catalog import CATALOG
 from relconn.classify import classify_set
 from relconn.cpss import (_projector, conn_cpss, decide_connectivity, project,
-                          sat_schaefer, search_separation_counterexample)
+                          random_formula, sat_schaefer,
+                          search_separation_counterexample)
 from relconn.errors import (ClauseExtractionError, FormulaError, NonCpssError,
                             RelconnError, VarsLimitError)
 from relconn.formulas import (ClauseSet, CnfClause, Constraint, make_formula,
                               parse_formula, to_clausal)
-from relconn.generators import random_cpss_pool, random_formula, random_relation
 from relconn.relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation, hull
-from relconn.solution_graph import project_enumerate
+
+from random_inputs import random_cpss_pool, random_relation
+from solution_oracle import project_enumerate
+
 
 KINDS = (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE)
 

@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from relconn import formulas
 from relconn.bitspace import conjunction_space
 from relconn.catalog import CATALOG, parse_relations
+from relconn.cpss import random_formula
 from relconn.errors import (ClauseExtractionError, FormulaError,
                             FormulaParseError)
 from relconn.formulas import (CnfClause, Constraint, XorEquation,
                               constraint_relation, evaluate, format_formula,
                               make_formula, parse_formula, to_clausal)
-from relconn.generators import random_cpss_pool, random_formula
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
                                check_property)
 
 from closure_oracle import close_under, op_and, op_maj, op_or, op_xor3
+from random_inputs import random_cpss_pool
 
 SHAPES = (BIJUNCTIVE, HORN, DUAL_HORN)
 

@@ -7,16 +7,15 @@ import random
 import pytest
 
 from relconn.classify import classify_set, profile
+from relconn.cpss import random_formula
 from relconn.formulas import evaluate
-from relconn.generators import (random_cpss_pool, random_formula,
-                                random_horn_not_safely_cw_ihsb_minus,
-                                random_horn_relation, random_horn_view,
-                                random_relation, random_safely_cw_bijunctive)
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
                                check_property)
 
 from closure_oracle import (close_under, op_and, op_maj, op_or, op_x_and_or,
                             op_x_or_and, op_xor3)
+from random_inputs import (random_cpss_pool, random_horn_not_safely_cw_ihsb_minus,
+                           random_horn_relation, random_horn_view, random_relation)
 
 
 class TestPools:
@@ -109,8 +108,7 @@ class TestTargetedRelations:
 
     def test_safely_cw_bijunctive(self):
         rng = random.Random(73)
-        for _ in range(5):
-            rel = random_safely_cw_bijunctive(rng)
+        for rel in random_cpss_pool(rng, "bijunctive", 5):
             assert profile(rel).safely_componentwise_bijunctive is True
 
     def test_close_under_is_a_closure(self):
@@ -190,4 +188,6 @@ class TestReplay:
         for seed in range(8):
             self.same(lambda r: random_horn_not_safely_cw_ihsb_minus(r, arity_max=5),
                       lambda r: replay_horn_not_safe(r, arity_max=5), seed)
-            self.same(random_safely_cw_bijunctive, replay_safely_cw_bijunctive, seed)
+            # one bijunctive pool member is what criterion 5 draws, six times
+            self.same(lambda r: random_cpss_pool(r, "bijunctive", 1)[0],
+                      replay_safely_cw_bijunctive, seed)

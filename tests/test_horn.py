@@ -14,13 +14,13 @@ from relconn import solution_graph as sg
 from relconn.catalog import CATALOG
 from relconn.errors import HornStructureError, VarsLimitError
 from relconn.formulas import parse_formula
-from relconn.generators import random_horn_view
 from relconn.horn import (HornClause, HornView, format_horn, imp, is_implied,
                           is_maximal_self_implicating, is_self_implicating,
-                          locally_minimal_solutions,
-                          maximal_self_implicating_sets,
-                          maximum_self_implicating_subset, normalize,
-                          parse_horn, view_from_formula)
+                          maximal_self_implicating_sets, normalize, parse_horn,
+                          view_from_formula)
+
+from horn_oracle import locally_minimal_solutions, maximum_self_implicating_subset
+from random_inputs import random_horn_view
 
 
 def view(text):
@@ -45,7 +45,7 @@ class TestParsing:
     def test_positive_unit_and_empty(self):
         v = view("var a b\na\n-\n- b\n")
         assert v.clauses[0].is_positive_unit
-        assert v.clauses[1].is_empty
+        assert v.clauses[1].head is None and not v.clauses[1].body
         assert v.clauses[2].is_restraint
 
     def test_undeclared_rejected(self):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from relconn import relations
 from relconn.errors import ArityLimitError, PatternError, RelationError
-from relconn.generators import random_relation
 from relconn.relations import (_PROPERTY_OPS, AFFINE, BASE_PROPERTIES,
                                BIJUNCTIVE, DUAL_HORN, HORN, IHSB_MINUS,
                                IHSB_PLUS, ONE_VALID, SAFE_CHECK_ARITY_MAX,
@@ -19,14 +18,13 @@ from relconn.relations import (_PROPERTY_OPS, AFFINE, BASE_PROPERTIES,
                                SAFELY_NAND_FREE, SAFELY_OR_FREE, ZERO_VALID,
                                ArgPattern, Relation, apply_pattern,
                                check_property, componentwise, components,
-                               enumerate_identifications,
                                first_unsafe_identification, hull, is_closed,
-                               is_nand_free, is_or_free, is_safely,
-                               iter_identification_patterns, set_partitions,
-                               walk_identifications)
+                               is_nand_free, is_or_free, walk_identifications)
 
 from closure_oracle import (close_under, op_and, op_maj, op_or, op_x_and_or,
                             op_x_or_and, op_xor3)
+from identification_oracle import enumerate_identifications, set_partitions
+from random_inputs import random_relation
 
 
 def rel(arity, *tuples):
@@ -69,7 +67,7 @@ class TestRelation:
 
 class TestPatterns:
     def test_identity(self):
-        assert apply_pattern(M, ArgPattern.identity(3)) == M
+        assert apply_pattern(M, ArgPattern((0, 1, 2))) == M
 
     def test_constants_only_rejected(self):
         with pytest.raises(PatternError):
@@ -298,25 +296,21 @@ class TestWalk:
             r = close_under(r if len(r) <= 6 else random_relation(rng, arity, 0.05),
                             [_CLOSE_OPS[rng.choice(sorted(_CLOSE_OPS))]])
         expected = walk_oracle(r)
-        leaves = list(walk_identifications(r))
-        assert [(labels, mask) for labels, _, mask in leaves] == expected
-        assert all(arity_ == max(labels) + 1 for labels, arity_, _ in leaves)
-        assert [x.mask for x in enumerate_identifications(r)] == [m for _, m in expected]
-        # the distinct walk keeps the first pattern of every distinct image
+        # the walk keeps the first pattern of every distinct image
         first: dict[tuple[int, int], tuple[int, ...]] = {}
         for labels, mask in expected:
             first.setdefault((max(labels) + 1, mask), labels)
         assert [(labels, (arity_, mask))
-                for labels, arity_, mask in walk_identifications(r, distinct=True)] == \
+                for labels, arity_, mask in walk_identifications(r)] == \
             [(labels, key) for key, labels in first.items()]
 
     def test_distinct_walk_shrinks_a_symmetric_relation(self):
         # every coordinate of the full relation is alike, so each
         # identification with b blocks is the full relation of arity b
         r = Relation(5, (1 << 32) - 1)
-        distinct = list(walk_identifications(r, distinct=True))
+        distinct = list(walk_identifications(r))
         assert [arity for _, arity, _ in distinct] == [1, 2, 3, 4, 5]
-        assert len(list(walk_identifications(r))) == 52
+        assert len(list(enumerate_identifications(r))) == 52
 
 
 class TestComponents:
@@ -443,7 +437,6 @@ class TestFree:
         assert is_or_free(r)
         ident = apply_pattern(r, ArgPattern((0, 0, 1)))
         assert ident == OR
-        assert not is_safely(r, SAFELY_OR_FREE)
         bad = first_unsafe_identification(r, SAFELY_OR_FREE)
         assert bad is not None and apply_pattern(r, bad) == ident
 
@@ -458,10 +451,10 @@ class TestFree:
 
 class TestSafely:
     def test_r_conp_safely_flags(self):
-        assert not is_safely(R_CONP, SAFELY_CW_BIJUNCTIVE)
-        assert not is_safely(R_CONP, SAFELY_CW_IHSB_MINUS)
-        assert is_safely(R_CONP, SAFELY_OR_FREE)
-        assert not is_safely(R_CONP, SAFELY_NAND_FREE)
+        assert first_unsafe_identification(R_CONP, SAFELY_CW_BIJUNCTIVE) is not None
+        assert first_unsafe_identification(R_CONP, SAFELY_CW_IHSB_MINUS) is not None
+        assert first_unsafe_identification(R_CONP, SAFELY_OR_FREE) is None
+        assert first_unsafe_identification(R_CONP, SAFELY_NAND_FREE) is not None
 
     def test_witness_identification(self):
         bad = first_unsafe_identification(R_CONP, SAFELY_CW_BIJUNCTIVE)
@@ -475,9 +468,9 @@ class TestSafely:
         # the guard sits in the walk, which every sweep goes through
         big = Relation.from_tuples(SAFE_CHECK_ARITY_MAX + 1, [0])
         with pytest.raises(ArityLimitError):
-            is_safely(big, SAFELY_OR_FREE)
+            first_unsafe_identification(big, SAFELY_OR_FREE)
         with pytest.raises(ArityLimitError):
-            next(enumerate_identifications(big))
+            next(walk_identifications(big))
 
     def test_witness_is_rebuilt_by_apply_pattern(self, monkeypatch):
         # a faulty merge that adds the all-zero tuple to every image it builds
@@ -495,15 +488,15 @@ class TestSafely:
         arity = rng.randint(2, 4)
         r = Relation.from_tuples(
             arity, [t for t in range(2 ** arity) if rng.random() < 0.5])
-        if is_safely(r, SAFELY_OR_FREE):
+        if first_unsafe_identification(r, SAFELY_OR_FREE) is None:
             assert is_or_free(r)
-        if is_safely(r, SAFELY_CW_BIJUNCTIVE):
+        if first_unsafe_identification(r, SAFELY_CW_BIJUNCTIVE) is None:
             assert componentwise(r, BIJUNCTIVE)
 
 
 class TestIdentificationPatterns:
     def test_pattern_blocks_use_least_coordinate(self):
-        pats = list(iter_identification_patterns(3))
+        pats = [ArgPattern(labels) for labels in set_partitions(3)]
         assert pats[0].slots == (0, 0, 0)
         assert pats[-1].slots == (0, 1, 2)
-        assert all(p.is_identification for p in pats)
+        assert all(isinstance(slot, int) for p in pats for slot in p.slots)

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from relconn import bitspace
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG, parse_relations
+from relconn.cpss import random_formula
 from relconn.errors import (DiameterLimitError, NotASolutionError,
                             VarsLimitError)
 from relconn.formulas import evaluate, make_formula, parse_formula
-from relconn.generators import random_formula
 from relconn.relations import Relation
+
+from solution_oracle import project_enumerate, solution_strings
 
 
 def parse(text):
@@ -127,7 +129,7 @@ CONP = "var w x y z\nM(y,0,x)\nM(x,0,y)\nK(x,z,w)\nK(y,z,w)"
 class TestFixtures:
     def test_m_solutions(self):
         phi = parse(M_PHI)
-        assert sg.solution_strings(phi) == ["000", "001", "010", "101", "111"]
+        assert solution_strings(phi) == ["000", "001", "010", "101", "111"]
 
     def test_m_connected_diameter(self):
         # path 010 - 000 - 001 - 101 - 111
@@ -138,7 +140,7 @@ class TestFixtures:
 
     def test_triangle_disconnected(self):
         phi = parse(TRIANGLE)
-        assert sg.solution_strings(phi) == ["000", "111"]
+        assert solution_strings(phi) == ["000", "111"]
         assert not sg.is_connected(phi)
         assert sg.components(phi) == [["000"], ["111"]]
 
@@ -160,7 +162,7 @@ class TestFixtures:
         assert path[0] == "010" and path[-1] == "111"
         for a, b in zip(path, path[1:]):
             assert sum(x != y for x, y in zip(a, b)) == 1
-            assert a in sg.solution_strings(phi) and b in sg.solution_strings(phi)
+            assert a in solution_strings(phi) and b in solution_strings(phi)
 
     def test_bfs_stops_at_target_level(self):
         # in the full 4-cube, 0011 lies two flips from 0000
@@ -186,7 +188,7 @@ class TestFixtures:
 
     def test_unsat_formula(self):
         phi = parse("rel NONE 1 :\nvar x\nNONE(x)")
-        assert sg.solution_strings(phi) == []
+        assert solution_strings(phi) == []
         assert sg.is_connected(phi)  # vacuously
         assert sg.components(phi) == []
         assert sg.diameter(phi) == 0
@@ -211,7 +213,7 @@ class TestAgainstNetworkx:
             phi = random_formula(rng, pool, max_vars=6, max_constraints=4)
             g = nx_graph(phi)
             sols = {as_str(t) for t in g.nodes}
-            assert set(sg.solution_strings(phi)) == sols
+            assert set(solution_strings(phi)) == sols
             if not sols:
                 continue
             comps_nx = sorted(sorted(as_str(t) for t in c)
@@ -263,10 +265,10 @@ class TestProjections:
     def test_enumerated_projection(self):
         phi = parse("rel RF 3 : 000 011 100 110\nvar x y z w\n"
                     "RF(x,y,z)\nRF(y,x,w)")
-        vars0, proj0 = sg.project_enumerate(phi, 0)
+        vars0, proj0 = project_enumerate(phi, 0)
         assert vars0 == ("x", "y", "z")
         assert set(proj0.tuples()) == {"000", "011", "100", "110"}
-        vars1, proj1 = sg.project_enumerate(phi, 1)
+        vars1, proj1 = project_enumerate(phi, 1)
         assert vars1 == ("w", "x", "y")
         assert set(proj1.tuples()) == {"000", "001", "011", "110"}
 
@@ -282,14 +284,14 @@ class TestProjections:
             phi = make_formula(phi.constraints, phi.library, shuffled)
             order = sorted(shuffled)
             want = 0
-            for t in sg.solution_strings(phi):
+            for t in solution_strings(phi):
                 bits = dict(zip(phi.variables, t))
                 want |= 1 << int("".join(bits[v] for v in order), 2)
             assert sg.formula_relation(phi) == Relation(phi.n, want)
 
     def test_projection_of_unsat_is_empty(self):
         phi = parse("rel NONE 1 :\nvar x y\nNONE(x)\nOR(x,y)")
-        _, proj = sg.project_enumerate(phi, 1)
+        _, proj = project_enumerate(phi, 1)
         assert len(proj) == 0
 
 
