@@ -294,7 +294,7 @@ def iter_bits(s: int):
 def tuple_of_index(idx: int, n: int) -> str:
     """Bitstring of an index, first coordinate as the most significant bit;
     the one assignment to no variables is the empty string."""
-    return format(idx, f"0{n}b") if n else ""
+    return bin(idx | 1 << n)[3:]
 
 
 def conjunction_space(variables: Sequence[Hashable],

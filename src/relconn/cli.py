@@ -192,7 +192,7 @@ def cmd_horn_normalize(args) -> int:
     normal = hornmod.normalize(view)
     if args.json:
         _emit_json({"variables": list(normal.variables),
-                    "clauses": [str(c) for c in normal.clauses]})
+                    "clauses": [hornmod.format_clause(c) for c in normal.clauses]})
     else:
         print(hornmod.format_horn(normal), end="")
     return 0

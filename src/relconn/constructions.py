@@ -35,8 +35,8 @@ from . import horn as hornmod
 from .bitspace import conjunction_space
 from .catalog import CATALOG
 from .errors import ExpressionError, ReductionInputError, TriviallySatisfiableError
-from .formulas import Constraint, Formula, cnf_implicates, make_formula
-from .horn import HornClause, HornView
+from .formulas import CnfClause, Constraint, Formula, cnf_implicates, make_formula
+from .horn import HornView
 from .relations import (HORN, IHSB_MINUS, SAFE_CHECK_ARITY_MAX, SAFE_SHORTCUTS,
                         SAFELY_CW_IHSB_MINUS, ArgPattern, Relation,
                         check_property, components, walk_identifications)
@@ -179,8 +179,7 @@ def _state(rel: Relation, slots: list[str], alive: tuple[str, ...]) -> _State:
     if not pinned:
         raise ExpressionError("pinning left the constraint unsatisfiable")
     names = tuple(sorted(alive))
-    clauses = [HornClause(next(iter(pos), None), neg)
-               for pos, neg in cnf_implicates(names, conjunction_space(names, item), HORN)]
+    clauses = cnf_implicates(names, conjunction_space(names, item), HORN)
     view = hornmod.normalize(HornView(alive, tuple(clauses)))
     if hornmod.solution_space(view) != pinned:
         raise ExpressionError("internal: normalized Horn view lost track of the relation")
@@ -232,18 +231,18 @@ def _express_candidates(rel: Relation):
             state2 = _pin(rel, base, {v: "1" for v in u})
             if state2.view.has_positive_units():
                 continue
-            multi = [c for c in state2.view.clauses if c.is_multi_implication]
+            multi = [c for c in state2.view.clauses if c.pos and len(c.neg) >= 2]
             for cstar in sorted(multi, key=lambda c: not _spec_filter(state2.view, c)):
                 yield pattern, state2, cstar
     if not unsafe:
         raise ExpressionError(_SAFE)
 
 
-def _spec_filter(view: HornView, cstar: HornClause) -> bool:
+def _spec_filter(view: HornView, cstar: CnfClause) -> bool:
     reach = hornmod.imp(view, cstar.variables())
     if any(r <= reach for r in view.restraint_sets()):
         return False
-    return any(not hornmod.is_implied(view, y) for y in cstar.body)
+    return any(not hornmod.is_implied(view, y) for y in cstar.neg)
 
 
 @dataclass(frozen=True)
@@ -284,24 +283,21 @@ def express_m(rel: Relation) -> Formula:
     return express_m_details(rel).formula
 
 
-def _finish(src: Relation, state2: _State, cstar: HornClause) -> ExpressOutcome | None:
+def _finish(src: Relation, state2: _State, cstar: CnfClause) -> ExpressOutcome | None:
     view2 = state2.view
     reach = hornmod.imp(view2, cstar.variables())
     zero_out = {v: "0" for v in view2.variables if v not in reach}
     state3 = _pin(src, state2, zero_out)
     view3 = state3.view
     # the chosen clause must survive the cut to its implication span
-    live = [c for c in view3.clauses
-            if c.head == cstar.head and c.body == cstar.body]
-    if not live:
+    if cstar not in view3.clauses:
         return None
     order = {v: j for j, v in enumerate(view3.variables)}
-    x_name = cstar.head
-    assert x_name is not None
-    for y_name in sorted(cstar.body, key=order.__getitem__):
+    (x_name,) = cstar.pos
+    for y_name in sorted(cstar.neg, key=order.__getitem__):
         if y_name in hornmod.imp(view3, set(view3.variables) - {y_name}):
             continue
-        rest = sorted(cstar.body - {y_name}, key=order.__getitem__)
+        rest = sorted(cstar.neg - {y_name}, key=order.__getitem__)
         z_name = rest[0]
         merge = {v: z_name for v in rest[1:]}
         state4 = _pin(src, state3, merge)

@@ -15,7 +15,9 @@ Text format:
 Constraint relations and to_clausal's checks are built by
 bitspace.conjunction_space, the one routine that plugs a relation into its
 arguments; clause_item and equation_item turn clauses and XOR equations
-into its items.
+into its items.  CnfClause is the package's one clause type: cnf_implicates
+returns it, to_clausal's clause sets and the Horn views of module horn hold
+it.
 """
 
 from __future__ import annotations
@@ -202,11 +204,11 @@ def evaluate(phi: Formula, assignment: Mapping[str, int]) -> bool:
     return True
 
 
-def clause_item(pos: Iterable[str], neg: Collection[str]) -> tuple[int, int, list[str]]:
-    """The clause OR(pos) OR NOT(neg) as a conjunction_space item over
-    (*pos, *neg): every tuple but the falsifying one, pos 0 and neg 1."""
-    args = [*pos, *neg]
-    return full_mask(len(args)) ^ (1 << ((1 << len(neg)) - 1)), len(args), args
+def clause_item(c: CnfClause) -> tuple[int, int, list[str]]:
+    """The clause as a conjunction_space item over (*pos, *neg): every
+    tuple but the falsifying one, pos 0 and neg 1."""
+    args = [*c.pos, *c.neg]
+    return full_mask(len(args)) ^ (1 << ((1 << len(c.neg)) - 1)), len(args), args
 
 
 def equation_item(vars_: Collection[str], rhs: int) -> tuple[int, int, list[str]]:
@@ -235,9 +237,16 @@ def constraint_relation(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation
 
 @dataclass(frozen=True)
 class CnfClause:
-    """Disjunction of literals over variable names."""
+    """Disjunction of literals over variable names: OR(pos) OR NOT(neg).
+
+    The package's one clause type; Horn views (module horn) hold the ones
+    with at most one positive literal.
+    """
     pos: frozenset[str]
     neg: frozenset[str]
+
+    def variables(self) -> frozenset[str]:
+        return self.pos | self.neg
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         return (any(assignment[v] for v in self.pos)
@@ -271,9 +280,8 @@ class ClauseSet:
     constraint_relations: tuple[tuple[tuple[str, ...], Relation | None], ...] = ()
 
 
-def cnf_implicates(vars_: tuple[str, ...], mask: int,
-                    shape: str) -> list[tuple[frozenset[str], frozenset[str]]]:
-    """Prime implicates of the given shape, as (positive, negative) var sets.
+def cnf_implicates(vars_: tuple[str, ...], mask: int, shape: str) -> list[CnfClause]:
+    """Prime implicates of the given shape.
 
     shape: 'bijunctive' caps clause width at 2; 'horn' allows at most one
     positive literal; 'dual_horn' at most one negative.  A clause holds iff
@@ -310,7 +318,7 @@ def cnf_implicates(vars_: tuple[str, ...], mask: int,
     ones = [coord_mask(k, k - 1 - c) for c in coords]
     zeros = [full ^ m for m in ones]
     valid: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    prime: list[tuple[frozenset[str], frozenset[str]]] = []
+    prime: list[CnfClause] = []
     for pos, neg in candidates:
         cell = full
         for c in pos:
@@ -322,8 +330,8 @@ def cnf_implicates(vars_: tuple[str, ...], mask: int,
         valid.add((pos, neg))
         if not (any((pos[:j] + pos[j + 1:], neg) in valid for j in range(len(pos)))
                 or any((pos, neg[:j] + neg[j + 1:]) in valid for j in range(len(neg)))):
-            prime.append((frozenset(vars_[c] for c in pos),
-                          frozenset(vars_[c] for c in neg)))
+            prime.append(CnfClause(frozenset(vars_[c] for c in pos),
+                                   frozenset(vars_[c] for c in neg)))
     return prime
 
 
@@ -375,8 +383,7 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
             group_cls = []
         else:
             group_eqs = []
-            group_cls = [CnfClause(pos, neg) for pos, neg
-                         in cnf_implicates(vars_, mask, schaefer_class)]
+            group_cls = cnf_implicates(vars_, mask, schaefer_class)
         _assert_group_equivalent(c, vars_, mask, group_cls, group_eqs)
         clauses.extend(group_cls)
         equations.extend(group_eqs)
@@ -395,7 +402,7 @@ def _assert_group_equivalent(c: Constraint, vars_: tuple[str, ...], want: int,
     groups, so agreement on every group makes them define the same
     solutions, at any number of variables.
     """
-    got = conjunction_space(vars_, [clause_item(cl.pos, cl.neg) for cl in clauses]
+    got = conjunction_space(vars_, [clause_item(cl) for cl in clauses]
                             + [equation_item(e.vars, e.rhs) for e in equations])
     diff = got ^ want
     if diff:

@@ -1,12 +1,13 @@
 """Horn clause sets: implication closure, self-implicating sets, normal form.
 
-A Horn clause has at most one positive literal.  Here a clause is (head,
-body): `head | -b1 -b2` in text is the clause head OR NOT b1 OR NOT b2, a
-bare `head` is a positive unit, and `- b1 b2` is a restraint clause (all
-literals negative).  The body of a restraint clause is its restraint set.
+A Horn clause is a formulas.CnfClause with at most one positive literal.
+In text, `x | -y -z` is the clause x OR NOT y OR NOT z (head x, body
+{y, z}), a bare `x` is a positive unit, `- y z` (or `-y -z`) is a restraint
+clause (all literals negative) and a lone `-` is the empty clause.  The
+negative literals of a restraint clause are its restraint set.
 
 Implication is syntactic: Imp(U) is the least superset of U containing
-every positive-unit head and closed under firing implication clauses whose
+every positive unit and closed under firing implication clauses whose
 body it contains.  U is self-implicating when every member is implied by
 the rest of U, and maximal when additionally Imp(U) = U.  For clause sets
 without positive units the components of the solution graph correspond
@@ -16,99 +17,53 @@ set, which is what maximal_self_implicating_sets computes and verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from . import bitspace
 from .bitspace import conjunction_space
 from .catalog import strip_comment
 from .errors import FormulaParseError, HornStructureError
-from .formulas import VAR_RE, Formula, clause_item, to_clausal
+from .formulas import VAR_RE, CnfClause, Formula, clause_item, to_clausal
 from .relations import HORN
-
-
-@dataclass(frozen=True)
-class HornClause:
-    head: str | None
-    body: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.body, frozenset):
-            object.__setattr__(self, "body", frozenset(self.body))
-        if self.head is not None and not isinstance(self.head, str):
-            raise HornStructureError(f"bad clause head {self.head!r}")
-
-    @property
-    def is_positive_unit(self) -> bool:
-        return self.head is not None and not self.body
-
-    @property
-    def is_implication(self) -> bool:
-        """One positive literal and at least one negative."""
-        return self.head is not None and bool(self.body)
-
-    @property
-    def is_multi_implication(self) -> bool:
-        return self.head is not None and len(self.body) >= 2
-
-    @property
-    def is_restraint(self) -> bool:
-        return self.head is None and bool(self.body)
-
-    def variables(self) -> frozenset[str]:
-        return self.body | ({self.head} if self.head is not None else frozenset())
-
-    def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
-        if self.head is not None and assignment[self.head]:
-            return True
-        return any(not assignment[v] for v in self.body)
-
-    def __str__(self) -> str:
-        body = " ".join("-" + v for v in sorted(self.body))
-        if self.head is None:
-            return "- " + " ".join(sorted(self.body)) if self.body else "-"
-        if not self.body:
-            return self.head
-        return f"{self.head} | {body}"
 
 
 @dataclass(frozen=True)
 class HornView:
     variables: tuple[str, ...]
-    clauses: tuple[HornClause, ...]
+    clauses: tuple[CnfClause, ...]
 
     def __post_init__(self) -> None:
         declared = set(self.variables)
         for c in self.clauses:
+            if len(c.pos) > 1:
+                raise HornStructureError(f"clause {c} has more than one positive literal")
             missing = c.variables() - declared
             if missing:
-                raise HornStructureError(f"clause {c} uses undeclared {sorted(missing)}")
+                raise HornStructureError(
+                    f"clause {format_clause(c)} uses undeclared {sorted(missing)}")
 
     @property
     def n(self) -> int:
         return len(self.variables)
 
     def has_positive_units(self) -> bool:
-        return any(c.is_positive_unit for c in self.clauses)
+        return any(c.pos and not c.neg for c in self.clauses)
 
     def restraint_sets(self) -> list[frozenset[str]]:
-        return [c.body for c in self.clauses if c.is_restraint]
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.clauses)
+        return [c.neg for c in self.clauses if c.neg and not c.pos]
 
 
 def view_from_formula(phi: Formula) -> HornView:
     """Horn clauses of a formula whose relations are all Horn."""
     cs = to_clausal(phi, HORN)
-    return HornView(cs.variables, tuple(HornClause(next(iter(c.pos), None), c.neg)
-                                        for c in cs.clauses))
+    return HornView(cs.variables, cs.clauses)
 
 
 def parse_horn(text: str) -> HornView:
     """Parse the clause text format (see module docstring); `#` comments."""
     header: tuple[str, ...] | None = None
-    clauses: list[HornClause] = []
+    clauses: list[CnfClause] = []
     seen: dict[str, None] = {}
 
     def note(v: str, lineno: int) -> str:
@@ -121,20 +76,18 @@ def parse_horn(text: str) -> HornView:
         line = strip_comment(raw).strip()
         if not line:
             continue
+        toks = line.split()
         if line.startswith("var ") or line == "var":
             if header is not None:
                 raise FormulaParseError(f"line {lineno}: second var line")
-            header = tuple(note(v, lineno) for v in line.split()[1:])
+            header = tuple(note(v, lineno) for v in toks[1:])
+            if len(set(header)) != len(header):
+                raise FormulaParseError(f"line {lineno}: duplicate variable in var line")
             continue
-        if line == "-":
-            clauses.append(HornClause(None, frozenset()))
-            continue
-        if line.startswith("- ") or all(t.startswith("-") for t in line.split()):
-            toks = line.split()
-            if toks[0] == "-":
-                toks = toks[1:]
-            body = frozenset(note(t.lstrip("-"), lineno) for t in toks)
-            clauses.append(HornClause(None, body))
+        if line.startswith("- ") or all(t.startswith("-") for t in toks):
+            # `- y z` lists names, `-y -z` negative literals of one `-` each
+            names = toks[1:] if toks[0] == "-" else [t[1:] for t in toks]
+            clauses.append(CnfClause(frozenset(), frozenset(note(v, lineno) for v in names)))
             continue
         if "|" in line:
             left, _, right = line.partition("|")
@@ -147,39 +100,47 @@ def parse_horn(text: str) -> HornView:
                     raise FormulaParseError(
                         f"line {lineno}: body literal {t!r} must be negative")
                 body.add(note(t[1:], lineno))
-            clauses.append(HornClause(note(head, lineno), frozenset(body)))
+            clauses.append(CnfClause(frozenset({note(head, lineno)}), frozenset(body)))
             continue
-        toks = line.split()
         if len(toks) == 1:
-            clauses.append(HornClause(note(toks[0], lineno), frozenset()))
+            clauses.append(CnfClause(frozenset({note(toks[0], lineno)}), frozenset()))
             continue
         raise FormulaParseError(f"line {lineno}: cannot parse clause {line!r}")
     variables = header if header is not None else tuple(seen)
     return HornView(variables, tuple(clauses))
 
 
+def format_clause(c: CnfClause) -> str:
+    """A Horn clause in the text format: `x | -y -z`, `x`, `- y z` or `-`."""
+    if not c.pos:
+        return " ".join(["-", *sorted(c.neg)])
+    (head,) = c.pos
+    if not c.neg:
+        return head
+    return head + " | " + " ".join("-" + v for v in sorted(c.neg))
+
+
 def format_horn(view: HornView) -> str:
     lines = ["var " + " ".join(view.variables)]
-    lines.extend(str(c) for c in view.clauses)
+    lines.extend(format_clause(c) for c in view.clauses)
     return "\n".join(lines) + "\n"
 
 
-def _imp_over(clauses: Sequence[HornClause], start: Iterable[str]) -> frozenset[str]:
+def _imp_over(clauses: Sequence[CnfClause], start: Iterable[str]) -> frozenset[str]:
     current = set(start)
     rules = []
     for c in clauses:
-        if c.head is None:
-            continue
-        if not c.body:
-            current.add(c.head)
-        else:
-            rules.append(c)
+        for head in c.pos:  # at most one
+            if c.neg:
+                rules.append((head, c.neg))
+            else:
+                current.add(head)
     changed = True
     while changed:
         changed = False
-        for c in rules:
-            if c.head not in current and c.body <= current:
-                current.add(c.head)
+        for head, body in rules:
+            if head not in current and body <= current:
+                current.add(head)
                 changed = True
     return frozenset(current)
 
@@ -216,8 +177,7 @@ def has_restraint_subset(view: HornView, subset: Iterable[str]) -> bool:
 
 def solution_space(view: HornView) -> int:
     """Bitmask of satisfying assignments, same index convention as formulas."""
-    return conjunction_space(view.variables, (
-        clause_item(() if c.head is None else (c.head,), c.body) for c in view.clauses))
+    return conjunction_space(view.variables, map(clause_item, view.clauses))
 
 
 def ones_set(view: HornView, idx: int) -> frozenset[str]:
@@ -267,34 +227,34 @@ def maximal_self_implicating_sets(view: HornView) -> list[frozenset[str]]:
 # checks live in the tests.
 
 
-def _rule_b(view: HornView, i: int, c: HornClause):
-    if c.head is not None and c.head in c.body:
+def _rule_b(view: HornView, i: int, c: CnfClause):
+    if not c.pos.isdisjoint(c.neg):
         return _without(view, i)
     return None
 
 
-def _rule_c(view: HornView, i: int, c: HornClause):
-    if c.is_implication:
+def _rule_c(view: HornView, i: int, c: CnfClause):
+    if c.pos and c.neg:
         others = view.clauses[:i] + view.clauses[i + 1:]
-        if c.head in _imp_over(others, c.body):
+        if c.pos <= _imp_over(others, c.neg):
             return _without(view, i)
     return None
 
 
-def _rule_d(view: HornView, i: int, c: HornClause):
-    if c.is_implication:
+def _rule_d(view: HornView, i: int, c: CnfClause):
+    if c.pos and c.neg:
         reach = imp(view, c.variables())
         if any(r <= reach for r in view.restraint_sets()):
-            return _replace_at(view, i, HornClause(None, c.body))
+            return _replace_at(view, i, CnfClause(frozenset(), c.neg))
     return None
 
 
-def _rule_e(view: HornView, i: int, c: HornClause):
-    if c.is_multi_implication or c.is_restraint:
+def _rule_e(view: HornView, i: int, c: CnfClause):
+    if len(c.neg) > len(c.pos):  # a multi-implication or a restraint
         order = {v: j for j, v in enumerate(view.variables)}
-        for y in sorted(c.body, key=order.__getitem__):
-            if y in imp(view, c.body - {y}):
-                return _replace_at(view, i, replace(c, body=c.body - {y}))
+        for y in sorted(c.neg, key=order.__getitem__):
+            if y in imp(view, c.neg - {y}):
+                return _replace_at(view, i, CnfClause(c.pos, c.neg - {y}))
     return None
 
 
@@ -302,7 +262,7 @@ def _without(view: HornView, i: int) -> HornView:
     return HornView(view.variables, view.clauses[:i] + view.clauses[i + 1:])
 
 
-def _replace_at(view: HornView, i: int, clause: HornClause) -> HornView:
+def _replace_at(view: HornView, i: int, clause: CnfClause) -> HornView:
     return HornView(view.variables,
                     view.clauses[:i] + (clause,) + view.clauses[i + 1:])
 

@@ -129,10 +129,6 @@ class Relation:
     def is_empty(self) -> bool:
         return not self.mask
 
-    def bit(self, idx: int, coord: int) -> int:
-        """Value of 1-based coordinate `coord` in the tuple with index `idx`."""
-        return (idx >> (self.arity - coord)) & 1
-
     def renamed(self, name: str | None) -> "Relation":
         return Relation(self.arity, self.mask, name)
 
@@ -375,53 +371,58 @@ def _is_affine(mask: int, k: int) -> bool:
     return 1 << len(_affine_basis(mask)) == size
 
 
+# property -> (hull of its class, whether it is taken on the flipped mask):
 # the dual classes flip every coordinate (x | y = not(not x & not y),
 # likewise for x | (y & z))
-_HULLS = {
-    BIJUNCTIVE: _bijunctive_hull,
-    HORN: _horn_hull,
-    DUAL_HORN: lambda mask, k: _flip(_horn_hull(_flip(mask, k), k), k),
-    AFFINE: _affine_hull,
-    IHSB_MINUS: _ihsb_minus_hull,
-    IHSB_PLUS: lambda mask, k: _flip(_ihsb_minus_hull(_flip(mask, k), k), k),
+_CLOSURES = {
+    BIJUNCTIVE: (_bijunctive_hull, False),
+    HORN: (_horn_hull, False),
+    DUAL_HORN: (_horn_hull, True),
+    AFFINE: (_affine_hull, False),
+    IHSB_MINUS: (_ihsb_minus_hull, False),
+    IHSB_PLUS: (_ihsb_minus_hull, True),
 }
 
 
 def hull(rel: Relation, prop: str) -> Relation:
     """Smallest relation with the polymorphism property that contains rel:
     its closure under the operation in _PROPERTY_OPS."""
-    if prop not in _HULLS:
-        raise RelationError(f"no hull for property {prop!r}")
-    return Relation(rel.arity, _HULLS[prop](rel.mask, rel.arity))
+    try:
+        closure, flipped = _CLOSURES[prop]
+    except KeyError:
+        raise RelationError(f"no hull for property {prop!r}") from None
+    k = rel.arity
+    if flipped:
+        return Relation(k, _flip(closure(_flip(rel.mask, k), k), k))
+    return Relation(k, closure(rel.mask, k))
 
 
-# one mask test per base property: a polymorphism property holds iff R is
-# its own hull (the dual classes compare on the flipped mask)
-_MASK_CHECKS = {
-    ZERO_VALID: lambda mask, k: mask & 1 == 1,
-    ONE_VALID: lambda mask, k: mask >> ((1 << k) - 1) == 1,
-    BIJUNCTIVE: lambda mask, k: _bijunctive_hull(mask, k) == mask,
-    HORN: lambda mask, k: _horn_hull(mask, k) == mask,
-    DUAL_HORN: lambda mask, k: _horn_hull(flip := _flip(mask, k), k) == flip,
-    AFFINE: _is_affine,
-    IHSB_MINUS: lambda mask, k: _ihsb_minus_hull(mask, k) == mask,
-    IHSB_PLUS: lambda mask, k: _ihsb_minus_hull(flip := _flip(mask, k), k) == flip,
-}
+def _holds(mask: int, k: int, prop: str) -> bool:
+    """check_property on a mask: validity by membership, affine by
+    _is_affine's count, the closure classes as R == hull(R)."""
+    if prop == ZERO_VALID:
+        return mask & 1 == 1
+    if prop == ONE_VALID:
+        return mask >> ((1 << k) - 1) == 1
+    if prop == AFFINE:
+        return _is_affine(mask, k)
+    try:
+        closure, flipped = _CLOSURES[prop]
+    except KeyError:
+        raise RelationError(f"unknown property {prop!r}") from None
+    if flipped:
+        mask = _flip(mask, k)
+    return closure(mask, k) == mask
 
 
 def check_property(rel: Relation, prop: str) -> bool:
     """Decide one base property by its mask test (validity by membership,
     the polymorphisms by the clause characterisations)."""
-    try:
-        check = _MASK_CHECKS[prop]
-    except KeyError:
-        raise RelationError(f"unknown property {prop!r}") from None
-    return check(rel.mask, rel.arity)
+    return _holds(rel.mask, rel.arity, prop)
 
 
 def _componentwise(mask: int, k: int, prop: str) -> bool:
-    check = _MASK_CHECKS[prop]
-    return all(check(c, k) for c in component_masks(mask, k))
+    return all(_holds(c, k, prop) for c in component_masks(mask, k))
 
 
 def componentwise(rel: Relation, prop: str) -> bool:

@@ -12,7 +12,8 @@ import random
 
 from relconn.classify import profile
 from relconn.errors import RelconnError
-from relconn.horn import HornClause, HornView
+from relconn.formulas import CnfClause
+from relconn.horn import HornView
 from relconn.relations import (AFFINE, BIJUNCTIVE, HORN, IHSB_MINUS, IHSB_PLUS,
                                Relation, hull)
 
@@ -63,18 +64,18 @@ def random_horn_view(rng: random.Random, n_vars: int, n_clauses: int,
     for _ in range(n_clauses):
         roll = rng.random()
         if allow_positive_units and roll < 0.15:
-            clauses.append(HornClause(rng.choice(variables), frozenset()))
+            clauses.append(CnfClause(frozenset({rng.choice(variables)}), frozenset()))
             continue
         size = rng.randint(1, min(3, n_vars))
         body = frozenset(rng.sample(variables, size))
         if roll < restraint_prob:
-            clauses.append(HornClause(None, body))
+            clauses.append(CnfClause(frozenset(), body))
         else:
             head_choices = [v for v in variables if v not in body]
             if not head_choices:
-                clauses.append(HornClause(None, body))
+                clauses.append(CnfClause(frozenset(), body))
             else:
-                clauses.append(HornClause(rng.choice(head_choices), body))
+                clauses.append(CnfClause(frozenset({rng.choice(head_choices)}), body))
     return HornView(variables, tuple(clauses))
 
 

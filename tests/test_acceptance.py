@@ -339,10 +339,10 @@ def test_criterion_9_normal_form_preserves_solutions():
 
     redundant = hornmod.parse_horn(
         "var x y z\ny | -x\nz | -x\ny | -z\nz | -y\n")
-    assert [str(c) for c in normalize(redundant).clauses] == \
+    assert [hornmod.format_clause(c) for c in normalize(redundant).clauses] == \
         ["z | -x", "y | -z", "z | -y"]
 
     cut = hornmod.parse_horn("var x y z w\nx | -y -z\nw | -y\n- w x\n")
-    rewritten = [str(c) for c in normalize(cut).clauses]
+    rewritten = [hornmod.format_clause(c) for c in normalize(cut).clauses]
     assert "- y z" in rewritten
     assert "x | -y -z" not in rewritten

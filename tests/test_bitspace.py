@@ -148,6 +148,12 @@ class TestEdgeCases:
         for s in (0, 1, 6, 1 << 63, (1 << 64) | 5, (1 << 100_000) - 1):
             assert bitspace.mask_of(bitspace.iter_bits(s)) == s
 
+    @pytest.mark.parametrize("n", range(25))
+    def test_tuple_of_index_matches_format(self, n):
+        rng = random.Random(n)
+        for idx in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(50))}:
+            assert bitspace.tuple_of_index(idx, n) == (format(idx, f"0{n}b") if n else "")
+
 
 class TestRouteSwitch:
     @staticmethod

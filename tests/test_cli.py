@@ -226,6 +226,33 @@ class TestHorn:
         assert code == 0
         assert out == "var u v w y z\nu | -v\nv | -u\nw | -v\n- y z\n"
 
+    def test_normalize_every_clause_kind(self, capsys, tmp_path):
+        # rule (e) drops -a from b's body: the positive unit a implies it
+        path = tmp_path / "kinds.horn"
+        path.write_text("var a b c d\na\nb | -a -c\n- c d\n-\n")
+        assert run(capsys, "horn", "normalize", path) == (
+            0, "var a b c d\na\nb | -c\n- c d\n-\n", "")
+        assert run(capsys, "horn", "normalize", path, "--json") == (
+            0, '{\n  "clauses": [\n    "a",\n    "b | -c",\n    "- c d",\n    "-"\n'
+               '  ],\n  "variables": [\n    "a",\n    "b",\n    "c",\n    "d"\n  ]\n}\n',
+            "")
+
+    @pytest.mark.parametrize("text, message", [
+        ("var y z\n--y --z\n", "line 2: bad variable name '-y'"),
+        ("var y z\n- -y z\n", "line 2: bad variable name '-y'"),
+        ("var y z\n- y -z\n", "line 2: bad variable name '-z'"),
+        ("var y z\nz | --y\n", "line 2: bad variable name '-y'"),
+        ("var a a\na\n", "line 1: duplicate variable in var line"),
+    ])
+    @pytest.mark.parametrize("command, tail", [("imp", ["y"]), ("selfimp", []),
+                                               ("normalize", ["--json"])])
+    def test_malformed_clause_text_exits_2(self, capsys, tmp_path, text, message,
+                                           command, tail):
+        path = tmp_path / "bad.horn"
+        path.write_text(text)
+        assert run(capsys, "horn", command, path, *tail) == (
+            2, "", f"relconn: error: {message}\n")
+
 
 class TestConstructions:
     def test_reduce_roundtrip(self, capsys, tmp_path):

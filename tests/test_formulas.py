@@ -383,7 +383,7 @@ def member_loop_implicates(vars_, mask, shape):
     for ls, p, n in lits:
         if not any(k2 <= ls for k2 in kept):
             kept.append(ls)
-            prime.append((p, n))
+            prime.append(CnfClause(p, n))
     return prime
 
 
@@ -415,7 +415,7 @@ class TestCnfImplicates:
         for k in range(1, 7):
             full = (1 << (1 << k)) - 1
             for shape in SHAPES:
-                assert self.check(k, 0, shape) == [(frozenset(), frozenset())]
+                assert self.check(k, 0, shape) == [CnfClause(frozenset(), frozenset())]
                 assert self.check(k, full, shape) == []
                 sizes = set()
                 for _ in range(12):

@@ -77,7 +77,7 @@ class TestRandomHornView:
             assert len(v.variables) == 6
             assert len(v.clauses) == 5
             assert not v.has_positive_units()
-            saw_restraint |= any(c.is_restraint for c in v.clauses)
+            saw_restraint |= bool(v.restraint_sets())
         assert saw_restraint
 
     def test_positive_units_appear_when_allowed(self):
@@ -92,9 +92,8 @@ class TestRandomHornView:
         for _ in range(20):
             v = random_horn_view(rng, 4, 5, restraint_prob=0.0)
             # a full-width body can still fall back to a restraint
-            for c in v.clauses:
-                if c.is_restraint:
-                    assert len(c.body) == 4
+            for r in v.restraint_sets():
+                assert len(r) == 4
 
 
 class TestTargetedRelations:

@@ -13,8 +13,8 @@ from relconn import horn
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG
 from relconn.errors import HornStructureError, VarsLimitError
-from relconn.formulas import parse_formula
-from relconn.horn import (HornClause, HornView, format_horn, imp, is_implied,
+from relconn.formulas import CnfClause, parse_formula
+from relconn.horn import (HornView, format_horn, imp, is_implied,
                           is_maximal_self_implicating, is_self_implicating,
                           maximal_self_implicating_sets, normalize, parse_horn,
                           view_from_formula)
@@ -38,15 +38,15 @@ w | -u -v
 class TestParsing:
     def test_clause_kinds(self):
         v = view(CHAIN)
-        kinds = [(c.head, sorted(c.body)) for c in v.clauses]
-        assert kinds == [("u", ["v"]), ("v", ["u"]),
-                         ("w", ["u", "v"]), (None, ["y", "z"])]
+        kinds = [(sorted(c.pos), sorted(c.neg)) for c in v.clauses]
+        assert kinds == [(["u"], ["v"]), (["v"], ["u"]),
+                         (["w"], ["u", "v"]), ([], ["y", "z"])]
 
     def test_positive_unit_and_empty(self):
         v = view("var a b\na\n-\n- b\n")
-        assert v.clauses[0].is_positive_unit
-        assert v.clauses[1].head is None and not v.clauses[1].body
-        assert v.clauses[2].is_restraint
+        assert v.clauses == (CnfClause(frozenset({"a"}), frozenset()),
+                             CnfClause(frozenset(), frozenset()),
+                             CnfClause(frozenset(), frozenset({"b"})))
 
     def test_undeclared_rejected(self):
         with pytest.raises(HornStructureError):
@@ -56,10 +56,22 @@ class TestParsing:
         v = view(CHAIN)
         assert parse_horn(format_horn(v)).clauses == v.clauses
 
+    def test_roundtrip_every_clause_kind(self):
+        # a positive unit, an implication, a restraint and the empty clause
+        text = "var a b c d\na\nb | -a -c\n- c d\n-\n"
+        v = view(text)
+        assert format_horn(v) == text
+        assert parse_horn(format_horn(v)) == v
+        assert view("var a b c d\na\nb | -c -a\n-d -c\n-\n") == v
+
+    def test_more_than_one_positive_literal_rejected(self):
+        with pytest.raises(HornStructureError, match="more than one positive literal"):
+            HornView(("a", "b"), (CnfClause(frozenset({"a", "b"}), frozenset()),))
+
     def test_from_formula(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
         v = view_from_formula(phi)
-        assert sorted(str(c) for c in v.clauses) == ["x | -y -z", "z | -x"]
+        assert sorted(horn.format_clause(c) for c in v.clauses) == ["x | -y -z", "z | -x"]
 
     @pytest.mark.parametrize("const, want", [("0,1", ["y | -x"]),
                                              ("1,0", ["-", "y | -x"])])
@@ -67,7 +79,7 @@ class TestParsing:
         # a true one adds no clause, a false one the empty clause
         phi = parse_formula(f"rel IMP 2 : 00 01 11\nvar x y\nIMP(x,y)\nIMP({const})")
         v = view_from_formula(phi)
-        assert sorted(str(c) for c in v.clauses) == want
+        assert sorted(horn.format_clause(c) for c in v.clauses) == want
         assert horn.solution_space(v) == sg.solution_space(phi)
 
 
@@ -107,7 +119,7 @@ class TestImp:
                     # the fixpoint is exactly the syntactic consequence set;
                     # semantic forcing can only be larger on unsatisfiable
                     # or restrained instances
-                    if not any(c.is_restraint for c in v.clauses):
+                    if not v.restraint_sets():
                         assert got == forced
 
 
@@ -172,14 +184,14 @@ class TestNormalize:
     def test_rule_c_worked_example(self):
         # one of the two x-implications is redundant; the scan drops the first
         normal = normalize(view(RULE_C_EXAMPLE))
-        assert [str(c) for c in normal.clauses] == \
+        assert [horn.format_clause(c) for c in normal.clauses] == \
             ["z | -x", "y | -z", "z | -y"]
 
     def test_rule_d_worked_example(self):
         # Imp({x,y,z}) covers the restraint {w,x}, so the head is cut
         normal = normalize(view(RULE_D_EXAMPLE))
-        assert "- y z" in [str(c) for c in normal.clauses]
-        assert "x | -y -z" not in [str(c) for c in normal.clauses]
+        assert "- y z" in [horn.format_clause(c) for c in normal.clauses]
+        assert "x | -y -z" not in [horn.format_clause(c) for c in normal.clauses]
 
     def test_tautology_removed(self):
         normal = normalize(view("var a b\na | -a -b\n"))
@@ -207,9 +219,9 @@ def horn_views(draw):
     names = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
     clauses = []
     for _ in range(draw(st.integers(0, 8))):
-        head = draw(st.none() | st.sampled_from(names))
+        head = draw(st.frozensets(st.sampled_from(names), max_size=1))
         body = draw(st.frozensets(st.sampled_from(names), max_size=4))
-        clauses.append(HornClause(head, body))
+        clauses.append(CnfClause(head, body))
     return HornView(tuple(names), tuple(clauses))
 
 
@@ -231,7 +243,7 @@ class TestSolutionSpace:
         names = [f"v{i}" for i in range(25)]
         with pytest.raises(VarsLimitError):
             horn.solution_space(HornView(tuple(names),
-                                         (HornClause(None, frozenset(names)),)))
+                                         (CnfClause(frozenset(), frozenset(names)),)))
 
     def test_matches_formula_engine(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)

@@ -1,8 +1,9 @@
 """src/relconn holds what the CLI and the library API run.
 
 Every public top-level function and class there must be referred to by
-other product code, or be listed below with the reason it stays.  Random
-inputs and oracles that only the tests use live in tests/.
+other product code, and every public method and property of such a class
+must be used as an attribute there, or be listed below with the reason it
+stays.  Random inputs and oracles that only the tests use live in tests/.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ UNREFERENCED = {
     "relations.is_closed": TRACER,
     "solution_graph.distance": LIBRARY,
     "solution_graph.solutions": LIBRARY,
+}
+# module.Class.member -> why it stays with no attribute use in src
+UNUSED_MEMBERS = {
+    "constructions.ReductionOutput.lift": LIBRARY,
+    "relations.Relation.members": TRACER,
 }
 
 
@@ -71,8 +77,29 @@ def unreferenced() -> set[str]:
     return {f"{module}.{name}" for module, name in defined - used}
 
 
+def unused_members() -> set[str]:
+    """Public methods and properties of public classes whose name no
+    attribute access in src/relconn reads."""
+    defined = set()
+    attributes = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defined |= {(path.stem, cls.name, node.name) for node in cls.body
+                            if isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("_")}
+        attributes |= {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)}
+    return {".".join(member) for member in defined if member[2] not in attributes}
+
+
 def test_every_public_name_is_used_or_listed():
     assert unreferenced() == set(UNREFERENCED)
+
+
+def test_every_public_member_is_used_or_listed():
+    assert unused_members() == set(UNUSED_MEMBERS)
 
 
 def test_reasons_hold():
@@ -84,3 +111,10 @@ def test_reasons_hold():
             assert hasattr(relconn, name), qualified
         else:
             assert f'"{name}"' in tracer, qualified
+    for qualified, reason in UNUSED_MEMBERS.items():
+        _, cls, member = qualified.split(".")
+        assert reason in (LIBRARY, TRACER), qualified
+        if reason == LIBRARY:
+            assert hasattr(getattr(relconn, cls), member), qualified
+        else:
+            assert f".{member}" in tracer, qualified

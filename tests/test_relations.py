@@ -47,9 +47,7 @@ class TestRelation:
         assert M.tuples() == ["000", "001", "010", "101", "111"]
 
     def test_bit_coordinate_one_is_msb(self):
-        r = rel(3, "100")
-        (t,) = r.members
-        assert r.bit(t, 1) == 1 and r.bit(t, 2) == 0 and r.bit(t, 3) == 0
+        assert rel(3, "100").members == {0b100}
 
     def test_rejects_out_of_range(self):
         # non-int or bool masks (the frozenset is the old member-set form),
