@@ -1,4 +1,6 @@
-"""Built-in relations and the `rel` text format.
+"""Built-in relations, the `rel` text format, and the front end that the
+`.rel`, `.cnfs` and `.horn` readers share: one line reader, one name
+pattern, one `var` line parser and one `rel` line parser.
 
 Text format, one relation per line:
 
@@ -11,11 +13,13 @@ a comment.  A relation may have no tuples (empty relation).
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .errors import FormulaParseError, RelationError
 from .relations import Relation
 
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# relation and variable names; use with fullmatch
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _rel(name: str, arity: int, tuples: str) -> Relation:
@@ -43,49 +47,62 @@ CATALOG: dict[str, Relation] = {
 }
 
 
-def parse_relation_line(line: str) -> Relation:
-    """Parse one `rel NAME ARITY : tuples` line."""
+def read_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line that is not blank once
+    its `#` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_var_line(lineno: int, line: str,
+                   header: tuple[str, ...] | None) -> tuple[str, ...]:
+    """The names of a `var` line; header holds an earlier var line's names."""
+    if header is not None:
+        raise FormulaParseError(f"line {lineno}: second var line")
+    names = tuple(line.split()[1:])
+    for v in names:
+        if not NAME_RE.fullmatch(v):
+            raise FormulaParseError(f"line {lineno}: bad variable name {v!r}")
+    if len(set(names)) != len(names):
+        raise FormulaParseError(f"line {lineno}: duplicate variable in var line")
+    return names
+
+
+def add_relation(library: dict[str, Relation], lineno: int, line: str) -> None:
+    """Parse a `rel NAME ARITY : tuples` line into library; a name the
+    library binds to another relation is an error."""
     parts = line.split()
     if len(parts) < 4 or parts[0] != "rel" or parts[3] != ":":
-        raise FormulaParseError(f"bad relation line: {line!r}")
+        raise FormulaParseError(f"line {lineno}: bad relation line: {line!r}")
     name = parts[1]
-    if not NAME_RE.match(name):
-        raise FormulaParseError(f"bad relation name {name!r}")
+    if not NAME_RE.fullmatch(name):
+        raise FormulaParseError(f"line {lineno}: bad relation name {name!r}")
     try:
         arity = int(parts[2])
     except ValueError:
-        raise FormulaParseError(f"bad arity in relation line: {line!r}") from None
+        raise FormulaParseError(
+            f"line {lineno}: bad arity in relation line: {line!r}") from None
     try:
-        return Relation.from_tuples(arity, parts[4:], name)
+        rel = Relation.from_tuples(arity, parts[4:], name)
     except RelationError as exc:
-        raise FormulaParseError(f"bad relation line {line!r}: {exc}") from None
-
-
-def strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+        raise FormulaParseError(f"line {lineno}: bad relation line {line!r}: {exc}") from None
+    if library.get(name, rel) != rel:
+        raise FormulaParseError(f"line {lineno}: relation {name!r} redefined")
+    library[name] = rel
 
 
 def parse_relations(text: str) -> dict[str, Relation]:
     """Parse a relation file into an ordered name -> Relation mapping."""
     out: dict[str, Relation] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        try:
-            rel = parse_relation_line(line)
-        except FormulaParseError as exc:
-            raise FormulaParseError(f"line {lineno}: {exc}") from None
-        if rel.name in out and out[rel.name] != rel:
-            raise FormulaParseError(f"line {lineno}: relation {rel.name!r} redefined")
-        out[rel.name] = rel
+    for lineno, line in read_lines(text):
+        add_relation(out, lineno, line)
     return out
 
 
-def format_relation(rel: Relation, name: str | None = None) -> str:
-    name = name or rel.name
-    if not name:
+def format_relation(rel: Relation) -> str:
+    if not rel.name:
         raise ValueError("relation has no name to format")
-    return f"rel {name} {rel.arity} : " + " ".join(rel.tuples()) if rel.mask \
-        else f"rel {name} {rel.arity} :"
+    return f"rel {rel.name} {rel.arity} : " + " ".join(rel.tuples()) if rel.mask \
+        else f"rel {rel.name} {rel.arity} :"

@@ -1,5 +1,13 @@
 """Command-line interface.
 
+Each `cmd_*` handler computes its subcommand's result and returns it as an
+`Answer`: the JSON document, a function that renders the text form, and
+whether the answer is "no".  `main` alone chooses between JSON (`--json`,
+on every subcommand but `graph`) and text, and writes the result to stdout
+or to the file that `graph --dot OUT` or `reduce -o OUT` names (`-` is
+stdout); a file gets exactly what would be printed.  The text is rendered
+only when it is printed, so the `--json` path formats no text.
+
 Exit codes: 0 on success, 1 for a "no" answer to a boolean query when
 --exit-status is given, 2 on usage or input errors.
 
@@ -16,15 +24,24 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 from . import horn as hornmod
 from . import solution_graph as sg
-from .catalog import CATALOG, parse_relations
-from .classify import classify_set, predict, profile
+from .catalog import parse_relations
+from .classify import RelationProfile, classify_set, predict, profile
 from .constructions import express_m_details, reduce_sat_to_conn
 from .cpss import decide_connectivity, search_separation_counterexample
 from .errors import RelconnError
 from .formulas import Formula, format_formula, parse_formula
+
+
+class Answer(NamedTuple):
+    """A subcommand's result: its JSON document, its text form rendered on
+    demand, and whether it answers "no" (what --exit-status reads)."""
+    doc: object
+    text: Callable[[], str]
+    no: bool = False
 
 
 def _read(path: str) -> str:
@@ -34,15 +51,8 @@ def _read(path: str) -> str:
         raise RelconnError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise RelconnError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def _load_formula(path: str) -> Formula:
-    return parse_formula(_read(path), CATALOG)
+    return parse_formula(_read(path))
 
 
 def _load_relations(path: str):
@@ -52,196 +62,129 @@ def _load_relations(path: str):
     return rels
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _emit_json(obj) -> None:
-    print(_json_text(obj), end="")
-
-
-def cmd_classify_relation(args) -> int:
-    rels = _load_relations(args.file)
-    profiles = [profile(r) for r in rels.values()]
-    if args.json:
-        _emit_json([p.as_dict() for p in profiles])
-        return 0
-    for p in profiles:
-        d = p.as_dict()
-        props = [k for k, v in d.items() if v is True]
-        unknown = [k for k, v in d.items() if v is None]
-        line = f"{p.name} (arity {p.arity}): " + ", ".join(props)
-        if unknown:
-            line += "; unknown: " + ", ".join(unknown)
-        print(line)
-    return 0
-
-
-def cmd_classify_set(args) -> int:
-    rels = _load_relations(args.file)
-    cl = classify_set(rels.values())
-    pr = predict(cl)
-    if args.json:
-        _emit_json({"classification": cl.to_json(), "prediction": pr.to_json()})
-    else:
-        print(f"{cl.set_class}; Conn_C: {pr.conn}; st-Conn_C: {pr.st_conn}; "
-              f"diameter: {pr.diameter_bound}")
-    return 0
-
-
-def cmd_conn(args) -> int:
-    phi = _load_formula(args.file)
-    decision = decide_connectivity(phi, method=args.method)
-    if args.json:
-        _emit_json(decision.to_json())
-    elif decision.connected is None:
-        print(f"undecided (too large to enumerate); set class {decision.set_class}, "
-              f"predicted {decision.prediction.conn}")
-    else:
-        print("connected" if decision.connected else "disconnected")
-    if args.exit_status and decision.connected is False:
-        return 1
-    return 0
-
-
-def cmd_stconn(args) -> int:
-    phi = _load_formula(args.file)
-    ok, path = sg.st_connected(phi, args.s, args.t)
-    if args.json:
-        _emit_json({"connected": ok, "path": list(path) if path else None})
-    elif ok:
-        assert path is not None
-        print("connected: " + " ".join(path))
-    else:
-        print("disconnected")
-    return 1 if args.exit_status and not ok else 0
-
-
-def cmd_diameter(args) -> int:
-    phi = _load_formula(args.file)
-    d = sg.diameter(phi)
-    _emit_json({"diameter": d}) if args.json else print(d)
-    return 0
-
-
-def cmd_components(args) -> int:
-    phi = _load_formula(args.file)
-    comps = sg.components(phi)
-    if args.json:
-        _emit_json({"components": [list(c) for c in comps]})
-    elif not comps:
-        print("unsatisfiable")
-    else:
-        for c in comps:
-            print(" ".join(c))
-    return 0
-
-
-def cmd_graph(args) -> int:
-    phi = _load_formula(args.file)
-    text = sg.export_dot(phi)
-    if args.dot == "-":
-        print(text, end="")
-    else:
-        _write(args.dot, text)
-    return 0
-
-
-def cmd_report(args) -> int:
-    phi = _load_formula(args.file)
-    rep = sg.report(phi)
-    if args.json:
-        _emit_json(rep.to_json())
-    else:
-        print(f"variables: {rep.n_variables}")
-        print(f"solutions: {rep.n_solutions}")
-        print(f"connected: {str(rep.connected).lower()}")
-        print(f"diameter: {rep.diameter}")
-        for i, c in enumerate(rep.components):
-            print(f"component {i}: " + " ".join(c))
-    return 0
-
-
 def _load_horn(path: str) -> hornmod.HornView:
     return hornmod.parse_horn(_read(path))
 
 
-def cmd_horn_imp(args) -> int:
+def _lines(lines: Iterable[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _profile_line(p: RelationProfile) -> str:
+    d = p.as_dict()
+    line = f"{p.name} (arity {p.arity}): " + ", ".join(k for k, v in d.items() if v is True)
+    unknown = [k for k, v in d.items() if v is None]
+    return line + "; unknown: " + ", ".join(unknown) if unknown else line
+
+
+def cmd_classify_relation(args) -> Answer:
+    profiles = [profile(r) for r in _load_relations(args.file).values()]
+    return Answer([p.as_dict() for p in profiles],
+                  lambda: _lines(map(_profile_line, profiles)))
+
+
+def cmd_classify_set(args) -> Answer:
+    cl = classify_set(_load_relations(args.file).values())
+    pr = predict(cl)
+    return Answer({"classification": cl.to_json(), "prediction": pr.to_json()},
+                  lambda: f"{cl.set_class}; Conn_C: {pr.conn}; st-Conn_C: {pr.st_conn}; "
+                          f"diameter: {pr.diameter_bound}\n")
+
+
+def cmd_conn(args) -> Answer:
+    decision = decide_connectivity(_load_formula(args.file), method=args.method)
+
+    def text() -> str:
+        if decision.connected is None:
+            return (f"undecided (too large to enumerate); set class {decision.set_class}, "
+                    f"predicted {decision.prediction.conn}\n")
+        return "connected\n" if decision.connected else "disconnected\n"
+
+    return Answer(decision.to_json(), text, no=decision.connected is False)
+
+
+def cmd_stconn(args) -> Answer:
+    ok, path = sg.st_connected(_load_formula(args.file), args.s, args.t)
+    return Answer({"connected": ok, "path": list(path) if path else None},
+                  lambda: f"connected: {' '.join(path)}\n" if ok else "disconnected\n",
+                  no=not ok)
+
+
+def cmd_diameter(args) -> Answer:
+    d = sg.diameter(_load_formula(args.file))
+    return Answer({"diameter": d}, lambda: f"{d}\n")
+
+
+def cmd_components(args) -> Answer:
+    comps = sg.components(_load_formula(args.file))
+    return Answer({"components": [list(c) for c in comps]},
+                  lambda: _lines(" ".join(c) for c in comps) if comps else "unsatisfiable\n")
+
+
+def cmd_graph(args) -> Answer:
+    dot = sg.export_dot(_load_formula(args.file))
+    return Answer(None, lambda: dot)
+
+
+def cmd_report(args) -> Answer:
+    rep = sg.report(_load_formula(args.file))
+    return Answer(rep.to_json(), lambda: _lines([
+        f"variables: {rep.n_variables}",
+        f"solutions: {rep.n_solutions}",
+        f"connected: {str(rep.connected).lower()}",
+        f"diameter: {rep.diameter}",
+        *(f"component {i}: " + " ".join(c) for i, c in enumerate(rep.components))]))
+
+
+def cmd_horn_imp(args) -> Answer:
     view = _load_horn(args.file)
     missing = [v for v in args.vars if v not in view.variables]
     if missing:
         raise RelconnError(f"unknown variables: {', '.join(missing)}")
     result = sorted(hornmod.imp(view, args.vars))
-    _emit_json({"imp": result}) if args.json else print(" ".join(result))
-    return 0
+    return Answer({"imp": result}, lambda: " ".join(result) + "\n")
 
 
-def cmd_horn_selfimp(args) -> int:
-    view = _load_horn(args.file)
-    sets = hornmod.maximal_self_implicating_sets(view)
-    if args.json:
-        _emit_json({"maximal_self_implicating": [sorted(s) for s in sets]})
-    else:
-        for s in sets:
-            print(" ".join(sorted(s)) if s else "(empty)")
-    return 0
+def cmd_horn_selfimp(args) -> Answer:
+    sets = [sorted(s) for s in hornmod.maximal_self_implicating_sets(_load_horn(args.file))]
+    return Answer({"maximal_self_implicating": sets},
+                  lambda: _lines(" ".join(s) or "(empty)" for s in sets))
 
 
-def cmd_horn_normalize(args) -> int:
-    view = _load_horn(args.file)
-    normal = hornmod.normalize(view)
-    if args.json:
-        _emit_json({"variables": list(normal.variables),
-                    "clauses": [hornmod.format_clause(c) for c in normal.clauses]})
-    else:
-        print(hornmod.format_horn(normal), end="")
-    return 0
+def cmd_horn_normalize(args) -> Answer:
+    normal = hornmod.normalize(_load_horn(args.file))
+    return Answer({"variables": list(normal.variables),
+                   "clauses": [hornmod.format_clause(c) for c in normal.clauses]},
+                  lambda: hornmod.format_horn(normal))
 
 
-def cmd_reduce(args) -> int:
-    psi = _load_formula(args.file)
-    red = reduce_sat_to_conn(psi)
-    text = format_formula(red.formula)
-    if args.json:
-        text = _json_text({
-            "formula": text,
-            "input_variables": list(red.input_variables),
-            "chain_variables": list(red.chain_variables),
-            "gadget_variables": [list(g) for g in red.gadget_variables],
-        })
-    if args.output and args.output != "-":
-        _write(args.output, text)
-    else:
-        print(text, end="")
-    return 0
+def cmd_reduce(args) -> Answer:
+    red = reduce_sat_to_conn(_load_formula(args.file))
+    formula = format_formula(red.formula)
+    return Answer({"formula": formula,
+                   "input_variables": list(red.input_variables),
+                   "chain_variables": list(red.chain_variables),
+                   "gadget_variables": [list(g) for g in red.gadget_variables]},
+                  lambda: formula)
 
 
-def cmd_express_m(args) -> int:
+def cmd_express_m(args) -> Answer:
     rels = _load_relations(args.file)
-    rel = next(iter(rels.values()))
-    out = express_m_details(rel)
-    if args.json:
-        _emit_json({"formula": format_formula(out.formula), "shape": out.shape,
-                    "slots": list(out.slots)})
-    else:
-        print(format_formula(out.formula), end="")
-    return 0
+    out = express_m_details(next(iter(rels.values())))
+    formula = format_formula(out.formula)
+    return Answer({"formula": formula, "shape": out.shape, "slots": list(out.slots)},
+                  lambda: formula)
 
 
-def cmd_cpss_search(args) -> int:
+def cmd_cpss_search(args) -> Answer:
     """Experimental: look for non-CPSS behavior at random; asserts nothing."""
     rels = _load_relations(args.file)
     hit = search_separation_counterexample(
         list(rels.values()), seed=args.seed, tries=args.tries,
         max_vars=args.max_vars)
-    if args.json:
-        _emit_json({"found": hit is not None,
-                    "formula": format_formula(hit) if hit else None})
-    elif hit is None:
-        print("none found")
-    else:
-        print(format_formula(hit), end="")
-    return 0
+    formula = format_formula(hit) if hit else None
+    return Answer({"found": hit is not None, "formula": formula},
+                  lambda: formula or "none found\n")
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:
@@ -260,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="relconn",
         description="Connectivity of Boolean constraint solution graphs.")
+    # main reads these on every subcommand, also where the option is absent
+    ap.set_defaults(json=False, exit_status=False, output=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify-relation", help="closure profile per relation")
@@ -299,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="export the solution graph")
     p.add_argument("file", help="formula file")
-    p.add_argument("--dot", required=True, metavar="OUT",
+    p.add_argument("--dot", dest="output", required=True, metavar="OUT",
                    help="DOT output path, - for stdout")
     p.set_defaults(func=cmd_graph)
 
@@ -355,13 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command line; the only place that writes a result."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        answer = args.func(args)
+        out = (json.dumps(answer.doc, sort_keys=True, indent=2) + "\n" if args.json
+               else answer.text())
+        if args.output in (None, "-"):
+            sys.stdout.write(out)
+        else:
+            try:
+                Path(args.output).write_text(out)
+            except OSError as exc:
+                raise RelconnError(
+                    f"cannot write {args.output}: {exc.strerror or exc}") from exc
     except RelconnError as exc:
         print(f"relconn: error: {exc}", file=sys.stderr)
         return 2
+    return 1 if args.exit_status and answer.no else 0
 
 
 if __name__ == "__main__":

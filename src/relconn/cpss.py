@@ -53,7 +53,7 @@ from .classify import SetClassification, classify_set, predict, Predictions
 from .errors import (ClauseExtractionError, FormulaError, NonCpssError,
                      RelconnError, VarsLimitError)
 from .formulas import (CONSTANTS, ClauseSet, Constraint, Formula, XorEquation,
-                       make_formula, to_clausal)
+                       holds_on_constants, make_formula, to_clausal)
 from .relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation
 from . import solution_graph
 
@@ -378,7 +378,7 @@ def conn_cpss(phi: Formula, check: bool = True) -> CpssReport:
 def _conn_cpss(phi: Formula, cls: str) -> CpssReport:
     # a false constraint on constants alone leaves no solutions, connected
     # by convention; a true one has no clause and no projection
-    if not all(int("".join(c.args), 2) in phi.relation_of(c)
+    if not all(holds_on_constants(phi, c)
                for c in phi.constraints if CONSTANTS.issuperset(c.args)):
         return CpssReport(True, False, ())
     clause_set = to_clausal(phi, cls)

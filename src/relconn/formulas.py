@@ -34,8 +34,7 @@ from .errors import ClauseExtractionError, FormulaError, FormulaParseError
 from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
                         check_property)
 
-VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_CONSTRAINT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)\s*\Z")
+_CONSTRAINT_RE = re.compile(rf"({catalog.NAME_RE.pattern})\s*\(([^()]*)\)\s*\Z")
 
 SCHAEFER_CLASSES = (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE)
 CONSTANTS = frozenset(("0", "1"))
@@ -71,7 +70,7 @@ class Formula:
         if len(declared) != len(self.variables):
             raise FormulaError("duplicate variable in variable list")
         for v in self.variables:
-            if not VAR_RE.match(v):
+            if not catalog.NAME_RE.fullmatch(v):
                 raise FormulaError(f"bad variable name {v!r}")
         for c in self.constraints:
             rel = self.library.get(c.relation)
@@ -130,24 +129,12 @@ def parse_formula(text: str,
             library[name] = rel
     header: tuple[str, ...] | None = None
     constraints: list[Constraint] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = catalog.strip_comment(raw).strip()
-        if not line:
-            continue
+    for lineno, line in catalog.read_lines(text):
         if line.startswith("rel "):
-            rel = parse_rel_line(line, lineno)
-            if rel.name in library and library[rel.name] != rel:
-                raise FormulaParseError(f"line {lineno}: relation {rel.name!r} redefined")
-            library[rel.name] = rel
+            catalog.add_relation(library, lineno, line)
             continue
         if line.startswith("var ") or line == "var":
-            if header is not None:
-                raise FormulaParseError(f"line {lineno}: second var line")
-            names = line.split()[1:]
-            for v in names:
-                if not VAR_RE.match(v):
-                    raise FormulaParseError(f"line {lineno}: bad variable name {v!r}")
-            header = tuple(names)
+            header = catalog.parse_var_line(lineno, line, header)
             continue
         m = _CONSTRAINT_RE.match(line)
         if not m:
@@ -157,7 +144,7 @@ def parse_formula(text: str,
         for a in args:
             if a in ("0", "1"):
                 continue
-            if not VAR_RE.match(a):
+            if not catalog.NAME_RE.fullmatch(a):
                 raise FormulaParseError(f"line {lineno}: bad argument {a!r}")
         if not args:
             raise FormulaParseError(f"line {lineno}: constraint with no arguments")
@@ -168,19 +155,17 @@ def parse_formula(text: str,
         raise FormulaParseError(str(exc)) from None
 
 
-def parse_rel_line(line: str, lineno: int) -> Relation:
-    try:
-        return catalog.parse_relation_line(line)
-    except FormulaParseError as exc:
-        raise FormulaParseError(f"line {lineno}: {exc}") from None
-
-
 def format_formula(phi: Formula) -> str:
     """Self-contained text for a formula (relations inlined)."""
     lines = [catalog.format_relation(rel) for rel in phi.used_relations()]
     lines.append("var " + " ".join(phi.variables))
     lines.extend(str(c) for c in phi.constraints)
     return "\n".join(lines) + "\n"
+
+
+def holds_on_constants(phi: Formula, c: Constraint) -> bool:
+    """Truth of a constraint of phi whose arguments are all constants."""
+    return bool(phi.relation_of(c).mask >> int("".join(c.args), 2) & 1)
 
 
 def evaluate(phi: Formula, assignment: Mapping[str, int]) -> bool:
@@ -369,7 +354,7 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
     pairs = []
     for i, c in enumerate(phi.constraints):
         if CONSTANTS.issuperset(c.args):
-            vars_, mask = (), (phi.relation_of(c).mask >> int("".join(c.args), 2)) & 1
+            vars_, mask = (), int(holds_on_constants(phi, c))
             pairs.append((vars_, None))
         else:
             vars_, rel = pair = constraint_relation(phi, i)

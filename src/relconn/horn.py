@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 from . import bitspace
 from .bitspace import conjunction_space
-from .catalog import strip_comment
+from .catalog import NAME_RE, parse_var_line, read_lines
 from .errors import FormulaParseError, HornStructureError
-from .formulas import VAR_RE, CnfClause, Formula, clause_item, to_clausal
+from .formulas import CnfClause, Formula, clause_item, to_clausal
 from .relations import HORN
 
 
@@ -67,23 +67,16 @@ def parse_horn(text: str) -> HornView:
     seen: dict[str, None] = {}
 
     def note(v: str, lineno: int) -> str:
-        if not VAR_RE.match(v):
+        if not NAME_RE.fullmatch(v):
             raise FormulaParseError(f"line {lineno}: bad variable name {v!r}")
         seen.setdefault(v)
         return v
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = strip_comment(raw).strip()
-        if not line:
+    for lineno, line in read_lines(text):
+        if line.startswith("var ") or line == "var":
+            header = parse_var_line(lineno, line, header)
             continue
         toks = line.split()
-        if line.startswith("var ") or line == "var":
-            if header is not None:
-                raise FormulaParseError(f"line {lineno}: second var line")
-            header = tuple(note(v, lineno) for v in toks[1:])
-            if len(set(header)) != len(header):
-                raise FormulaParseError(f"line {lineno}: duplicate variable in var line")
-            continue
         if line.startswith("- ") or all(t.startswith("-") for t in toks):
             # `- y z` lists names, `-y -z` negative literals of one `-` each
             names = toks[1:] if toks[0] == "-" else [t[1:] for t in toks]

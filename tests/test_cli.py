@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -12,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from relconn import cpss
-from relconn.cli import main
+from relconn import cli, cpss, horn
+from relconn.cli import build_parser, main
 from relconn.formulas import parse_formula
 from relconn.catalog import CATALOG
 
@@ -253,6 +254,19 @@ class TestHorn:
         assert run(capsys, "horn", command, path, *tail) == (
             2, "", f"relconn: error: {message}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("var a a\nN(a,a)\n", "line 1: duplicate variable in var line"),
+        ("var a\nvar b\nN(a,b)\n", "line 2: second var line"),
+        ("var a 1b\nN(a,a)\n", "line 1: bad variable name '1b'"),
+        ("rel X 1 : 0\nrel X 1 : 1\nX(a)\n", "line 2: relation 'X' redefined"),
+        ("rel N 1 : 0\nN(a)\n", "line 1: relation 'N' redefined"),
+    ])
+    def test_malformed_formula_text_exits_2(self, capsys, tmp_path, text, message):
+        # .cnfs files share the .horn var line parser and the .rel line parser
+        path = tmp_path / "bad.cnfs"
+        path.write_text(text)
+        assert run(capsys, "conn", path) == (2, "", f"relconn: error: {message}\n")
+
 
 class TestConstructions:
     def test_reduce_roundtrip(self, capsys, tmp_path):
@@ -325,6 +339,71 @@ class TestConstructions:
         if value == "25":
             assert err == ("relconn: error: max_vars must be at most the "
                            "exhaustive bound 24, got 25\n")
+
+
+def subcommands(parser: argparse.ArgumentParser) -> list[tuple[str, ...]]:
+    """The command words of every leaf subcommand under parser."""
+    leaves = [(name, *rest)
+              for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)
+              for name, sub in action.choices.items()
+              for rest in subcommands(sub)]
+    return leaves or [()]
+
+
+# a sample command line for each subcommand that takes --json
+JSON_SAMPLES = {
+    ("classify-relation",): [sample("m.rel")],
+    ("classify-set",): [sample("rconp.rel")],
+    ("conn",): [sample("triangle.cnfs")],
+    ("stconn",): [sample("conp.cnfs"), "0000", "1000"],
+    ("diameter",): [sample("conp.cnfs")],
+    ("components",): [sample("conp.cnfs")],
+    ("report",): [sample("conp.cnfs")],
+    ("horn", "imp"): [sample("clauses.horn"), "u"],
+    ("horn", "selfimp"): [sample("clauses.horn")],
+    ("horn", "normalize"): [sample("clauses.horn")],
+    ("reduce",): [sample("gr.cnfs")],
+    ("express-m",): [sample("m.rel")],
+    ("cpss-search",): [sample("bijunctive.rel"), "--tries", "5"],
+}
+
+
+class TestOneOutputPath:
+    """cli.main alone turns a handler's answer into output."""
+
+    def test_every_subcommand_but_graph_has_a_json_sample(self):
+        assert set(subcommands(build_parser())) == {*JSON_SAMPLES, ("graph",)}
+
+    @pytest.mark.parametrize("words", JSON_SAMPLES, ids=" ".join)
+    def test_json_prints_one_document(self, capsys, words):
+        code, out, err = run(capsys, *words, *JSON_SAMPLES[words], "--json")
+        assert (code, err) == (0, "")
+        # json.loads rejects a second document after the first
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    def test_json_path_renders_no_text(self, capsys, monkeypatch):
+        def no_text(view):
+            raise AssertionError("text rendered on the --json path")
+
+        monkeypatch.setattr(horn, "format_horn", no_text)
+        code, out, err = run(capsys, "horn", "normalize", sample("clauses.horn"),
+                             "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["variables"] == ["u", "v", "w", "y", "z"]
+
+    def test_handlers_neither_print_nor_read_json(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        handlers = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                    and f.name.startswith("cmd_")]
+        assert len(handlers) == len(subcommands(build_parser()))
+        for f in handlers:
+            for node in ast.walk(f):
+                assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "print"), f.name
+                assert not (isinstance(node, ast.Attribute) and node.attr == "json"
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "args"), f.name
 
 
 class TestErrors:
