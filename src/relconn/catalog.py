@@ -1,6 +1,6 @@
 """Built-in relations, the `rel` text format, and the front end that the
 `.rel`, `.cnfs` and `.horn` readers share: one line reader, one name
-pattern, one `var` line parser and one `rel` line parser.
+pattern, one keyword test, one `var` line parser and one `rel` line parser.
 
 Text format, one relation per line:
 
@@ -54,6 +54,13 @@ def read_lines(text: str) -> Iterator[tuple[int, str]]:
         line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
+
+
+def is_keyword_line(line: str, keyword: str) -> bool:
+    """Whether a stripped line is `keyword` alone or `keyword` followed by
+    whitespace of any kind, as `var` and `rel` lines are."""
+    return line.startswith(keyword) and (len(line) == len(keyword)
+                                         or line[len(keyword)].isspace())
 
 
 def parse_var_line(lineno: int, line: str,

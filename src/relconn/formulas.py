@@ -18,6 +18,13 @@ arguments; clause_item and equation_item turn clauses and XOR equations
 into its items.  CnfClause is the package's one clause type: cnf_implicates
 returns it, to_clausal's clause sets and the Horn views of module horn hold
 it.
+
+cnf_implicates reads a relation's prime clauses of one shape (bijunctive,
+Horn, dual Horn) off its mask with one candidate table per (width, shape):
+each row holds a clause's falsifying cell and the rows of its clauses one
+literal shorter, so a call is one pass of cell tests.  The tables of widths
+up to TABLES_KEPT_WIDTH_MAX = 8 are built once and kept (1.6 MiB for all
+three shapes); wider rows are made as a call reads them and kept nowhere.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from . import catalog
 from .bitspace import (conjunction_space, coord_mask, full_mask, gf2_reduce,
@@ -130,10 +137,10 @@ def parse_formula(text: str,
     header: tuple[str, ...] | None = None
     constraints: list[Constraint] = []
     for lineno, line in catalog.read_lines(text):
-        if line.startswith("rel "):
+        if catalog.is_keyword_line(line, "rel"):
             catalog.add_relation(library, lineno, line)
             continue
-        if line.startswith("var ") or line == "var":
+        if catalog.is_keyword_line(line, "var"):
             header = catalog.parse_var_line(lineno, line, header)
             continue
         m = _CONSTRAINT_RE.match(line)
@@ -265,6 +272,81 @@ class ClauseSet:
     constraint_relations: tuple[tuple[tuple[str, ...], Relation | None], ...] = ()
 
 
+# Widths whose candidate tables stay cached for the life of the process.
+# Under CPython 3.11, tracemalloc puts the tables of all three shapes at
+# 0.25 MiB for widths up to 6, 1.6 MiB up to 8 and 10 MiB up to 10.  A
+# wider call walks the rows as _candidate_rows makes them and keeps none,
+# so it never holds all its 2^k-bit cells at once.
+TABLES_KEPT_WIDTH_MAX = 8
+# a candidate row: cell, positive and negative coordinates, shorter rows
+_Row = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# (width, shape) -> the rows of _candidate_rows
+_TABLES: dict[tuple[int, str], tuple[_Row, ...]] = {}
+
+
+def _candidate_rows(k: int, shape: str) -> Iterator[_Row]:
+    """The candidate clauses of the shape over k coordinates, in
+    cnf_implicates' order, one row each: the clause's cell, the tuples with
+    coordinate 0 under every positive literal and 1 under every negative
+    one; its positive and negative coordinates; and the indexes of the rows
+    of its clauses one literal shorter.
+
+    Rows come by width and, within a width, by coordinate selection in
+    combinations order, each selection's rows in one run.  So dropping
+    literal j of a clause on sel lands in the run of less[j], sel less
+    sel[j], which starts at subs[j].
+    """
+    full = full_mask(k)
+    ones = [coord_mask(k, k - 1 - c) for c in range(k)]
+    zeros = [full ^ m for m in ones]
+    yield full, (), (), ()
+    first = {(): 0}  # coordinate selection -> index of its first row
+    i = 1
+    for width in ((1, 2) if shape == BIJUNCTIVE else range(1, k + 1)):
+        for sel in combinations(range(k), width):
+            first[sel] = i
+            less = [sel[:j] + sel[j + 1:] for j in range(width)]
+            subs = [first[t] for t in less]
+            if shape == BIJUNCTIVE:
+                # bit b of signs makes sel[b] positive; runs are in signs order
+                run = [(tuple(c for b, c in enumerate(sel) if signs >> b & 1),
+                        tuple(c for b, c in enumerate(sel) if not signs >> b & 1),
+                        tuple(subs[j] + ((signs >> (j + 1) << j) | (signs & ((1 << j) - 1)))
+                              for j in range(width)))
+                       for signs in range(1 << width)]
+            else:
+                # all-negative, then each single-positive choice; the head
+                # sel[h] is coordinate h - 1 of less[j] for j < h and h for
+                # j > h, behind the run's all-negative row
+                run = [((), sel, tuple(subs))] + [
+                    ((sel[h],), less[h],
+                     (subs[h], *[s + h for s in subs[:h]], *[s + h + 1 for s in subs[h + 1:]]))
+                    for h in range(width)]
+                if shape == DUAL_HORN:
+                    run = [(neg, pos, shorter) for pos, neg, shorter in run]
+            for pos, neg, shorter in run:
+                cell = full
+                for c in pos:
+                    cell &= zeros[c]
+                for c in neg:
+                    cell &= ones[c]
+                yield cell, pos, neg, shorter
+            i += len(run)
+
+
+def _candidate_table(k: int, shape: str) -> Iterable[_Row]:
+    """The rows of width k and the shape, kept in _TABLES up to
+    TABLES_KEPT_WIDTH_MAX and made lazily, kept nowhere, above it.  Callers
+    read `_TABLES.get((k, shape)) or _candidate_table(k, shape)`."""
+    if shape not in (BIJUNCTIVE, HORN, DUAL_HORN):
+        raise ClauseExtractionError(f"no clause shape for {shape!r}")
+    rows = _candidate_rows(k, shape)
+    if k > TABLES_KEPT_WIDTH_MAX:
+        return rows
+    table = _TABLES[k, shape] = tuple(rows)
+    return table
+
+
 def cnf_implicates(vars_: tuple[str, ...], mask: int, shape: str) -> list[CnfClause]:
     """Prime implicates of the given shape.
 
@@ -273,50 +355,26 @@ def cnf_implicates(vars_: tuple[str, ...], mask: int, shape: str) -> list[CnfCla
     its cell, the tuples with coordinate 0 under every positive literal and
     1 under every negative one, misses the mask.  Each shape is closed under
     dropping literals and candidates come by width, so a clause is prime
-    iff it holds and no clause one literal shorter, met before, holds.
+    iff it holds and no clause one literal shorter holds.
+
+    The candidates of a (width, shape) pair are the rows of one table,
+    built once by _candidate_rows: each row holds the clause's cell and the
+    rows of its clauses one literal shorter, so a call is one pass of cell
+    tests and set probes.  The tables up to width TABLES_KEPT_WIDTH_MAX (8;
+    1.6 MiB for all three shapes) are kept in _TABLES; wider rows are made
+    as the pass reads them.
     """
     k = len(vars_)
-    coords = range(k)
-    if shape == BIJUNCTIVE:
-        candidates = [((), ())]
-        for width in (1, 2):
-            for sel in combinations(coords, width):
-                for signs in range(1 << width):
-                    pos = tuple(c for b, c in enumerate(sel) if signs >> b & 1)
-                    neg = tuple(c for b, c in enumerate(sel) if not signs >> b & 1)
-                    candidates.append((pos, neg))
-    elif shape in (HORN, DUAL_HORN):
-        candidates = [((), ())]
-        for width in range(1, k + 1):
-            for sel in combinations(coords, width):
-                # all-negative plus each single-positive choice
-                candidates.append(((), sel))
-                for h in sel:
-                    rest = tuple(c for c in sel if c != h)
-                    candidates.append(((h,), rest))
-        if shape == DUAL_HORN:
-            candidates = [(neg, pos) for pos, neg in candidates]
-    else:
-        raise ClauseExtractionError(f"no clause shape for {shape!r}")
-
-    full = full_mask(k)
-    ones = [coord_mask(k, k - 1 - c) for c in coords]
-    zeros = [full ^ m for m in ones]
-    valid: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    valid: set[int] = set()
     prime: list[CnfClause] = []
-    for pos, neg in candidates:
-        cell = full
-        for c in pos:
-            cell &= zeros[c]
-        for c in neg:
-            cell &= ones[c]
+    for i, (cell, pos, neg, shorter) in enumerate(
+            _TABLES.get((k, shape)) or _candidate_table(k, shape)):
         if cell & mask:
             continue
-        valid.add((pos, neg))
-        if not (any((pos[:j] + pos[j + 1:], neg) in valid for j in range(len(pos)))
-                or any((pos, neg[:j] + neg[j + 1:]) in valid for j in range(len(neg)))):
-            prime.append(CnfClause(frozenset(vars_[c] for c in pos),
-                                   frozenset(vars_[c] for c in neg)))
+        valid.add(i)
+        if valid.isdisjoint(shorter):
+            prime.append(CnfClause(frozenset([vars_[c] for c in pos]),
+                                   frozenset([vars_[c] for c in neg])))
     return prime
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import bitspace
 from .bitspace import conjunction_space
-from .catalog import NAME_RE, parse_var_line, read_lines
+from .catalog import NAME_RE, is_keyword_line, parse_var_line, read_lines
 from .errors import FormulaParseError, HornStructureError
 from .formulas import CnfClause, Formula, clause_item, to_clausal
 from .relations import HORN
@@ -73,7 +73,7 @@ def parse_horn(text: str) -> HornView:
         return v
 
     for lineno, line in read_lines(text):
-        if line.startswith("var ") or line == "var":
+        if is_keyword_line(line, "var"):
             header = parse_var_line(lineno, line, header)
             continue
         toks = line.split()

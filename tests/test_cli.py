@@ -268,6 +268,52 @@ class TestHorn:
         assert run(capsys, "conn", path) == (2, "", f"relconn: error: {message}\n")
 
 
+class TestKeywordWhitespace:
+    """A `var` or `rel` keyword followed by a tab, alone or among blanks,
+    starts the same line as one followed by a single space."""
+
+    @staticmethod
+    def twin(tmp_path, name, sep):
+        text = (SAMPLES / name).read_text()
+        assert "\nvar " in "\n" + text
+        text = "\n".join(line.replace("var ", "var" + sep, 1).replace("rel ", "rel" + sep, 1)
+                         if line.startswith(("var ", "rel ")) else line
+                         for line in text.split("\n"))
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("sep", ["\t", "\t \t"])
+    @pytest.mark.parametrize("name", ["cir.cnfs", "conp.cnfs", "f.cnfs", "gr.cnfs",
+                                      "t.cnfs", "triangle.cnfs"])
+    def test_formula(self, capsys, tmp_path, name, sep):
+        path = self.twin(tmp_path, name, sep)
+        for flags in ([], ["--json"]):
+            want = run(capsys, "conn", sample(name), *flags)
+            assert want[0] == 0
+            assert run(capsys, "conn", path, *flags) == want
+
+    @pytest.mark.parametrize("sep", ["\t", "\t \t"])
+    @pytest.mark.parametrize("command, tail", [("imp", ["u"]), ("selfimp", []),
+                                               ("normalize", [])])
+    def test_horn(self, capsys, tmp_path, sep, command, tail):
+        path = self.twin(tmp_path, "clauses.horn", sep)
+        for flags in ([], ["--json"]):
+            want = run(capsys, "horn", command, sample("clauses.horn"), *tail, *flags)
+            assert want[0] == 0
+            assert run(capsys, "horn", command, path, *tail, *flags) == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("var\ta a\nN(a,a)\n", "line 1: duplicate variable in var line"),
+        ("var a\nvar\tb\nN(a,b)\n", "line 2: second var line"),
+        ("rel\tX 1 : 0\nrel X 1 : 1\nX(a)\n", "line 2: relation 'X' redefined"),
+    ])
+    def test_errors_name_the_keyword_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.cnfs"
+        path.write_text(text)
+        assert run(capsys, "conn", path) == (2, "", f"relconn: error: {message}\n")
+
+
 class TestConstructions:
     def test_reduce_roundtrip(self, capsys, tmp_path):
         target = tmp_path / "out.cnfs"

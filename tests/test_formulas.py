@@ -19,7 +19,7 @@ from relconn.formulas import (CnfClause, Constraint, XorEquation,
                               constraint_relation, evaluate, format_formula,
                               make_formula, parse_formula, to_clausal)
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
-                               check_property)
+                               check_property, hull)
 
 from closure_oracle import close_under, op_and, op_maj, op_or, op_xor3
 from random_inputs import random_cpss_pool
@@ -423,6 +423,60 @@ class TestCnfImplicates:
                     for r in (rel, close_under(rel, ops[shape])):
                         sizes.add(len(self.check(k, r.mask, shape)))
                 assert k == 1 or max(sizes) > 1
+
+    def test_every_width_against_member_loop(self):
+        # widths 0 to one past the kept tables, so the kept and the lazily
+        # made rows both meet the reference; seeded masks of a few densities
+        # and their hulls, under which narrow clauses hold
+        rng = random.Random(20)
+        for k in range(formulas.TABLES_KEPT_WIDTH_MAX + 2):
+            full = (1 << (1 << k)) - 1
+            masks = [0, full] + [rng.getrandbits(1 << k) & rng.getrandbits(1 << k)
+                                 for _ in range(3)]
+            # and sparse ones, whose hulls stay apart from the full cube
+            masks += [sum(1 << rng.randrange(1 << k) for _ in range(k)) for _ in range(2)]
+            for shape in SHAPES:
+                closed = masks if k == 0 else \
+                    masks + [hull(Relation(k, m), shape).mask for m in masks]
+                sizes = {len(self.check(k, m, shape)) for m in closed}
+                assert k < 2 or max(sizes) > 1
+
+    def test_wide_call_keeps_no_table(self):
+        k = formulas.TABLES_KEPT_WIDTH_MAX + 1
+        for shape in SHAPES:  # so that the widest kept tables exist
+            self.check(k - 1, 0b0110 << 3, shape)
+        kept = dict(formulas._TABLES)
+        for shape in SHAPES:
+            self.check(k, random.Random(k).getrandbits(1 << k), shape)
+        assert formulas._TABLES.keys() == kept.keys()
+        assert all(formulas._TABLES[key] is rows for key, rows in kept.items())
+
+    @pytest.mark.parametrize("k", [0, 2, formulas.TABLES_KEPT_WIDTH_MAX + 1])
+    @pytest.mark.parametrize("shape", [AFFINE, "2-cnf", ""])
+    def test_unknown_shape_raises_and_keeps_nothing(self, k, shape):
+        vars_ = tuple(f"x{j}" for j in range(k))
+        kept = dict(formulas._TABLES)
+        with pytest.raises(ClauseExtractionError, match="no clause shape"):
+            formulas.cnf_implicates(vars_, 1, shape)
+        assert formulas._TABLES == kept
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rows_name_their_shorter_clauses(self, shape):
+        # a row's shorter rows are exactly the clauses of the shape with one
+        # literal fewer, and its cell is the tuples falsifying its clause
+        for k in range(formulas.TABLES_KEPT_WIDTH_MAX + 2):
+            rows = list(formulas._candidate_rows(k, shape))
+            where = {(pos, neg): i for i, (_, pos, neg, _) in enumerate(rows)}
+            assert len(where) == len(rows)
+            for i, (cell, pos, neg, shorter) in enumerate(rows):
+                want = {where[pos[:j] + pos[j + 1:], neg] for j in range(len(pos))} \
+                    | {where[pos, neg[:j] + neg[j + 1:]] for j in range(len(neg))}
+                assert set(shorter) == want and len(shorter) == len(want)
+                assert max(shorter, default=-1) < i
+                if k <= 6:
+                    assert cell == sum(1 << t for t in range(1 << k)
+                                       if all(not t >> (k - 1 - c) & 1 for c in pos)
+                                       and all(t >> (k - 1 - c) & 1 for c in neg))
 
 
 class TestCatalogFile:
