@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -64,6 +64,55 @@ def _load_relations(path: str):
 
 def _load_horn(path: str) -> hornmod.HornView:
     return hornmod.parse_horn(_read(path))
+
+
+def render_json(doc: object) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, for a
+    document of dicts with str keys, lists and tuples, str, int, bool and
+    None; the standard encoder runs in pure Python whenever it indents."""
+    chunks: list[str] = []
+    _render(doc, "\n", chunks)
+    return "".join(chunks)
+
+
+def _render(doc: object, indent: str, chunks: list[str]) -> None:
+    """Append the text of doc, nested at `indent`, to chunks.  The parts
+    are joined once, at the end, not copied again at every level."""
+    if isinstance(doc, str):
+        chunks.append(encode_basestring_ascii(doc))
+    elif doc is None:
+        chunks.append("null")
+    elif isinstance(doc, bool):
+        chunks.append("true" if doc else "false")
+    elif isinstance(doc, int):
+        chunks.append(int.__repr__(doc))
+    elif isinstance(doc, (dict, list, tuple)):
+        if not doc:
+            chunks.append("{}" if isinstance(doc, dict) else "[]")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        if isinstance(doc, dict):
+            lead = "{" + inner
+            for k in sorted(doc):
+                chunks.append(lead + encode_basestring_ascii(k) + ": ")
+                _render(doc[k], inner, chunks)
+                lead = sep
+            chunks.append(indent + "}")
+            return
+        try:  # a list of strings, most answers' bulk, in one C-level pass
+            body = sep.join(map(encode_basestring_ascii, doc))
+        except TypeError:
+            lead = "[" + inner
+            for x in doc:
+                chunks.append(lead)
+                _render(x, inner, chunks)
+                lead = sep
+        else:
+            chunks += ("[" + inner, body)
+        chunks.append(indent + "]")
+    else:
+        raise TypeError(f"{type(doc).__name__} is not a JSON answer type")
 
 
 def _lines(lines: Iterable[str]) -> str:
@@ -304,8 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         answer = args.func(args)
-        out = (json.dumps(answer.doc, sort_keys=True, indent=2) + "\n" if args.json
-               else answer.text())
+        out = render_json(answer.doc) + "\n" if args.json else answer.text()
         if args.output in (None, "-"):
             sys.stdout.write(out)
         else:

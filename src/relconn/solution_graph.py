@@ -13,43 +13,53 @@ per call: bitmask sweeps or BFS rounds over the whole 2^n-bit mask while
 they cost less than the explicit route, then a hash-set search over
 single-bit flips whose cost follows the component rather than the cube.
 
-The diameter runs all BFS sources of a component at once, as the bits of
-one reach int per vertex: D rounds of 2|E| ORs of ints about |C|/2 bits
-wide, for a component of |C| vertices, |E| edges and diameter D, with the
-reach ints held to REACH_BITS_MAX bits by running the sources in batches.
-A component of more than DIAMETER_VERTICES_MAX vertices raises
+The diameter is a sum over factors: groups of variables that share no
+constraint.  The solution graph of a conjunction over disjoint variable
+sets is the Cartesian product of the factors' graphs, where distances
+add, so its diameter is the sum of each factor's largest component
+diameter, and 0 when some factor is unsatisfiable.  A variable in no
+constraint is a K2 factor and adds 1; a constraint on constants only
+either drops out or makes the formula unsatisfiable.  Each other factor's
+space is built over its own variables, and all BFS sources of each of its
+components run at once, as the bits of one reach int per vertex: D rounds
+of 2|E| ORs of ints about |C|/2 bits wide, for a component of |C|
+vertices, |E| edges and diameter D, with the reach ints held to
+REACH_BITS_MAX bits by running the sources in batches.  A factor's
+component of more than DIAMETER_VERTICES_MAX vertices raises
 DiameterLimitError before any neighbour list is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import bitspace
 from .bitspace import BRUTE_VARS_MAX, conjunction_space
 from .errors import DiameterLimitError, NotASolutionError
-from .formulas import Formula
+from .formulas import Constraint, Formula
 from .relations import Relation
 
 # Bits of the reach ints that the diameter pass holds at once (16 MiB):
 # one batch per side while a component has at most 16,384 vertices.
 REACH_BITS_MAX = 1 << 27
-# Largest component the diameter pass takes: its neighbour lists hold about
-# 300 bytes per vertex and its time grows with the square of the vertex
-# count (16,640 vertices take about 0.9 s on a 2-core host).
+# Largest component of one factor that the diameter pass takes: its
+# neighbour lists hold about 300 bytes per vertex and its time grows with
+# the square of the vertex count (16,640 vertices take about 0.9 s on a
+# 2-core host).  A product of small factors passes whatever its size.
 DIAMETER_VERTICES_MAX = 1 << 17
 
 
 def solution_space(phi: Formula) -> int:
     """Bitmask over all 2^n assignments; bit i set iff assignment i satisfies
     phi, the first of phi.variables being the most significant bit of i."""
-    return conjunction_space(phi.variables, _items(phi))
+    return conjunction_space(phi.variables, _items(phi, phi.constraints))
 
 
-def _items(phi: Formula) -> Iterator[tuple[int, int, tuple[str, ...]]]:
-    """The constraints as conjunction_space items."""
-    return ((phi.relation_of(c).mask, len(c.args), c.args) for c in phi.constraints)
+def _items(phi: Formula, constraints: Iterable[Constraint]
+           ) -> Iterator[tuple[int, int, tuple[str, ...]]]:
+    """Constraints of phi as conjunction_space items."""
+    return ((phi.relation_of(c).mask, len(c.args), c.args) for c in constraints)
 
 
 def solutions(phi: Formula) -> list[int]:
@@ -60,7 +70,7 @@ def solutions(phi: Formula) -> list[int]:
 def formula_relation(phi: Formula) -> Relation:
     """The set of solutions as a relation over the variables in name order."""
     order = sorted(phi.variables)
-    return Relation(len(order), conjunction_space(order, _items(phi)))
+    return Relation(len(order), conjunction_space(order, _items(phi, phi.constraints)))
 
 
 def component_spaces(phi: Formula) -> list[int]:
@@ -219,9 +229,58 @@ def _diameter(comps: list[int], n: int) -> int:
                default=0)
 
 
+def _factors(phi: Formula) -> list[tuple[tuple[str, ...], list[Constraint]]]:
+    """phi's variables split into factors, groups that share no constraint
+    (union-find over each constraint's variables), each with its
+    constraints, both in phi's order.  The constraints on constants only,
+    if any, form a factor of no variables."""
+    root = {v: v for v in phi.variables}
+
+    def find(v: str) -> str:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for c in phi.constraints:
+        vs = c.variables()
+        for v in vs[1:]:
+            root[find(v)] = find(vs[0])
+    groups: dict[str, tuple[list[str], list[Constraint]]] = {}
+    for c in phi.constraints:
+        vs = c.variables()
+        groups.setdefault(find(vs[0]) if vs else "", ([], []))[1].append(c)
+    for v in phi.variables:
+        groups.setdefault(find(v), ([], []))[0].append(v)
+    return [(tuple(names), cons) for names, cons in groups.values()]
+
+
+def _factored_diameter(phi: Formula, whole: list[int] | None = None) -> int:
+    """The diameter as a sum over phi's factors (see the module docstring).
+
+    `whole`, phi's components when the caller has them, stands in for the
+    components of a factor that holds every variable.  Every factor's
+    components are found, and an unsatisfiable factor answers 0, before
+    any diameter pass.
+    """
+    total = 0
+    factors = []
+    for names, cons in _factors(phi):
+        k = len(names)
+        if not cons:
+            total += 1  # a variable in no constraint: a K2 factor
+            continue
+        comps = (whole if whole is not None and k == phi.n else
+                 bitspace.component_masks(
+                     conjunction_space(names, _items(phi, cons)), k))
+        if not comps:
+            return 0
+        factors.append((comps, k))
+    return total + sum(_diameter(comps, k) for comps, k in factors)
+
+
 def diameter(phi: Formula) -> int:
     """Max over components of the largest shortest-path distance inside it."""
-    return _diameter(component_spaces(phi), phi.n)
+    return _factored_diameter(phi)
 
 
 def locally_minimal(phi: Formula) -> list[str]:
@@ -257,7 +316,7 @@ def report(phi: Formula) -> SolutionGraphReport:
     n = phi.n
     space = solution_space(phi)
     comps = bitspace.component_masks(space, n)
-    diam = _diameter(comps, n)
+    diam = _factored_diameter(phi, comps)
     loc_min = bitspace.locally_minimal(space, n)
     comp_tuples = []
     minimums = []

@@ -12,6 +12,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relconn import cli, cpss, horn
 from relconn.cli import build_parser, main
@@ -24,6 +26,24 @@ SRC = SAMPLES.parent / "src"
 
 def sample(name: str) -> str:
     return str(SAMPLES / name)
+
+
+@pytest.fixture(autouse=True)
+def rendered_json(monkeypatch):
+    """Every --json document that main renders in these tests must be what
+    json.dumps(doc, sort_keys=True, indent=2) gives; returns the documents
+    checked."""
+    render = cli.render_json
+    docs = []
+
+    def checked(doc):
+        text = render(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2)
+        docs.append(doc)
+        return text
+
+    monkeypatch.setattr(cli, "render_json", checked)
+    return docs
 
 
 def run(capsys, *args):
@@ -129,9 +149,11 @@ class TestGraphQueries:
     def test_diameter_bound_exits_2(self, capsys, tmp_path, command, flags):
         names = [f"x{i}" for i in range(18)]
         path = tmp_path / "cube.cnfs"
+        # a chain, so that the cube is one factor (disjoint pairs would be
+        # nine factors of four vertices each, well inside the bound)
         path.write_text("rel ALL 2 : 00 01 10 11\nvar " + " ".join(names)
                         + "\n" + "\n".join(f"ALL({a},{b})" for a, b
-                                            in zip(names[::2], names[1::2])))
+                                            in zip(names, names[1:])))
         code, out, err = run(capsys, command, path, *flags)
         assert (code, out) == (2, "")
         assert err == ("relconn: error: a component of 262144 solutions "
@@ -428,6 +450,11 @@ class TestOneOutputPath:
         # json.loads rejects a second document after the first
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
+    def test_every_json_sample_is_checked(self, capsys, rendered_json):
+        for words, rest in JSON_SAMPLES.items():
+            assert run(capsys, *words, *rest, "--json")[0] == 0
+        assert len(rendered_json) == len(JSON_SAMPLES)
+
     def test_json_path_renders_no_text(self, capsys, monkeypatch):
         def no_text(view):
             raise AssertionError("text rendered on the --json path")
@@ -450,6 +477,41 @@ class TestOneOutputPath:
                 assert not (isinstance(node, ast.Attribute) and node.attr == "json"
                             and isinstance(node.value, ast.Name)
                             and node.value.id == "args"), f.name
+
+
+JSON_LEAVES = (st.none() | st.booleans()
+               | st.integers(-2 ** 70, 2 ** 70)
+               # escapes, control characters, non-ASCII and astral text
+               | st.text(st.characters(blacklist_categories=("Cs",)))
+               | st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f",
+                                  "caf\u00e9", "\u2028", "\U0001f600", "0101"]))
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=30)
+
+
+class TestRenderJson:
+    """cli.render_json against json.dumps(doc, sort_keys=True, indent=2)."""
+
+    @given(JSON_DOCS)
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_documents(self, doc):
+        assert cli.render_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), "", 0, -1, True, False, None, [[]], {"a": {}}, {"a": []},
+        ["x", None, "y"], [True, 1, "1"], {"b": 1, "a": [{"c": ()}], "": "e"},
+        [[["deep"]], [[]], []], {"k": ["0", "1"] * 3}, 2 ** 100])
+    def test_fixtures(self, doc):
+        assert cli.render_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("doc", [1.5, [1.5], ["a", 0.5], {1: "a"}, {"a": {2}}])
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            cli.render_json(doc)
 
 
 class TestErrors:

@@ -19,7 +19,7 @@ from relconn.catalog import CATALOG, parse_relations
 from relconn.cpss import random_formula
 from relconn.errors import (DiameterLimitError, NotASolutionError,
                             VarsLimitError)
-from relconn.formulas import evaluate, make_formula, parse_formula
+from relconn.formulas import Constraint, evaluate, make_formula, parse_formula
 from relconn.relations import Relation
 
 from solution_oracle import project_enumerate, solution_strings
@@ -91,11 +91,27 @@ def old_export_dot(phi):
 
 
 def full_cube_formula(n):
-    """Every assignment to n (even) variables: one component of 2^n."""
+    """Every assignment to n variables, as the chain ALL(x0,x1), ALL(x1,x2),
+    ...: one factor whose one component has 2^n vertices."""
+    names = [f"x{i}" for i in range(n)]
+    return parse("rel ALL 2 : 00 01 10 11\nvar " + " ".join(names) + "\n"
+                 + "\n".join(f"ALL({a},{b})" for a, b in zip(names, names[1:])))
+
+
+def cube_pairs_formula(n):
+    """Every assignment to n (even) variables, as n/2 disjoint pairs
+    ALL(x0,x1), ALL(x2,x3), ...: n/2 factors of 4 vertices each."""
     names = [f"x{i}" for i in range(n)]
     return parse("rel ALL 2 : 00 01 10 11\nvar " + " ".join(names) + "\n"
                  + "\n".join(f"ALL({a},{b})"
                              for a, b in zip(names[::2], names[1::2])))
+
+
+def factor_spaces(phi):
+    """The components of each factor of phi that has constraints, over the
+    factor's own variables."""
+    return [sg.component_spaces(make_formula(cons, phi.library, names))
+            for names, cons in sg._factors(phi) if cons]
 
 
 def sample_formulas():
@@ -375,15 +391,18 @@ class TestDiameter:
                 for phi in formulas]
         for cap in (1, 40, 300):
             monkeypatch.setattr(sg, "REACH_BITS_MAX", cap)
-            # the largest component needs more than one batch per side
+            # the largest component of a factor needs more than one batch
+            # per side
             assert max(c.bit_count() ** 2 for phi in formulas
-                       for c in sg.component_spaces(phi)) > 2 * cap
+                       for comps in factor_spaces(phi) for c in comps) > 2 * cap
             assert [sg.diameter(phi) for phi in formulas] == want
             assert [sg.report(phi).diameter for phi in formulas] == want
 
     def test_fast_on_dense_16_variables(self):
         # 16,640 solutions in one component; a BFS from every vertex took
-        # 29 s on a 2-core machine, this pass 0.9 s
+        # 29 s on a 2-core machine and the all-sources pass over the whole
+        # component 0.9 s.  The formula is factors of 3 and 5 variables and
+        # 8 free variables, so the sum over factors takes milliseconds.
         phi = dense_16_variable_formula()
         start = time.perf_counter()
         d = sg.diameter(phi)
@@ -395,6 +414,7 @@ class TestDiameter:
         # about 80 MB, so the check must come before any of them is built
         phi = full_cube_formula(18)
         assert sg.component_spaces(phi)[0].bit_count() > sg.DIAMETER_VERTICES_MAX
+        assert len(sg._factors(phi)) == 1
 
         def no_adjacency(comp, n):
             raise AssertionError("neighbour lists built for an oversized component")
@@ -405,15 +425,34 @@ class TestDiameter:
                 query(phi)
         assert issubclass(DiameterLimitError, VarsLimitError)
 
+    def test_product_of_small_factors_passes_the_bound(self, monkeypatch):
+        # the same 262,144-vertex cube as 9 disjoint pairs: each factor's
+        # component is a 4-cycle, and the diameters add up
+        phi = cube_pairs_formula(18)
+        assert sg.component_spaces(phi)[0].bit_count() > sg.DIAMETER_VERTICES_MAX
+        adjacency = sg._adjacency
+        sizes = []
+
+        def small_adjacency(comp, n):
+            sizes.append(comp.bit_count())
+            assert comp.bit_count() <= 4, "neighbour lists of the whole product"
+            return adjacency(comp, n)
+
+        monkeypatch.setattr(sg, "_adjacency", small_adjacency)
+        assert sg.diameter(phi) == 18
+        assert sizes == [4] * 9
+
     def test_reach_ints_stay_within_the_cap(self, monkeypatch):
         # Tracing every allocation slows the 16-variable pass tenfold, so
         # this runs on a dense 13-variable space with the cap lowered to a
-        # quarter of its reach ints: two batches per side.
+        # quarter of its reach ints: two batches per side.  The space is one
+        # factor, so the pass runs on its whole component.
         rng = random.Random(4)
         while True:
-            phi = random_formula(rng, [CATALOG["M"]], 13, 5, const_prob=0.0)
+            phi = random_formula(rng, [CATALOG["R_NAZ"]], 13, 9, const_prob=0.0)
             comps = sg.component_spaces(phi)
-            if phi.n == 13 and len(comps) == 1 and comps[0].bit_count() > 1500:
+            if (phi.n == 13 and len(sg._factors(phi)) == 1 and len(comps) == 1
+                    and comps[0].bit_count() > 1500):
                 break
         size = comps[0].bit_count()
         want = sg.diameter(phi)
@@ -431,6 +470,133 @@ class TestDiameter:
         # a few list slots.  Without the cap the reach ints alone would take
         # twice the bound's first term.
         assert peak - adjacency < sg.REACH_BITS_MAX / 8 * 32 / 30 + 64 * size
+
+
+# ONE01(a,b) and ONE01(b,a) together have no solution
+ONE01 = Relation.from_tuples(2, ["01"], "ONE01")
+# constraints on constants only: M holds on 000 and fails on 110
+GROUND = {True: Constraint("M", ("0", "0", "0")),
+          False: Constraint("M", ("1", "1", "0"))}
+FACTORS_VARS_MAX = 13
+
+
+def product_formula(rng, tag, parts, free, unsat=False, ground=()):
+    """A conjunction over disjoint variables: `parts` random sub-formulas
+    over DIAMETER_POOLS, `free` variables in no constraint, an
+    unsatisfiable two-variable factor when `unsat`, and one constraint on
+    constants only per value in `ground` (True holds, False fails).
+    Variable names start with `tag`; variables and constraints come in
+    shuffled order.  Redrawn until networkx stays cheap."""
+    while True:
+        cons, names = [], []
+        library = {"M": CATALOG["M"], "ONE01": ONE01}
+        for j in range(parts):
+            sub = random_formula(rng, DIAMETER_POOLS[rng.choice(sorted(DIAMETER_POOLS))],
+                                 rng.randint(2, 4), 3)
+            rename = {v: f"{tag}{j}{v}" for v in sub.variables}
+            library.update(sub.library)
+            names += rename.values()
+            cons += [Constraint(c.relation, tuple(rename.get(a, a) for a in c.args))
+                     for c in sub.constraints]
+        names += [f"{tag}u{i}" for i in range(free)]
+        if unsat:
+            a, b = f"{tag}z0", f"{tag}z1"
+            names += [a, b]
+            cons += [Constraint("ONE01", (a, b)), Constraint("ONE01", (b, a))]
+        cons += [GROUND[holds] for holds in ground]
+        rng.shuffle(names)
+        rng.shuffle(cons)
+        phi = make_formula(cons, library, names)
+        if (phi.n <= FACTORS_VARS_MAX
+                and sg.solution_space(phi).bit_count() <= NX_SOLUTIONS_MAX):
+            return phi
+
+
+def conjunction(phi1, phi2):
+    return make_formula(phi1.constraints + phi2.constraints,
+                        {**phi1.library, **phi2.library},
+                        phi1.variables + phi2.variables)
+
+
+class TestFactors:
+    """The diameter summed over variable-disjoint factors, against the
+    per-vertex BFS and networkx on the whole formula."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), parts=st.integers(2, 4),
+           free=st.integers(0, 3), unsat=st.booleans(),
+           ground=st.lists(st.booleans(), max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis(self, seed, parts, free, unsat, ground):
+        phi = product_formula(random.Random(seed), "p", parts, free, unsat, ground)
+        want = TestDiameter.check(phi)
+        if unsat or False in ground:
+            assert want == 0
+
+    def test_seeded(self):
+        rng = random.Random(14)
+        seen = {"unsat": 0, "true ground": 0, "false ground": 0, "free": 0,
+                "3+ factors": 0, "nonzero": 0}
+        for _ in range(60):
+            unsat = rng.random() < 0.2
+            ground = [holds for holds in (True, False) if rng.random() < 0.2]
+            phi = product_formula(rng, "p", rng.randint(2, 4), rng.randint(0, 3),
+                                  unsat, ground)
+            want = TestDiameter.check(phi)
+            factors = sg._factors(phi)
+            seen["unsat"] += unsat
+            seen["true ground"] += True in ground
+            seen["false ground"] += False in ground
+            seen["free"] += any(not cons for _, cons in factors)
+            seen["3+ factors"] += sum(1 for names, cons in factors
+                                      if names and cons) >= 3
+            seen["nonzero"] += want > 0
+        assert all(seen.values()), seen
+
+    def test_factors_partition_the_formula(self):
+        rng = random.Random(15)
+        for _ in range(30):
+            phi = product_formula(rng, "p", rng.randint(2, 4), rng.randint(0, 3),
+                                  rng.random() < 0.3, [rng.random() < 0.5])
+            factors = sg._factors(phi)
+            assert sorted(v for names, _ in factors for v in names) == \
+                sorted(phi.variables)
+            assert sorted(map(str, (c for _, cons in factors for c in cons))) == \
+                sorted(map(str, phi.constraints))
+            owner = {v: i for i, (names, _) in enumerate(factors) for v in names}
+            for i, (names, cons) in enumerate(factors):
+                assert all(owner[v] == i for c in cons for v in c.variables())
+                assert names or all(not c.variables() for c in cons)
+
+    @staticmethod
+    def check_sum(phi1, phi2):
+        both = conjunction(phi1, phi2)
+        want = TestDiameter.check(both)
+        assert want == sg.diameter(phi1) + sg.diameter(phi2)
+
+    @staticmethod
+    def draw_pair(rng, parts1, parts2, free1, free2):
+        """Two satisfiable formulas on disjoint variables whose conjunction
+        keeps networkx cheap."""
+        while True:
+            phi1 = product_formula(rng, "a", parts1, free1)
+            phi2 = product_formula(rng, "b", parts2, free2)
+            sizes = [sg.solution_space(phi).bit_count() for phi in (phi1, phi2)]
+            if (0 not in sizes and sizes[0] * sizes[1] <= NX_SOLUTIONS_MAX
+                    and phi1.n + phi2.n <= FACTORS_VARS_MAX):
+                return phi1, phi2
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), parts=st.tuples(st.integers(1, 2),
+                                                             st.integers(1, 2)),
+           free=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    @settings(max_examples=30, deadline=None)
+    def test_sum_identity_hypothesis(self, seed, parts, free):
+        self.check_sum(*self.draw_pair(random.Random(seed), *parts, *free))
+
+    def test_sum_identity_seeded(self):
+        rng = random.Random(16)
+        for _ in range(30):
+            self.check_sum(*self.draw_pair(rng, rng.randint(1, 2), rng.randint(1, 2),
+                                           rng.randint(0, 2), rng.randint(0, 2)))
 
 
 class TestIterBits:
