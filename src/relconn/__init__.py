@@ -24,10 +24,9 @@ from .errors import (ArityLimitError, ClauseExtractionError,
 from .formulas import (ClauseSet, CnfClause, Constraint, Formula, XorEquation,
                        evaluate, format_formula, make_formula, parse_formula,
                        to_clausal)
-from .horn import (HornView, format_horn, imp, is_implied,
-                   is_maximal_self_implicating, is_self_implicating,
-                   maximal_self_implicating_sets, normalize, parse_horn,
-                   view_from_formula)
+from .horn import (format_horn, imp, is_implied, is_maximal_self_implicating,
+                   is_self_implicating, maximal_self_implicating_sets,
+                   normalize, parse_horn)
 from .relations import (ArgPattern, Relation, apply_pattern, check_property,
                         componentwise, components, first_unsafe_identification,
                         hull, is_closed)

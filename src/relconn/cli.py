@@ -33,7 +33,7 @@ from .classify import RelationProfile, classify_set, predict, profile
 from .constructions import express_m_details, reduce_sat_to_conn
 from .cpss import decide_connectivity, search_separation_counterexample
 from .errors import RelconnError
-from .formulas import Formula, format_formula, parse_formula
+from .formulas import ClauseSet, Formula, format_formula, parse_formula
 
 
 class Answer(NamedTuple):
@@ -62,7 +62,7 @@ def _load_relations(path: str):
     return rels
 
 
-def _load_horn(path: str) -> hornmod.HornView:
+def _load_horn(path: str) -> ClauseSet:
     return hornmod.parse_horn(_read(path))
 
 

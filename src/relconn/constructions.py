@@ -35,8 +35,8 @@ from . import horn as hornmod
 from .bitspace import conjunction_space
 from .catalog import CATALOG
 from .errors import ExpressionError, ReductionInputError, TriviallySatisfiableError
-from .formulas import CnfClause, Constraint, Formula, cnf_implicates, make_formula
-from .horn import HornView
+from .formulas import (ClauseSet, CnfClause, Constraint, Formula, cnf_implicates,
+                       make_formula)
 from .relations import (HORN, IHSB_MINUS, SAFE_CHECK_ARITY_MAX, SAFE_SHORTCUTS,
                         SAFELY_CW_IHSB_MINUS, ArgPattern, Relation,
                         check_property, components, walk_identifications)
@@ -162,14 +162,14 @@ class _State:
     source relation's coordinates, and the normalized Horn CNF of the
     relation that pinning yields (derived, never rewritten)."""
     slots: list[str]          # coordinate -> "0" | "1" | variable name
-    view: HornView            # over the live variables, in slot order
+    view: ClauseSet           # Horn, over the live variables, in slot order
 
     def alive(self) -> tuple[str, ...]:
         return self.view.variables
 
 
 def _state(rel: Relation, slots: list[str], alive: tuple[str, ...]) -> _State:
-    """Pin rel by the slots and read the Horn view off the pinned relation.
+    """Pin rel by the slots and read the Horn clauses off the pinned relation.
 
     The prime Horn clauses are read over the sorted names, as to_clausal
     reads a constraint's; `normalize` scans the clauses in that order.
@@ -180,7 +180,7 @@ def _state(rel: Relation, slots: list[str], alive: tuple[str, ...]) -> _State:
         raise ExpressionError("pinning left the constraint unsatisfiable")
     names = tuple(sorted(alive))
     clauses = cnf_implicates(names, conjunction_space(names, item), HORN)
-    view = hornmod.normalize(HornView(alive, tuple(clauses)))
+    view = hornmod.normalize(ClauseSet(HORN, alive, tuple(clauses)))
     if hornmod.solution_space(view) != pinned:
         raise ExpressionError("internal: normalized Horn view lost track of the relation")
     return _State(slots, view)
@@ -238,7 +238,7 @@ def _express_candidates(rel: Relation):
         raise ExpressionError(_SAFE)
 
 
-def _spec_filter(view: HornView, cstar: CnfClause) -> bool:
+def _spec_filter(view: ClauseSet, cstar: CnfClause) -> bool:
     reach = hornmod.imp(view, cstar.variables())
     if any(r <= reach for r in view.restraint_sets()):
         return False
@@ -322,7 +322,7 @@ def _finish(src: Relation, state2: _State, cstar: CnfClause) -> ExpressOutcome |
     return None
 
 
-def _condition_star(view: HornView, x: str, y: str, z: str) -> bool:
+def _condition_star(view: ClauseSet, x: str, y: str, z: str) -> bool:
     if x in hornmod.imp(view, {y}) or x in hornmod.imp(view, {z}):
         return False
     if z in hornmod.imp(view, {y}):

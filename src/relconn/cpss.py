@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitspace import BRUTE_VARS_MAX, component_masks, gf2_reduce
 from .classify import SetClassification, classify_set, predict, Predictions
-from .errors import (ClauseExtractionError, FormulaError, NonCpssError,
+from .errors import (ArityLimitError, FormulaError, NonCpssError,
                      RelconnError, VarsLimitError)
 from .formulas import (CONSTANTS, ClauseSet, Constraint, Formula, XorEquation,
                        holds_on_constants, make_formula, to_clausal)
@@ -105,20 +105,11 @@ def _propagate(seeds: Iterable[Literal], clauses: Sequence[LiteralClause],
 
 def _clausal_state(cs: ClauseSet) -> State | None:
     """The base state of a Horn, dual Horn or bijunctive clause set: its
-    unit clauses propagated; None when they conflict.
-
-    Raises ClauseExtractionError for a clause outside the set's class.
-    """
-    cls = cs.schaefer_class
-    if cls not in _DEFAULT:
-        raise ClauseExtractionError(f"unknown clause class {cls!r}")
+    unit clauses propagated; None when they conflict.  The set checked
+    its clauses' shapes when it was built."""
     clauses: list[LiteralClause] = []
     holding: dict[Literal, list[int]] = {}
     for j, c in enumerate(cs.clauses):
-        npos, nneg = len(c.pos), len(c.neg)
-        if (npos + nneg > 2 if cls == BIJUNCTIVE else
-                npos > 1 if cls == HORN else nneg > 1):
-            raise ClauseExtractionError(f"clause {c} is not {cls}")
         lits = tuple((v, 1) for v in c.pos) + tuple((v, 0) for v in c.neg)
         clauses.append(lits)
         for lit in lits:
@@ -396,8 +387,8 @@ def _conn_cpss(phi: Formula, cls: str) -> CpssReport:
 class ConnDecision:
     connected: bool | None
     method: str
-    set_class: str
-    prediction: Predictions
+    set_class: str | None
+    prediction: Predictions | None
     detail: dict
 
     def to_json(self) -> dict:
@@ -405,7 +396,7 @@ class ConnDecision:
             "connected": self.connected,
             "method": self.method,
             "set_class": self.set_class,
-            "prediction": self.prediction.to_json(),
+            "prediction": None if self.prediction is None else self.prediction.to_json(),
             "detail": self.detail,
         }
 
@@ -418,26 +409,35 @@ def decide_connectivity(phi: Formula, method: str = "auto") -> ConnDecision:
     classification's prediction is still reported).  The brute route
     answers connectivity only; solution_graph.report lists the components,
     the diameter and the minima.
+
+    A relation above the identification sweep's arity bound has no
+    classification (ArityLimitError).  brute and auto then still answer by
+    enumeration, with set_class and prediction None, up to BRUTE_VARS_MAX
+    variables; above it, and on the cpss route, the error is raised.
     """
-    classification = classify_set(phi.used_relations())
-    prediction = predict(classification)
     if method not in ("auto", "brute", "cpss"):
         raise ValueError(f"unknown method {method!r}")
+    try:
+        classification = classify_set(phi.used_relations())
+    except ArityLimitError:
+        if method == "cpss" or phi.n > BRUTE_VARS_MAX:
+            raise
+        return ConnDecision(solution_graph.is_connected(phi), "brute", None, None,
+                            {"n_variables": phi.n})
+    prediction = predict(classification)
     if method == "cpss" or (method == "auto" and classification.cpss):
         report = _conn_cpss(phi, _pick_class(classification, True))
         return ConnDecision(report.connected, "cpss", classification.set_class,
                             prediction, report.to_json())
-    if method == "brute" or method == "auto":
-        try:
-            connected = solution_graph.is_connected(phi)
-        except VarsLimitError:
-            if method == "brute":
-                raise
-            return ConnDecision(None, "none", classification.set_class,
-                                prediction, {"reason": "too many variables"})
-        return ConnDecision(connected, "brute", classification.set_class,
-                            prediction, {"n_variables": phi.n})
-    raise AssertionError("unreachable")
+    try:
+        connected = solution_graph.is_connected(phi)
+    except VarsLimitError:
+        if method == "brute":
+            raise
+        return ConnDecision(None, "none", classification.set_class,
+                            prediction, {"reason": "too many variables"})
+    return ConnDecision(connected, "brute", classification.set_class,
+                        prediction, {"n_variables": phi.n})
 
 
 def random_formula(rng: random.Random, relations: Sequence[Relation],

@@ -15,9 +15,10 @@ Text format:
 Constraint relations and to_clausal's checks are built by
 bitspace.conjunction_space, the one routine that plugs a relation into its
 arguments; clause_item and equation_item turn clauses and XOR equations
-into its items.  CnfClause is the package's one clause type: cnf_implicates
-returns it, to_clausal's clause sets and the Horn views of module horn hold
-it.
+into its items.  CnfClause is the package's one clause type and ClauseSet
+its one clause-set type: cnf_implicates returns clauses, to_clausal
+returns a formula's clause set in a Schaefer class, and module horn reads
+the Horn structure off the clause sets of class HORN.
 
 cnf_implicates reads a relation's prime clauses of one shape (bijunctive,
 Horn, dual Horn) off its mask with one candidate table per (width, shape):
@@ -43,7 +44,6 @@ from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
 
 _CONSTRAINT_RE = re.compile(rf"({catalog.NAME_RE.pattern})\s*\(([^()]*)\)\s*\Z")
 
-SCHAEFER_CLASSES = (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE)
 CONSTANTS = frozenset(("0", "1"))
 
 
@@ -231,8 +231,8 @@ def constraint_relation(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation
 class CnfClause:
     """Disjunction of literals over variable names: OR(pos) OR NOT(neg).
 
-    The package's one clause type; Horn views (module horn) hold the ones
-    with at most one positive literal.
+    The package's one clause type; a ClauseSet holds the ones of its
+    class's shape.
     """
     pos: frozenset[str]
     neg: frozenset[str]
@@ -259,17 +259,51 @@ class XorEquation:
         return sum(1 for v in self.vars if assignment[v]) % 2 == self.rhs
 
 
+# Schaefer class -> does a clause of (positive, negative) literal counts fit it
+_FITS = {BIJUNCTIVE: lambda p, n: p + n <= 2, HORN: lambda p, n: p <= 1,
+         DUAL_HORN: lambda p, n: n <= 1, AFFINE: lambda p, n: False}
+
+
 @dataclass(frozen=True)
 class ClauseSet:
-    """A formula's clauses or equations in one Schaefer class, and in
-    constraint_relations, per constraint in formula order, the
-    (variables, relation) pair of constraint_relation they were read off;
-    ((), None) for a constraint on constants alone."""
+    """Clauses (or, if affine, equations) of one Schaefer class.  From
+    to_clausal, constraint_relations holds per constraint the (variables,
+    relation) pair of constraint_relation they were read off; ((), None)
+    for one on constants alone.  Module horn works on those of class HORN.
+
+    Built once, checked once: an unknown class or a clause outside the
+    class raises ClauseExtractionError, an undeclared variable FormulaError.
+    """
     schaefer_class: str
     variables: tuple[str, ...]
     clauses: tuple[CnfClause, ...] = ()
     equations: tuple[XorEquation, ...] = ()
     constraint_relations: tuple[tuple[tuple[str, ...], Relation | None], ...] = ()
+
+    def __post_init__(self) -> None:
+        cls = self.schaefer_class
+        if cls not in _FITS:
+            raise ClauseExtractionError(f"unknown clause class {cls!r}")
+        fits, declared = _FITS[cls], set(self.variables)
+        for c in self.clauses:
+            if not fits(len(c.pos), len(c.neg)):
+                raise ClauseExtractionError(f"clause {c} is not {cls}")
+            if not c.variables() <= declared:
+                raise FormulaError(f"clause {c} uses undeclared "
+                                   f"{sorted(c.variables() - declared)}")
+        for e in self.equations:
+            if not e.vars <= declared:
+                raise FormulaError(f"equation uses undeclared {sorted(e.vars - declared)}")
+
+    @property
+    def n(self) -> int:
+        return len(self.variables)
+
+    def has_positive_units(self) -> bool:
+        return any(c.pos and not c.neg for c in self.clauses)
+
+    def restraint_sets(self) -> list[frozenset[str]]:
+        return [c.neg for c in self.clauses if c.neg and not c.pos]
 
 
 # Widths whose candidate tables stay cached for the life of the process.
@@ -400,26 +434,27 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
     """Rewrite every constraint as clauses/equations of the given class.
 
     A constraint on constants alone becomes no clause when it is true and
-    the empty clause (the equation 0 = 1) when it is false.  Raises
-    ClauseExtractionError when some constraint relation is not closed under
-    the class's characteristic operation, or when a constraint's
-    clauses/equations do not define exactly its relation.
+    the empty clause (the equation 0 = 1) when it is false.  Each other
+    constraint becomes the prime clauses of the class's shape (or the XOR
+    basis) of its relation.  Those define the relation's hull in the
+    class, so they miss the relation exactly when it is outside the class,
+    and one check of each constraint's group against its relation settles
+    both.  A group that misses raises ClauseExtractionError: "constraint
+    ... is not <class>" when check_property confirms that the relation is
+    outside the class, and "clause conversion changed the solutions"
+    otherwise.
     """
-    if schaefer_class not in SCHAEFER_CLASSES:
-        raise ClauseExtractionError(f"unknown clause class {schaefer_class!r}")
     clauses: list[CnfClause] = []
     equations: list[XorEquation] = []
     pairs = []
     for i, c in enumerate(phi.constraints):
         if CONSTANTS.issuperset(c.args):
             vars_, mask = (), int(holds_on_constants(phi, c))
-            pairs.append((vars_, None))
+            rel = None
         else:
-            vars_, rel = pair = constraint_relation(phi, i)
-            if not check_property(rel, schaefer_class):
-                raise ClauseExtractionError(f"constraint {c} is not {schaefer_class}")
+            vars_, rel = constraint_relation(phi, i)
             mask = rel.mask
-            pairs.append(pair)
+        pairs.append((vars_, rel))
         if schaefer_class == AFFINE:
             group_eqs = [XorEquation(names, rhs)
                          for names, rhs in _xor_basis(vars_, mask)]
@@ -427,19 +462,25 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
         else:
             group_eqs = []
             group_cls = cnf_implicates(vars_, mask, schaefer_class)
-        _assert_group_equivalent(c, vars_, mask, group_cls, group_eqs)
+        asg = _first_difference(vars_, mask, group_cls, group_eqs)
+        if asg is not None:
+            if rel is not None and not check_property(rel, schaefer_class):
+                raise ClauseExtractionError(f"constraint {c} is not {schaefer_class}")
+            raise ClauseExtractionError(
+                f"clause conversion changed the solutions of {c} at {asg}")
         clauses.extend(group_cls)
         equations.extend(group_eqs)
     return ClauseSet(schaefer_class, phi.variables, tuple(clauses),
                      tuple(equations), tuple(pairs))
 
 
-def _assert_group_equivalent(c: Constraint, vars_: tuple[str, ...], want: int,
-                             clauses: list[CnfClause],
-                             equations: list[XorEquation]) -> None:
-    """Check that constraint c, whose relation over its k distinct variables
-    is the mask `want`, has the same conjunction_space as its clauses or
-    equations.
+def _first_difference(vars_: tuple[str, ...], want: int,
+                      clauses: list[CnfClause],
+                      equations: list[XorEquation]) -> dict[str, int] | None:
+    """The first assignment to vars_ on which the mask `want`, a
+    constraint's relation over its k distinct variables, and the
+    conjunction_space of its clauses or equations differ; None when they
+    agree.
 
     The formula and the clause set are conjunctions of these per-constraint
     groups, so agreement on every group makes them define the same
@@ -448,8 +489,7 @@ def _assert_group_equivalent(c: Constraint, vars_: tuple[str, ...], want: int,
     got = conjunction_space(vars_, [clause_item(cl) for cl in clauses]
                             + [equation_item(e.vars, e.rhs) for e in equations])
     diff = got ^ want
-    if diff:
-        a = (diff & -diff).bit_length() - 1  # the first assignment they differ on
-        asg = {v: (a >> (len(vars_) - 1 - j)) & 1 for j, v in enumerate(vars_)}
-        raise ClauseExtractionError(
-            f"clause conversion changed the solutions of {c} at {asg}")
+    if not diff:
+        return None
+    a = (diff & -diff).bit_length() - 1
+    return {v: (a >> (len(vars_) - 1 - j)) & 1 for j, v in enumerate(vars_)}

@@ -1,10 +1,11 @@
 """Horn clause sets: implication closure, self-implicating sets, normal form.
 
-A Horn clause is a formulas.CnfClause with at most one positive literal.
-In text, `x | -y -z` is the clause x OR NOT y OR NOT z (head x, body
-{y, z}), a bare `x` is a positive unit, `- y z` (or `-y -z`) is a restraint
-clause (all literals negative) and a lone `-` is the empty clause.  The
-negative literals of a restraint clause are its restraint set.
+The functions here take a formulas.ClauseSet of class HORN: parse_horn's,
+or to_clausal(phi, HORN) of a formula.  In text, `x | -y -z` is the
+clause x OR NOT y OR NOT z (head x, body {y, z}), a bare `x` is a
+positive unit, `- y z` (or `-y -z`) is a restraint clause (all literals
+negative) and a lone `-` is the empty clause.  The negative literals of a
+restraint clause are its restraint set.
 
 Implication is syntactic: Imp(U) is the least superset of U containing
 every positive unit and closed under firing implication clauses whose
@@ -17,50 +18,17 @@ set, which is what maximal_self_implicating_sets computes and verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import bitspace
 from .bitspace import conjunction_space
 from .catalog import NAME_RE, is_keyword_line, parse_var_line, read_lines
 from .errors import FormulaParseError, HornStructureError
-from .formulas import CnfClause, Formula, clause_item, to_clausal
+from .formulas import ClauseSet, CnfClause, clause_item
 from .relations import HORN
 
 
-@dataclass(frozen=True)
-class HornView:
-    variables: tuple[str, ...]
-    clauses: tuple[CnfClause, ...]
-
-    def __post_init__(self) -> None:
-        declared = set(self.variables)
-        for c in self.clauses:
-            if len(c.pos) > 1:
-                raise HornStructureError(f"clause {c} has more than one positive literal")
-            missing = c.variables() - declared
-            if missing:
-                raise HornStructureError(
-                    f"clause {format_clause(c)} uses undeclared {sorted(missing)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.variables)
-
-    def has_positive_units(self) -> bool:
-        return any(c.pos and not c.neg for c in self.clauses)
-
-    def restraint_sets(self) -> list[frozenset[str]]:
-        return [c.neg for c in self.clauses if c.neg and not c.pos]
-
-
-def view_from_formula(phi: Formula) -> HornView:
-    """Horn clauses of a formula whose relations are all Horn."""
-    cs = to_clausal(phi, HORN)
-    return HornView(cs.variables, cs.clauses)
-
-
-def parse_horn(text: str) -> HornView:
+def parse_horn(text: str) -> ClauseSet:
     """Parse the clause text format (see module docstring); `#` comments."""
     header: tuple[str, ...] | None = None
     clauses: list[CnfClause] = []
@@ -100,7 +68,7 @@ def parse_horn(text: str) -> HornView:
             continue
         raise FormulaParseError(f"line {lineno}: cannot parse clause {line!r}")
     variables = header if header is not None else tuple(seen)
-    return HornView(variables, tuple(clauses))
+    return ClauseSet(HORN, variables, tuple(clauses))
 
 
 def format_clause(c: CnfClause) -> str:
@@ -113,7 +81,7 @@ def format_clause(c: CnfClause) -> str:
     return head + " | " + " ".join("-" + v for v in sorted(c.neg))
 
 
-def format_horn(view: HornView) -> str:
+def format_horn(view: ClauseSet) -> str:
     lines = ["var " + " ".join(view.variables)]
     lines.extend(format_clause(c) for c in view.clauses)
     return "\n".join(lines) + "\n"
@@ -138,7 +106,7 @@ def _imp_over(clauses: Sequence[CnfClause], start: Iterable[str]) -> frozenset[s
     return frozenset(current)
 
 
-def imp(view: HornView, start: Iterable[str]) -> frozenset[str]:
+def imp(view: ClauseSet, start: Iterable[str]) -> frozenset[str]:
     """Least fixpoint of the implication clauses over `start`.
 
     Seeds with the start set, adds every positive-unit head, then fires any
@@ -147,40 +115,40 @@ def imp(view: HornView, start: Iterable[str]) -> frozenset[str]:
     return _imp_over(view.clauses, start)
 
 
-def is_implied(view: HornView, x: str) -> bool:
+def is_implied(view: ClauseSet, x: str) -> bool:
     """Is x implied by all the other variables?"""
     return x in imp(view, set(view.variables) - {x})
 
 
-def is_self_implicating(view: HornView, subset: Iterable[str]) -> bool:
+def is_self_implicating(view: ClauseSet, subset: Iterable[str]) -> bool:
     """Every member is implied by the remaining members (empty set: yes)."""
     u = frozenset(subset)
     return all(x in imp(view, u - {x}) for x in u)
 
 
-def is_maximal_self_implicating(view: HornView, subset: Iterable[str]) -> bool:
+def is_maximal_self_implicating(view: ClauseSet, subset: Iterable[str]) -> bool:
     u = frozenset(subset)
     return is_self_implicating(view, u) and imp(view, u) == u
 
 
-def has_restraint_subset(view: HornView, subset: Iterable[str]) -> bool:
+def has_restraint_subset(view: ClauseSet, subset: Iterable[str]) -> bool:
     u = frozenset(subset)
     return any(r <= u for r in view.restraint_sets())
 
 
-def solution_space(view: HornView) -> int:
+def solution_space(view: ClauseSet) -> int:
     """Bitmask of satisfying assignments, same index convention as formulas."""
     return conjunction_space(view.variables, map(clause_item, view.clauses))
 
 
-def ones_set(view: HornView, idx: int) -> frozenset[str]:
+def ones_set(view: ClauseSet, idx: int) -> frozenset[str]:
     """The variables set to 1 by assignment index idx."""
     n = view.n
     return frozenset(v for j, v in enumerate(view.variables)
                      if (idx >> (n - 1 - j)) & 1)
 
 
-def maximal_self_implicating_sets(view: HornView) -> list[frozenset[str]]:
+def maximal_self_implicating_sets(view: ClauseSet) -> list[frozenset[str]]:
     """The 1-sets of the per-component minimum solutions, verified.
 
     Requires a clause set without positive units.  Each returned set is
@@ -206,8 +174,9 @@ def maximal_self_implicating_sets(view: HornView) -> list[frozenset[str]]:
 #
 # Rules, applied to a fixpoint in deterministic scan order (clauses by
 # index, body literals by the view's variable order):
-#   (a) constants do not occur in a HornView, they are folded away by the
-#       substitution helpers in `constructions`
+#   (a) constants do not occur in a Horn clause set: to_clausal and
+#       express-m's pinning fold them into the relation before its clauses
+#       are read
 #   (b) a clause whose head also occurs negated is a tautology: drop it
 #   (c) an implication clause whose head is implied by its body via the
 #       other clauses is redundant: drop it
@@ -220,13 +189,13 @@ def maximal_self_implicating_sets(view: HornView) -> list[frozenset[str]]:
 # checks live in the tests.
 
 
-def _rule_b(view: HornView, i: int, c: CnfClause):
+def _rule_b(view: ClauseSet, i: int, c: CnfClause):
     if not c.pos.isdisjoint(c.neg):
         return _without(view, i)
     return None
 
 
-def _rule_c(view: HornView, i: int, c: CnfClause):
+def _rule_c(view: ClauseSet, i: int, c: CnfClause):
     if c.pos and c.neg:
         others = view.clauses[:i] + view.clauses[i + 1:]
         if c.pos <= _imp_over(others, c.neg):
@@ -234,7 +203,7 @@ def _rule_c(view: HornView, i: int, c: CnfClause):
     return None
 
 
-def _rule_d(view: HornView, i: int, c: CnfClause):
+def _rule_d(view: ClauseSet, i: int, c: CnfClause):
     if c.pos and c.neg:
         reach = imp(view, c.variables())
         if any(r <= reach for r in view.restraint_sets()):
@@ -242,7 +211,7 @@ def _rule_d(view: HornView, i: int, c: CnfClause):
     return None
 
 
-def _rule_e(view: HornView, i: int, c: CnfClause):
+def _rule_e(view: ClauseSet, i: int, c: CnfClause):
     if len(c.neg) > len(c.pos):  # a multi-implication or a restraint
         order = {v: j for j, v in enumerate(view.variables)}
         for y in sorted(c.neg, key=order.__getitem__):
@@ -251,16 +220,16 @@ def _rule_e(view: HornView, i: int, c: CnfClause):
     return None
 
 
-def _without(view: HornView, i: int) -> HornView:
-    return HornView(view.variables, view.clauses[:i] + view.clauses[i + 1:])
+def _without(view: ClauseSet, i: int) -> ClauseSet:
+    return ClauseSet(HORN, view.variables, view.clauses[:i] + view.clauses[i + 1:])
 
 
-def _replace_at(view: HornView, i: int, clause: CnfClause) -> HornView:
-    return HornView(view.variables,
-                    view.clauses[:i] + (clause,) + view.clauses[i + 1:])
+def _replace_at(view: ClauseSet, i: int, clause: CnfClause) -> ClauseSet:
+    return ClauseSet(HORN, view.variables,
+                     view.clauses[:i] + (clause,) + view.clauses[i + 1:])
 
 
-def normalize(view: HornView) -> HornView:
+def normalize(view: ClauseSet) -> ClauseSet:
     """Apply the normal-form rules until none fires."""
     rules = (_rule_b, _rule_c, _rule_d, _rule_e)
     changed = True

@@ -2,11 +2,13 @@
 
 The solution graph has the satisfying assignments as vertices, adjacent
 iff they differ in exactly one variable.  This module is the one query
-layer over solution bitmasks: every query on a formula or a Horn view
-(see horn) materialises the full assignment space once as a bitmask (see
-bitspace) with bitspace.conjunction_space and reads it here.  It is exact
-and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable formula counts
-as connected and as having diameter 0.
+layer over solution bitmasks: every query on a formula or a Horn clause
+set (see horn) materialises the full assignment space once as a bitmask
+(see bitspace) with bitspace.conjunction_space and reads it here.  It is
+exact and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable formula
+counts as connected and as having diameter 0.  The queries that list
+every solution (components, report, export_dot) raise VarsLimitError
+before formatting any when there are more than LISTING_SOLUTIONS_MAX.
 
 Connectivity, components and st-paths pick one of bitspace's two routes
 per call: bitmask sweeps or BFS rounds over the whole 2^n-bit mask while
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import bitspace
 from .bitspace import BRUTE_VARS_MAX, conjunction_space
-from .errors import DiameterLimitError, NotASolutionError
+from .errors import DiameterLimitError, NotASolutionError, VarsLimitError
 from .formulas import Constraint, Formula
 from .relations import Relation
 
@@ -48,6 +50,10 @@ REACH_BITS_MAX = 1 << 27
 # the square of the vertex count (16,640 vertices take about 0.9 s on a
 # 2-core host).  A product of small factors passes whatever its size.
 DIAMETER_VERTICES_MAX = 1 << 17
+# Most solutions that components, report and export_dot list, one string
+# each: 2^18 of them took 0.13 s and 75 MB in report on a 2-core host.
+# The dense 16-variable formulas (at most 2^16 solutions) list.
+LISTING_SOLUTIONS_MAX = 1 << 17
 
 
 def solution_space(phi: Formula) -> int:
@@ -78,10 +84,22 @@ def component_spaces(phi: Formula) -> list[int]:
     return bitspace.component_masks(solution_space(phi), phi.n)
 
 
+def _check_listing(count: int) -> None:
+    """Raise VarsLimitError when more than LISTING_SOLUTIONS_MAX solutions
+    would be listed; callers check before they format any of them."""
+    if count > LISTING_SOLUTIONS_MAX:
+        raise VarsLimitError(f"{count} solutions exceed the listing bound "
+                             f"{LISTING_SOLUTIONS_MAX}")
+
+
 def components(phi: Formula) -> list[list[str]]:
+    """Each component's solutions as bitstrings; more than
+    LISTING_SOLUTIONS_MAX solutions raise VarsLimitError."""
     n = phi.n
+    comps = component_spaces(phi)
+    _check_listing(sum(map(int.bit_count, comps)))
     return [[bitspace.tuple_of_index(i, n) for i in bitspace.iter_bits(m)]
-            for m in component_spaces(phi)]
+            for m in comps]
 
 
 def is_connected(phi: Formula) -> bool:
@@ -313,10 +331,13 @@ class SolutionGraphReport:
 
 
 def report(phi: Formula) -> SolutionGraphReport:
+    """Counts, connectivity, diameter and every component listed.  The
+    diameter bound is checked before the listing bound."""
     n = phi.n
     space = solution_space(phi)
     comps = bitspace.component_masks(space, n)
     diam = _factored_diameter(phi, comps)
+    _check_listing(space.bit_count())
     loc_min = bitspace.locally_minimal(space, n)
     comp_tuples = []
     minimums = []
@@ -343,10 +364,12 @@ def export_dot(phi: Formula) -> str:
     """Solution graph in DOT format, vertices labelled by assignment.
 
     Vertices come in ascending order, then edges ordered by their lower
-    endpoint and the flipped bit position.
+    endpoint and the flipped bit position.  More than
+    LISTING_SOLUTIONS_MAX solutions raise VarsLimitError.
     """
     n = phi.n
     space = solution_space(phi)
+    _check_listing(space.bit_count())
     label = {idx: bitspace.tuple_of_index(idx, n)
              for idx in bitspace.iter_bits(space)}
     edges = sorted((idx, pos) for pos in range(n) for idx in

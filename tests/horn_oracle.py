@@ -1,20 +1,21 @@
-"""Horn-view queries the tests check the structure results against."""
+"""Horn clause-set queries the tests check the structure results against."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
 from relconn import bitspace
-from relconn.horn import HornView, imp, solution_space
+from relconn.formulas import ClauseSet
+from relconn.horn import imp, solution_space
 
 
-def locally_minimal_solutions(view: HornView) -> list[int]:
+def locally_minimal_solutions(view: ClauseSet) -> list[int]:
     """Solutions none of whose 1-coordinates can be flipped down."""
     return list(bitspace.iter_bits(
         bitspace.locally_minimal(solution_space(view), view.n)))
 
 
-def maximum_self_implicating_subset(view: HornView,
+def maximum_self_implicating_subset(view: ClauseSet,
                                     ground: Iterable[str]) -> frozenset[str]:
     """Largest self-implicating subset of `ground` (unions stay self-implicating,
     so the maximum is unique); computed by peeling unsupported members."""

@@ -12,8 +12,7 @@ import random
 
 from relconn.classify import profile
 from relconn.errors import RelconnError
-from relconn.formulas import CnfClause
-from relconn.horn import HornView
+from relconn.formulas import ClauseSet, CnfClause
 from relconn.relations import (AFFINE, BIJUNCTIVE, HORN, IHSB_MINUS, IHSB_PLUS,
                                Relation, hull)
 
@@ -58,7 +57,7 @@ def random_cpss_pool(rng: random.Random, kind: str, count: int,
 
 def random_horn_view(rng: random.Random, n_vars: int, n_clauses: int,
                      allow_positive_units: bool = False,
-                     restraint_prob: float = 0.3) -> HornView:
+                     restraint_prob: float = 0.3) -> ClauseSet:
     variables = tuple(f"v{i}" for i in range(1, n_vars + 1))
     clauses = []
     for _ in range(n_clauses):
@@ -76,7 +75,7 @@ def random_horn_view(rng: random.Random, n_vars: int, n_clauses: int,
                 clauses.append(CnfClause(frozenset(), body))
             else:
                 clauses.append(CnfClause(frozenset({rng.choice(head_choices)}), body))
-    return HornView(variables, tuple(clauses))
+    return ClauseSet(HORN, variables, tuple(clauses))
 
 
 def random_horn_relation(rng: random.Random, arity: int,

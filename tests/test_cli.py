@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relconn import cli, cpss, horn
+from relconn import bitspace, cli, cpss, horn
 from relconn.cli import build_parser, main
 from relconn.formulas import parse_formula
 from relconn.catalog import CATALOG
@@ -44,6 +44,16 @@ def rendered_json(monkeypatch):
 
     monkeypatch.setattr(cli, "render_json", checked)
     return docs
+
+
+def wide_formula_text() -> str:
+    """One arity-11 constraint: M on its first three coordinates times
+    {0,1}^8, 1,280 tuples.  Above the identification sweep's arity bound,
+    so the relation set has no classification."""
+    tuples = [m + format(s, "08b") for m in ("000", "001", "010", "101", "111")
+              for s in range(256)]
+    names = ",".join(f"x{i}" for i in range(1, 12))
+    return f"rel R 11 : {' '.join(tuples)}\nR({names})\n"
 
 
 def run(capsys, *args):
@@ -120,6 +130,25 @@ class TestConn:
         assert payload["method"] == ("brute" if method == "brute" else "cpss")
 
 
+    @pytest.mark.parametrize("method", ["brute", "auto"])
+    def test_brute_route_without_classification(self, capsys, tmp_path, method):
+        path = tmp_path / "wide.cnfs"
+        path.write_text(wide_formula_text())
+        assert run(capsys, "conn", path, "--method", method) == (0, "connected\n", "")
+        code, out, err = run(capsys, "conn", path, "--method", method, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"connected": True, "method": "brute",
+                                   "set_class": None, "prediction": None,
+                                   "detail": {"n_variables": 11}}
+
+    def test_cpss_route_needs_the_classification(self, capsys, tmp_path):
+        path = tmp_path / "wide.cnfs"
+        path.write_text(wide_formula_text())
+        assert run(capsys, "conn", path, "--method", "cpss") == (
+            2, "", "relconn: error: classification needs a safely-componentwise "
+                   "check, which requires arity <= 10\n")
+
+
 class TestGraphQueries:
     def test_stconn_connected_prints_path(self, capsys):
         code, out, _ = run(capsys, "stconn", sample("conp.cnfs"),
@@ -158,6 +187,25 @@ class TestGraphQueries:
         assert (code, out) == (2, "")
         assert err == ("relconn: error: a component of 262144 solutions "
                        "exceeds the diameter bound 131072\n")
+
+    @pytest.mark.parametrize("argv", [["components"], ["components", "--json"],
+                                      ["report"], ["report", "--json"],
+                                      ["graph", "--dot", "-"]])
+    def test_listing_bound_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        names = [f"x{i}" for i in range(18)]
+        path = tmp_path / "pairs.cnfs"
+        # nine disjoint pairs: 262,144 solutions, each factor's component
+        # well inside the diameter bound
+        path.write_text("rel ALL 2 : 00 01 10 11\nvar " + " ".join(names)
+                        + "\n" + "\n".join(f"ALL({a},{b})" for a, b
+                                            in zip(names[::2], names[1::2])))
+
+        def no_formatting(idx, n):
+            raise AssertionError("a solution was formatted")
+
+        monkeypatch.setattr(bitspace, "tuple_of_index", no_formatting)
+        assert run(capsys, argv[0], path, *argv[1:]) == (
+            2, "", "relconn: error: 262144 solutions exceed the listing bound 131072\n")
 
     def test_report_text(self, capsys):
         code, out, _ = run(capsys, "report", sample("conp.cnfs"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
@@ -21,10 +22,9 @@ from relconn.constructions import (build_F, build_T, express_m,
 from relconn.errors import (ArityLimitError, ExpressionError,
                             ReductionInputError, RelconnError,
                             TriviallySatisfiableError)
-from relconn.formulas import (Constraint, format_formula, make_formula,
-                              parse_formula)
-from relconn.horn import HornView
-from relconn.relations import (IHSB_MINUS, ArgPattern, Relation, apply_pattern,
+from relconn.formulas import (ClauseSet, Constraint, format_formula, make_formula,
+                              parse_formula, to_clausal)
+from relconn.relations import (HORN, IHSB_MINUS, ArgPattern, Relation, apply_pattern,
                                check_property)
 from relconn.solution_graph import formula_relation
 
@@ -379,12 +379,15 @@ SAFE_NOT_IHSB = Relation.from_tuples(3, ["000", "001", "010", "111"], "S")
 
 def formula_state(rel, slots, alive):
     """express-m's step by the route it replaced: the pinned relation as a
-    one-constraint formula, whose Horn view comes from to_clausal."""
+    one-constraint formula, whose Horn clause set comes from to_clausal
+    (without the constraint relations it was read off, which express-m's
+    own steps do not keep)."""
     pinned = Relation(len(alive), conjunction_space(alive, [(rel.mask, rel.arity, slots)]))
     if pinned.is_empty:
         raise ExpressionError("pinning left the constraint unsatisfiable")
     phi = make_formula([Constraint("R", alive)], {"R": pinned.renamed("R")}, alive)
-    view = horn.normalize(horn.view_from_formula(phi))
+    view = dataclasses.replace(horn.normalize(to_clausal(phi, HORN)),
+                               constraint_relations=())
     if horn.solution_space(view) != pinned.mask:
         raise ExpressionError("internal: normalized Horn view lost track of the relation")
     return constructions._State(slots, view)
@@ -437,7 +440,7 @@ class TestExpressMState:
 
         def drop_last(view):
             out = real(view)
-            return HornView(out.variables, out.clauses[:-1])
+            return ClauseSet(HORN, out.variables, out.clauses[:-1])
 
         monkeypatch.setattr(horn, "normalize", drop_last)
         with pytest.raises(ExpressionError, match="lost track of the relation"):

@@ -18,8 +18,8 @@ from relconn.classify import classify_set
 from relconn.cpss import (_projector, conn_cpss, decide_connectivity, project,
                           random_formula, sat_schaefer,
                           search_separation_counterexample)
-from relconn.errors import (ClauseExtractionError, FormulaError, NonCpssError,
-                            RelconnError, VarsLimitError)
+from relconn.errors import (ArityLimitError, ClauseExtractionError, FormulaError,
+                            NonCpssError, RelconnError, VarsLimitError)
 from relconn.formulas import (ClauseSet, CnfClause, Constraint, make_formula,
                               parse_formula, to_clausal)
 from relconn.relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation, hull
@@ -137,14 +137,25 @@ def schaefer_queries(draw):
     return to_clausal(phi, kind), {v: draw(st.integers(0, 1)) for v in pinned}
 
 
+def clause(text):
+    """A clause from its text, such as "x -y"."""
+    lits = text.split()
+    return CnfClause(frozenset(v for v in lits if v[0] != "-"),
+                     frozenset(v[1:] for v in lits if v[0] == "-"))
+
+
 def clause_set(kind, *texts, variables=("x", "y")):
     """A clause set from clause texts such as "x -y"."""
-    clauses = []
-    for text in texts:
-        lits = text.split()
-        clauses.append(CnfClause(frozenset(v for v in lits if v[0] != "-"),
-                                 frozenset(v[1:] for v in lits if v[0] == "-")))
-    return ClauseSet(kind, variables, tuple(clauses))
+    return ClauseSet(kind, variables, tuple(map(clause, texts)))
+
+
+def wide_formula(head):
+    """R(x1, ..., x11) where R is the 3-bit tuples `head` times {0,1}^8:
+    above the identification sweep's arity bound, so unclassifiable."""
+    rel = Relation.from_tuples(11, [h + format(s, "08b") for h in head
+                                    for s in range(256)], "R")
+    return make_formula([Constraint("R", tuple(f"x{i}" for i in range(1, 12)))],
+                        {"R": rel})
 
 
 def planted_formula(kind, seed, n, m):
@@ -248,15 +259,15 @@ class TestSatSchaefer:
                                             (HORN, "x y -z"),
                                             (DUAL_HORN, "x -y -z")])
     def test_shape_guard(self, kind, text):
+        # a clause set checks its clauses' shapes when it is built, so
+        # sat_schaefer and project never get a clause outside the class
         phi = parse_formula("var x y z\nIMP(x,y)",
                             {"IMP": Relation.from_tuples(2, [0, 1, 3])})
         good = to_clausal(phi, kind)
-        bad = dataclasses.replace(
-            good, clauses=good.clauses + clause_set(kind, text).clauses)
-        with pytest.raises(ClauseExtractionError, match=f"is not {kind}"):
-            sat_schaefer(bad)
-        with pytest.raises(ClauseExtractionError, match=f"is not {kind}"):
-            project(phi, 0, bad)
+        with pytest.raises(ClauseExtractionError, match=f"clause {text} is not {kind}"):
+            dataclasses.replace(good, clauses=good.clauses + (clause(text),))
+        with pytest.raises(ClauseExtractionError, match=f"clause {text} is not {kind}"):
+            clause_set(kind, text, variables=phi.variables)
 
     def test_model_is_checked(self):
         phi = parse_formula("var x y\nIMP(x,y)",
@@ -490,6 +501,42 @@ class TestDecideConnectivity:
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
         with pytest.raises(ValueError):
             decide_connectivity(phi, method="guess")
+        # checked before the classification, which this formula lacks
+        with pytest.raises(ValueError):
+            decide_connectivity(wide_formula(("000", "001", "010", "101", "111")),
+                                method="guess")
+
+    @pytest.mark.parametrize("head, n_components", [
+        (("000", "001", "010", "101", "111"), 1),  # M
+        (("001", "010", "100"), 3),  # one-in-three
+    ])
+    def test_brute_route_without_classification(self, head, n_components):
+        phi = wide_formula(head)
+        with pytest.raises(ArityLimitError):
+            classify_set(phi.used_relations())
+        for method in ("brute", "auto"):
+            d = decide_connectivity(phi, method=method)
+            connected = n_components == 1
+            assert (d.connected, d.method, d.set_class, d.prediction) == (
+                connected, "brute", None, None)
+            assert d.to_json() == {"connected": connected, "method": "brute",
+                                   "set_class": None, "prediction": None,
+                                   "detail": {"n_variables": 11}}
+        assert len(solution_graph.components(phi)) == n_components
+        with pytest.raises(ArityLimitError):
+            decide_connectivity(phi, method="cpss")
+
+    @pytest.mark.parametrize("method", ["brute", "auto"])
+    def test_no_classification_above_the_enumeration_bound(self, method):
+        # 25 variables: no route answers, and the classification's error stands
+        wide = wide_formula(("001", "010", "100"))
+        extra = [Constraint("M", (f"y{i}", f"y{i + 1}", f"y{i + 2}"))
+                 for i in range(12)]
+        phi = make_formula(wide.constraints + tuple(extra),
+                           {**wide.library, "M": CATALOG["M"]})
+        assert phi.n == 25
+        with pytest.raises(ArityLimitError):
+            decide_connectivity(phi, method=method)
 
 
 class TestSeparationSearch:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,14 +16,15 @@ from relconn.catalog import CATALOG, parse_relations
 from relconn.cpss import random_formula
 from relconn.errors import (ClauseExtractionError, FormulaError,
                             FormulaParseError)
-from relconn.formulas import (CnfClause, Constraint, XorEquation,
-                              constraint_relation, evaluate, format_formula,
-                              make_formula, parse_formula, to_clausal)
+from relconn.formulas import (CONSTANTS, ClauseSet, CnfClause, Constraint,
+                              XorEquation, constraint_relation, evaluate,
+                              format_formula, make_formula, parse_formula,
+                              to_clausal)
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
                                check_property, hull)
 
 from closure_oracle import close_under, op_and, op_maj, op_or, op_xor3
-from random_inputs import random_cpss_pool
+from random_inputs import random_cpss_pool, random_relation
 
 SHAPES = (BIJUNCTIVE, HORN, DUAL_HORN)
 
@@ -217,6 +219,20 @@ class TestToClausal:
         phi = parse("var x y z\nM(x,y,z)")
         with pytest.raises(ClauseExtractionError):
             to_clausal(phi, BIJUNCTIVE)
+        with pytest.raises(ClauseExtractionError):
+            to_clausal(phi, "2-cnf")
+
+    def test_clause_set_checks_itself(self):
+        x_or_y = CnfClause(frozenset({"x", "y"}), frozenset())
+        with pytest.raises(ClauseExtractionError, match="unknown clause class '2-cnf'"):
+            ClauseSet("2-cnf", ("x", "y"))
+        with pytest.raises(ClauseExtractionError, match="clause x y is not affine"):
+            ClauseSet(AFFINE, ("x", "y"), (x_or_y,))
+        with pytest.raises(FormulaError, match=r"clause x y uses undeclared \['y'\]"):
+            ClauseSet(BIJUNCTIVE, ("x",), (x_or_y,))
+        with pytest.raises(FormulaError, match=r"equation uses undeclared \['z'\]"):
+            ClauseSet(AFFINE, ("x",), (), (XorEquation(frozenset({"x", "z"}), 1),))
+        assert ClauseSet(BIJUNCTIVE, ("x", "y"), (x_or_y,)).n == 2
 
     def test_affine_equations(self):
         phi = parse("rel X3 3 : 001 010 100 111\nvar a b c\nX3(a,b,c)")
@@ -337,6 +353,45 @@ class TestToClausal:
             assert len(empty) == false
             assert not false or empty in ([CnfClause(frozenset(), frozenset())],
                                           [XorEquation(frozenset(), 1)])
+
+    @pytest.mark.parametrize("kind", (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE))
+    def test_raises_iff_outside_the_class(self, monkeypatch, kind):
+        # the group check alone decides; check_property only picks the
+        # message once it has failed.  A third of the relations are hulls in
+        # the class, so both answers come up often.
+        rng = random.Random(f"outside-{kind}")
+        calls = []
+        original = formulas.check_property
+
+        def counting(rel, prop):
+            calls.append(prop)
+            return original(rel, prop)
+
+        monkeypatch.setattr(formulas, "check_property", counting)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            k = rng.randint(1, 6)
+            rel = random_relation(rng, k, rng.choice((0.2, 0.5, 0.8)))
+            if rng.random() < 0.3:
+                rel = hull(rel, kind)
+            args = tuple(rng.choice("01") if rng.random() < 0.1
+                         else rng.choice("abcdefgh") for _ in range(k))
+            if CONSTANTS.issuperset(args):
+                continue
+            phi = make_formula([Constraint("R", args)], {"R": rel.renamed("R")})
+            inside = original(constraint_relation(phi, 0)[1], kind)
+            seen[inside] += 1
+            before = len(calls)
+            if inside:
+                assert clause_models(to_clausal(phi, kind), phi.variables) == \
+                    formula_models(phi)
+                assert len(calls) == before
+            else:
+                with pytest.raises(ClauseExtractionError, match=re.escape(
+                        f"constraint R({','.join(args)}) is not {kind}")):
+                    to_clausal(phi, kind)
+                assert calls[before:] == [kind]
+        assert min(seen.values()) > 50, seen
 
     def test_empty_relation_gives_empty_clause(self):
         phi = parse("rel NONE 2 : \nvar x y\nNONE(x,y)")

@@ -68,7 +68,7 @@ class TestRandomFormula:
                 assert all(a not in ("0", "1") for a in c.args)
 
 
-class TestRandomHornView:
+class TestRandomHornSet:
     def test_shape_and_flags(self):
         rng = random.Random(59)
         saw_restraint = False

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from relconn import horn
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG
-from relconn.errors import HornStructureError, VarsLimitError
-from relconn.formulas import CnfClause, parse_formula
-from relconn.horn import (HornView, format_horn, imp, is_implied,
+from relconn.cpss import sat_schaefer
+from relconn.errors import (ClauseExtractionError, FormulaError,
+                            HornStructureError, VarsLimitError)
+from relconn.formulas import ClauseSet, CnfClause, parse_formula, to_clausal
+from relconn.horn import (format_horn, has_restraint_subset, imp, is_implied,
                           is_maximal_self_implicating, is_self_implicating,
-                          maximal_self_implicating_sets, normalize, parse_horn,
-                          view_from_formula)
+                          maximal_self_implicating_sets, normalize, parse_horn)
+from relconn.relations import HORN
 
 from horn_oracle import locally_minimal_solutions, maximum_self_implicating_subset
 from random_inputs import random_horn_view
@@ -49,7 +51,7 @@ class TestParsing:
                              CnfClause(frozenset(), frozenset({"b"})))
 
     def test_undeclared_rejected(self):
-        with pytest.raises(HornStructureError):
+        with pytest.raises(FormulaError, match=r"clause b -a uses undeclared \['b'\]"):
             view("var a\nb | -a\n")
 
     def test_roundtrip(self):
@@ -65,12 +67,12 @@ class TestParsing:
         assert view("var a b c d\na\nb | -c -a\n-d -c\n-\n") == v
 
     def test_more_than_one_positive_literal_rejected(self):
-        with pytest.raises(HornStructureError, match="more than one positive literal"):
-            HornView(("a", "b"), (CnfClause(frozenset({"a", "b"}), frozenset()),))
+        with pytest.raises(ClauseExtractionError, match="clause a b is not horn"):
+            ClauseSet(HORN, ("a", "b"), (CnfClause(frozenset({"a", "b"}), frozenset()),))
 
     def test_from_formula(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
-        v = view_from_formula(phi)
+        v = to_clausal(phi, HORN)
         assert sorted(horn.format_clause(c) for c in v.clauses) == ["x | -y -z", "z | -x"]
 
     @pytest.mark.parametrize("const, want", [("0,1", ["y | -x"]),
@@ -78,7 +80,7 @@ class TestParsing:
     def test_from_formula_with_a_constraint_on_constants_alone(self, const, want):
         # a true one adds no clause, a false one the empty clause
         phi = parse_formula(f"rel IMP 2 : 00 01 11\nvar x y\nIMP(x,y)\nIMP({const})")
-        v = view_from_formula(phi)
+        v = to_clausal(phi, HORN)
         assert sorted(horn.format_clause(c) for c in v.clauses) == want
         assert horn.solution_space(v) == sg.solution_space(phi)
 
@@ -123,6 +125,28 @@ class TestImp:
                         assert got == forced
 
 
+class TestUnitPropagation:
+    def test_parsed_sets_go_straight_into_sat_schaefer(self):
+        """sat_schaefer's unit propagation against Imp: a Horn clause set is
+        satisfiable iff Imp of the empty set holds no restraint set, and
+        then its minimal model sets exactly Imp of the empty set to 1."""
+        rng = random.Random(29)
+        seen = {True: 0, False: 0}
+        for _ in range(240):
+            v = random_horn_view(rng, n_vars=rng.randint(2, 6),
+                                 n_clauses=rng.randint(4, 10),
+                                 allow_positive_units=True, restraint_prob=0.35)
+            parsed = parse_horn(format_horn(v))
+            assert parsed == v
+            closure = imp(parsed, ())
+            ok, model = sat_schaefer(parsed)
+            assert ok == (not has_restraint_subset(parsed, closure))
+            if ok:
+                assert {x for x, b in model.items() if b} == closure
+            seen[ok] += 1
+        assert min(seen.values()) > 60, seen
+
+
 class TestSelfImplicating:
     def test_fixture(self):
         v = view(CHAIN)
@@ -151,7 +175,7 @@ class TestSelfImplicating:
         phi = parse_formula(
             "var u v w x y z\nM(u,v,w)\nM(x,y,z)\nM(w,w,y)\nM(z,z,v)",
             CATALOG)
-        v = view_from_formula(phi)
+        v = to_clausal(phi, HORN)
         sets_ = maximal_self_implicating_sets(v)
         assert sets_ == [frozenset(),
                          frozenset({"u", "v", "w", "x", "y", "z"})]
@@ -222,7 +246,7 @@ def horn_views(draw):
         head = draw(st.frozensets(st.sampled_from(names), max_size=1))
         body = draw(st.frozensets(st.sampled_from(names), max_size=4))
         clauses.append(CnfClause(head, body))
-    return HornView(tuple(names), tuple(clauses))
+    return ClauseSet(HORN, tuple(names), tuple(clauses))
 
 
 class TestSolutionSpace:
@@ -242,10 +266,10 @@ class TestSolutionSpace:
     def test_size_bound(self):
         names = [f"v{i}" for i in range(25)]
         with pytest.raises(VarsLimitError):
-            horn.solution_space(HornView(tuple(names),
-                                         (CnfClause(frozenset(), frozenset(names)),)))
+            horn.solution_space(ClauseSet(HORN, tuple(names),
+                                          (CnfClause(frozenset(), frozenset(names)),)))
 
     def test_matches_formula_engine(self):
         phi = parse_formula("var x y z\nM(x,y,z)", CATALOG)
-        v = view_from_formula(phi)
+        v = to_clausal(phi, HORN)
         assert horn.solution_space(v) == sg.solution_space(phi)

@@ -26,7 +26,6 @@ UNREFERENCED = {
     "cpss.project": TRACER,
     "cpss.sat_schaefer": TRACER,
     "formulas.evaluate": TRACER,
-    "horn.view_from_formula": LIBRARY,
     "relations.first_unsafe_identification": LIBRARY,
     "relations.is_closed": TRACER,
     "solution_graph.distance": LIBRARY,

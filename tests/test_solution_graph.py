@@ -330,6 +330,36 @@ class TestReportAndDot:
         assert '"000" -- "001";' in text
 
 
+class TestListingBound:
+    @pytest.mark.parametrize("query", [sg.components, sg.report, sg.export_dot])
+    def test_raises_before_formatting(self, monkeypatch, query):
+        # 262,144 solutions: twice the bound, as 9 factors, so the diameter
+        # bound does not fire first in report
+        phi = cube_pairs_formula(18)
+
+        def no_formatting(idx, n):
+            raise AssertionError("a solution was formatted")
+
+        monkeypatch.setattr(bitspace, "tuple_of_index", no_formatting)
+        with pytest.raises(VarsLimitError,
+                           match="262144 solutions exceed the listing bound 131072"):
+            query(phi)
+
+    def test_bound_is_inclusive(self):
+        # 2^17 solutions, exactly the bound, still list
+        phi = cube_pairs_formula(18)
+        phi = make_formula(phi.constraints + (Constraint("ZERO", ("x0",)),),
+                           {**phi.library, "ZERO": Relation.from_tuples(1, ["0"])},
+                           phi.variables)
+        assert sum(map(len, sg.components(phi))) == sg.LISTING_SOLUTIONS_MAX
+
+    def test_dense_16_variables_still_list(self):
+        phi = dense_16_variable_formula()
+        count = sg.solution_space(phi).bit_count()
+        assert sum(map(len, sg.components(phi))) == count
+        assert sg.report(phi).n_solutions == count
+
+
 class TestDiameter:
     """The all-sources diameter pass against the per-vertex BFS and networkx."""
 
