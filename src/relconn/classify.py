@@ -107,10 +107,14 @@ class SetClassification:
         }
 
 
-def _need(value: bool | None, what: str) -> bool:
+def _need(p: RelationProfile, flag: str) -> bool:
+    """The profile's safely flag, or ArityLimitError naming the flag and
+    the relation when the arity left it unknown."""
+    value = getattr(p, flag)
     if value is None:
         raise ArityLimitError(
-            f"classification needs {what}, which requires arity <= {SAFE_CHECK_ARITY_MAX}")
+            f"classification needs {flag} of {p.name or 'an unnamed relation'} "
+            f"(arity {p.arity}), which requires arity <= {SAFE_CHECK_ARITY_MAX}")
     return value
 
 
@@ -144,7 +148,8 @@ def classify_set(relations: Sequence[Relation]) -> SetClassification:
         flags = [getattr(p, flag_name) for p in profs]
         if any(f is None for f in flags):
             if not cpss_kinds:  # the decision genuinely depends on the sweep
-                _need(None, "a safely-componentwise check")
+                for p in profs:
+                    _need(p, flag_name)
         elif all(flags):
             cpss_kinds.append(kind)
     cpss_kinds.sort(key=SCHAEFER_ORDER.index)
@@ -157,9 +162,9 @@ def classify_set(relations: Sequence[Relation]) -> SetClassification:
         safely_tight = True  # every Schaefer set is safely tight
     else:
         safely_tight = (
-            all(_need(p.safely_componentwise_bijunctive, "a safely check") for p in profs)
-            or all(_need(p.safely_or_free, "a safely check") for p in profs)
-            or all(_need(p.safely_nand_free, "a safely check") for p in profs))
+            all(_need(p, "safely_componentwise_bijunctive") for p in profs)
+            or all(_need(p, "safely_or_free") for p in profs)
+            or all(_need(p, "safely_nand_free") for p in profs))
 
     if cpss:
         set_class = CPSS

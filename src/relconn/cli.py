@@ -8,8 +8,9 @@ or to the file that `graph --dot OUT` or `reduce -o OUT` names (`-` is
 stdout); a file gets exactly what would be printed.  The text is rendered
 only when it is printed, so the `--json` path formats no text.
 
-Exit codes: 0 on success, 1 for a "no" answer to a boolean query when
---exit-status is given, 2 on usage or input errors.
+Exit codes: 0 on success, 2 on usage or input errors.  With
+--exit-status, a boolean query exits 1 on a "no" answer and 3 when `conn`
+leaves the answer undecided (too large to enumerate).
 
 `main(argv)` may be called any number of times in one process. The
 argument parser is built on the first call and reused after that;
@@ -38,10 +39,11 @@ from .formulas import ClauseSet, Formula, format_formula, parse_formula
 
 class Answer(NamedTuple):
     """A subcommand's result: its JSON document, its text form rendered on
-    demand, and whether it answers "no" (what --exit-status reads)."""
+    demand, and the exit code --exit-status gives it (1 for "no", 3 for
+    undecided)."""
     doc: object
     text: Callable[[], str]
-    no: bool = False
+    status: int = 0
 
 
 def _read(path: str) -> str:
@@ -149,14 +151,15 @@ def cmd_conn(args) -> Answer:
                     f"predicted {decision.prediction.conn}\n")
         return "connected\n" if decision.connected else "disconnected\n"
 
-    return Answer(decision.to_json(), text, no=decision.connected is False)
+    status = {None: 3, False: 1, True: 0}[decision.connected]
+    return Answer(decision.to_json(), text, status)
 
 
 def cmd_stconn(args) -> Answer:
     ok, path = sg.st_connected(_load_formula(args.file), args.s, args.t)
     return Answer({"connected": ok, "path": list(path) if path else None},
                   lambda: f"connected: {' '.join(path)}\n" if ok else "disconnected\n",
-                  no=not ok)
+                  status=0 if ok else 1)
 
 
 def cmd_diameter(args) -> Answer:
@@ -242,7 +245,7 @@ def _add_json(p: argparse.ArgumentParser) -> None:
 
 def _add_exit_status(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exit-status", action="store_true",
-                   help="exit 1 when the answer is no")
+                   help="exit 1 when the answer is no, 3 when it is undecided")
 
 
 @functools.cache
@@ -365,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     except RelconnError as exc:
         print(f"relconn: error: {exc}", file=sys.stderr)
         return 2
-    return 1 if args.exit_status and answer.no else 0
+    return answer.status if args.exit_status else 0
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ Two constructions:
   pattern is its only state: each step reads the prime Horn clauses off
   the pinned relation's mask (formulas.cnf_implicates), normalizes them
   and checks the view's solutions against the mask, and the result is
-  checked to be M before it is returned.  One walk over the distinct
-  identifications finds the failing ones and feeds the candidate choices,
-  so it is bounded by SAFE_CHECK_ARITY_MAX.
+  checked to be M before it is returned.  The construction runs once:
+  the walk over the distinct identifications stops at the first failing
+  one (so it is bounded by SAFE_CHECK_ARITY_MAX), every later step makes
+  one choice, and a step whose precondition fails raises
+  ExpressionError("internal: ...") instead of trying another choice.
 
 reduce_sat_to_conn does not check its output; the test suite compares it
 with brute force.
@@ -202,40 +204,34 @@ def _initial_state(rel: Relation, pattern: ArgPattern) -> _State:
     return _state(rel, slots, names)
 
 
-def _express_candidates(rel: Relation):
-    """Deterministic stream of (pattern, state, c*) choices.
+def _choose(rel: Relation) -> tuple[_State, CnfClause]:
+    """The construction's one choice: the pinned state and its clause c*.
 
-    The preferred order follows the construction: first identification
-    making the relation not componentwise IHSB-, first failing component
-    (whose minimum's 1-set is pinned to 1 in `state`), multi-implication
-    clauses filtered to those whose variable reach holds no restraint set
-    and whose body has an unimplied variable.  Later choices serve as
-    verified fallbacks.  The walk skips repeated images, whose states and
-    outcomes would repeat too; when no image fails, the relation is safely
-    componentwise IHSB- and the stream ends in ExpressionError.
+    The first identification, in walk order, that makes the relation not
+    componentwise IHSB- gives the base state; its first failing
+    component's minimum has its 1-set pinned to 1.  c* is the first
+    multi-implication clause of that view (a positive head and two or more
+    body variables) that passes `_spec_filter`, or else the first one.
+    Two facts need no check.  A component of a Horn relation is closed
+    under AND, so it has a minimum.  The pinned relation holds the
+    all-zero tuple, so its view has no positive unit.  When no image
+    fails, the relation is safely componentwise IHSB- and ExpressionError
+    says so.
     """
-    unsafe = False
     for labels, arity, mask in walk_identifications(rel):
-        failing = [comp for comp in components(Relation(arity, mask))
-                   if not check_property(comp, IHSB_MINUS)]
-        if not failing:
+        failing = next((comp for comp in components(Relation(arity, mask))
+                        if not check_property(comp, IHSB_MINUS)), None)
+        if failing is None:
             continue
-        unsafe = True
-        pattern = ArgPattern(labels)
-        base = _initial_state(rel, pattern)
-        for comp in failing:
-            lower = bitspace.minimum(comp.mask, comp.arity)
-            if lower is None:
-                continue
-            u = hornmod.ones_set(base.view, lower)
-            state2 = _pin(rel, base, {v: "1" for v in u})
-            if state2.view.has_positive_units():
-                continue
-            multi = [c for c in state2.view.clauses if c.pos and len(c.neg) >= 2]
-            for cstar in sorted(multi, key=lambda c: not _spec_filter(state2.view, c)):
-                yield pattern, state2, cstar
-    if not unsafe:
-        raise ExpressionError(_SAFE)
+        base = _initial_state(rel, ArgPattern(labels))
+        lower = bitspace.minimum(failing.mask, failing.arity)
+        state2 = _pin(rel, base, {v: "1" for v in hornmod.ones_set(base.view, lower)})
+        multi = [c for c in state2.view.clauses if c.pos and len(c.neg) >= 2]
+        if not multi:
+            raise ExpressionError("internal: the pinned component has no "
+                                  "multi-implication clause")
+        return state2, next((c for c in multi if _spec_filter(state2.view, c)), multi[0])
+    raise ExpressionError(_SAFE)
 
 
 def _spec_filter(view: ClauseSet, cstar: CnfClause) -> bool:
@@ -266,78 +262,48 @@ def express_m_details(rel: Relation) -> ExpressOutcome:
             check_property(rel, prop) for prop in SAFE_SHORTCUTS[SAFELY_CW_IHSB_MINUS]):
         raise ExpressionError(_SAFE)
     src = rel.renamed(rel.name or "R")
-    failures: list[str] = []
-    for pattern, state2, cstar in _express_candidates(src):
-        try:
-            outcome = _finish(src, state2, cstar)
-        except ExpressionError as exc:
-            failures.append(str(exc))
-            continue
-        if outcome is not None:
-            return outcome
-    raise ExpressionError(
-        "no candidate choice reached M: " + "; ".join(failures[:4]))
+    return _finish(src, *_choose(src))
 
 
 def express_m(rel: Relation) -> Formula:
     return express_m_details(rel).formula
 
 
-def _finish(src: Relation, state2: _State, cstar: CnfClause) -> ExpressOutcome | None:
-    view2 = state2.view
-    reach = hornmod.imp(view2, cstar.variables())
-    zero_out = {v: "0" for v in view2.variables if v not in reach}
-    state3 = _pin(src, state2, zero_out)
+def _finish(src: Relation, state2: _State, cstar: CnfClause) -> ExpressOutcome:
+    """Cut state2 to the implication span of c*, then pin it down to the
+    head x of c* and two body variables y and z, one pin per step."""
+    reach = hornmod.imp(state2.view, cstar.variables())
+    state3 = _pin(src, state2, {v: "0" for v in state2.alive() if v not in reach})
     view3 = state3.view
-    # the chosen clause must survive the cut to its implication span
-    if cstar not in view3.clauses:
-        return None
-    order = {v: j for j, v in enumerate(view3.variables)}
     (x_name,) = cstar.pos
-    for y_name in sorted(cstar.neg, key=order.__getitem__):
-        if y_name in hornmod.imp(view3, set(view3.variables) - {y_name}):
-            continue
-        rest = sorted(cstar.neg - {y_name}, key=order.__getitem__)
-        z_name = rest[0]
-        merge = {v: z_name for v in rest[1:]}
-        state4 = _pin(src, state3, merge)
-        view4 = state4.view
-        if not _condition_star(view4, x_name, y_name, z_name):
-            continue
-        ones = hornmod.imp(view4, {y_name}) - {y_name}
-        if x_name in ones or z_name in ones:
-            continue
-        state5 = _pin(src, state4, {v: "1" for v in ones})
-        zmerge_set = hornmod.imp(state5.view, {z_name}) - {z_name}
-        if x_name in zmerge_set or y_name in zmerge_set:
-            continue
-        state6 = _pin(src, state5, {v: z_name for v in zmerge_set})
-        others = [v for v in state6.view.variables if v not in (x_name, y_name, z_name)]
-        state7 = _pin(src, state6, {v: x_name for v in others})
-        if set(state7.view.variables) != {x_name, y_name, z_name}:
-            continue
-        outcome = _shape_outcome(src, state7, x_name, y_name, z_name)
-        if outcome is not None:
-            return outcome
-    return None
-
-
-def _condition_star(view: ClauseSet, x: str, y: str, z: str) -> bool:
-    if x in hornmod.imp(view, {y}) or x in hornmod.imp(view, {z}):
-        return False
-    if z in hornmod.imp(view, {y}):
-        return False
-    return not hornmod.is_implied(view, y)
+    body = [v for v in view3.variables if v in cstar.neg]
+    y_name = next((y for y in body if not hornmod.is_implied(view3, y)), None)
+    if y_name is None:
+        raise ExpressionError("internal: the rest implies every body variable of c*")
+    rest = [v for v in body if v != y_name]
+    z_name = rest[0]
+    state4 = _pin(src, state3, {v: z_name for v in rest[1:]})
+    ones = hornmod.imp(state4.view, {y_name}) - {y_name}
+    if x_name in ones or z_name in ones:
+        raise ExpressionError("internal: y implies x or z")
+    state5 = _pin(src, state4, {v: "1" for v in ones})
+    zmerge_set = hornmod.imp(state5.view, {z_name}) - {z_name}
+    if x_name in zmerge_set or y_name in zmerge_set:
+        raise ExpressionError("internal: z implies x or y")
+    state6 = _pin(src, state5, {v: z_name for v in zmerge_set})
+    others = [v for v in state6.alive() if v not in (x_name, y_name, z_name)]
+    state7 = _pin(src, state6, {v: x_name for v in others})
+    return _shape_outcome(src, state7, x_name, y_name, z_name)
 
 
 def _shape_outcome(src: Relation, state: _State,
-                   x: str, y: str, z: str) -> ExpressOutcome | None:
+                   x: str, y: str, z: str) -> ExpressOutcome:
     roles = {x: "x", y: "y", z: "z"}
     slots = tuple(s if s in ("0", "1") else roles[s] for s in state.slots)
     pinned = Relation(3, conjunction_space(("x", "y", "z"), [(src.mask, src.arity, slots)]))
     shape = next((nm for nm in ("M", "K", "L") if pinned == CATALOG[nm]), None)
     if shape is None:
-        return None
+        raise ExpressionError("internal: the pinned relation is not M, K or L")
     constraints = [Constraint(src.name, slots)]
     if shape in ("K", "L"):
         fold = {"x": "z", "y": "x", "z": "x"}

@@ -46,14 +46,30 @@ def rendered_json(monkeypatch):
     return docs
 
 
-def wide_formula_text() -> str:
-    """One arity-11 constraint: M on its first three coordinates times
-    {0,1}^8, 1,280 tuples.  Above the identification sweep's arity bound,
-    so the relation set has no classification."""
-    tuples = [m + format(s, "08b") for m in ("000", "001", "010", "101", "111")
-              for s in range(256)]
+M_TUPLES = ("000", "001", "010", "101", "111")
+ONE_IN_THREE = ("001", "010", "100")
+
+
+def wide_formula_text(base: tuple[str, ...] = M_TUPLES) -> str:
+    """One arity-11 constraint: a ternary relation (M by default) on its
+    first three coordinates times {0,1}^8, 1,280 tuples for M.  Above the
+    identification sweep's arity bound, so the relation set has no
+    classification."""
+    tuples = [m + format(s, "08b") for m in base for s in range(256)]
     names = ",".join(f"x{i}" for i in range(1, 12))
     return f"rel R 11 : {' '.join(tuples)}\nR({names})\n"
+
+
+@pytest.fixture
+def undecided(tmp_path):
+    """26 variables, two more than enumeration takes: eight M constraints
+    on disjoint triples and two free variables.  {M} is not CPSS, so no
+    route answers."""
+    names = [f"v{i}" for i in range(1, 27)]
+    path = tmp_path / "undecided.cnfs"
+    path.write_text("var " + " ".join(names) + "\n" + "".join(
+        f"M({','.join(names[j:j + 3])})\n" for j in range(0, 24, 3)))
+    return path
 
 
 def run(capsys, *args):
@@ -145,8 +161,33 @@ class TestConn:
         path = tmp_path / "wide.cnfs"
         path.write_text(wide_formula_text())
         assert run(capsys, "conn", path, "--method", "cpss") == (
-            2, "", "relconn: error: classification needs a safely-componentwise "
-                   "check, which requires arity <= 10\n")
+            2, "", "relconn: error: classification needs safely_componentwise_ihsb_minus "
+                   "of R (arity 11), which requires arity <= 10\n")
+
+    def test_cpss_route_names_the_safely_tight_flag(self, capsys, tmp_path):
+        # not Schaefer, so the first safely-tight flag is the one needed
+        path = tmp_path / "wide.cnfs"
+        path.write_text(wide_formula_text(ONE_IN_THREE))
+        assert run(capsys, "conn", path, "--method", "cpss") == (
+            2, "", "relconn: error: classification needs safely_componentwise_bijunctive "
+                   "of R (arity 11), which requires arity <= 10\n")
+
+    def test_undecided_text(self, capsys, undecided):
+        assert run(capsys, "conn", undecided) == (
+            0, "undecided (too large to enumerate); set class SchaeferNotCPSS, "
+               "predicted coNP-complete\n", "")
+
+    def test_undecided_json(self, capsys, undecided):
+        code, out, err = run(capsys, "conn", undecided, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["connected"], payload["method"]) == (None, "none")
+        assert payload["detail"] == {"reason": "too many variables"}
+
+    @pytest.mark.parametrize("flags, status", [
+        ([], 0), (["--exit-status"], 3), (["--json", "--exit-status"], 3)])
+    def test_undecided_exit_status(self, capsys, undecided, flags, status):
+        assert run(capsys, "conn", undecided, *flags)[0] == status
 
 
 class TestGraphQueries:
@@ -567,6 +608,28 @@ class TestErrors:
         code, _, err = run(capsys, "conn", "no-such-file.cnfs")
         assert code == 2
         assert err.startswith("relconn: error:")
+
+    @pytest.mark.parametrize("argv, name, text, message", [
+        (["conn"], "bad.cnfs", "foo bar\n", "line 1: cannot parse 'foo bar'"),
+        (["conn"], "bad.cnfs", "var y z\nN(y z)\n", "line 2: bad argument 'y z'"),
+        (["conn"], "bad.cnfs", "rel R 1 : 1\nR()\n", "line 2: constraint with no arguments"),
+        (["classify-set"], "bad.rel", "rel A 2 00\n",
+         "line 1: bad relation line: 'rel A 2 00'"),
+        (["classify-set"], "bad.rel", "rel 1A 2 : 00\n", "line 1: bad relation name '1A'"),
+        (["classify-set"], "bad.rel", "rel A x : 00\n",
+         "line 1: bad arity in relation line: 'rel A x : 00'"),
+        (["horn", "selfimp"], "bad.horn", "var x\n| -x\n", "line 2: missing head before |"),
+        (["horn", "selfimp"], "bad.horn", "var x y\nx | y\n",
+         "line 2: body literal 'y' must be negative"),
+        (["horn", "selfimp"], "bad.horn", "var x y\nx y\n", "line 2: cannot parse clause 'x y'"),
+        (["classify-set"], "empty.rel", "# no relations\n", "{path}: no relations found"),
+    ], ids=["cnfs-parse", "cnfs-argument", "cnfs-no-arguments", "rel-line", "rel-name",
+            "rel-arity", "horn-head", "horn-body", "horn-clause", "rel-none"])
+    def test_reader_errors_exit_2(self, capsys, tmp_path, argv, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(capsys, *argv, path) == (
+            2, "", f"relconn: error: {message.format(path=path)}\n")
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -467,11 +467,11 @@ class TestExpressMState:
     def test_first_candidate_matches_partition_loop(self, monkeypatch):
         for rel in seeded_express_inputs(41, 24, 7):
             src = rel.renamed("R")
-            walked = next(constructions._express_candidates(src))
+            walked = constructions._choose(src)
             with monkeypatch.context() as m:
                 m.setattr(constructions, "walk_identifications", partition_loop)
-                looped = next(constructions._express_candidates(src))
-            assert walked == looped  # pattern, pinned state, c*
+                looped = constructions._choose(src)
+            assert walked == looped  # pinned state, c*
 
     def test_outcome_matches_partition_loop(self, monkeypatch):
         rels = seeded_express_inputs(47, 30, 7) + [
@@ -508,6 +508,55 @@ class TestExpressMState:
         for rel in rels:
             express_m_details(rel)
         assert len(calls) == len(rels)
+
+    def test_every_horn_relation_of_arity_3_and_4(self, monkeypatch):
+        """One construction path: each relation that is not safely
+        componentwise IHSB- reaches M with exactly one _finish call, and
+        every other Horn relation is rejected before it."""
+        finishes = []
+        real = constructions._finish
+
+        def counted(*args):
+            finishes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(constructions, "_finish", counted)
+        expressed = 0
+        for k in (3, 4):
+            for mask in range(1 << (1 << k)):
+                rel = Relation(k, mask)
+                if not check_property(rel, HORN):
+                    continue
+                before = len(finishes)
+                try:
+                    outcome = express_m_details(rel)
+                except ExpressionError as exc:
+                    assert str(exc) == constructions._SAFE
+                    assert len(finishes) == before
+                    continue
+                assert len(finishes) == before + 1
+                assert relation_of_formula_raw(outcome.formula) == M.members
+                expressed += 1
+        assert expressed == 2593
+
+    def test_failing_step_is_not_retried(self, monkeypatch, capsys):
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise ExpressionError("internal: the shape check broke")
+
+        monkeypatch.setattr(constructions, "_shape_outcome", broken)
+        for rel in seeded_express_inputs(43, 12, 8):
+            with pytest.raises(ExpressionError) as exc:
+                express_m_details(rel)
+            assert str(exc.value) == "internal: the shape check broke"
+        assert len(calls) == 12
+        m_rel = Path(__file__).resolve().parent.parent / "samples" / "m.rel"
+        assert main(["express-m", str(m_rel)]) == 2
+        assert capsys.readouterr() == (
+            "", "relconn: error: internal: the shape check broke\n")
+        assert len(calls) == 13
 
     def test_seeded_sweep_reaches_m(self):
         shapes = set()
