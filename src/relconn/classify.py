@@ -12,7 +12,7 @@ solution-graph diameter of formulas built from the set:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ArityLimitError, RelationError
@@ -26,7 +26,6 @@ SCHAEFER_NOT_CPSS = "SchaeferNotCPSS"
 SAFELY_TIGHT_NOT_SCHAEFER = "SafelyTightNotSchaefer"
 NOT_SAFELY_TIGHT = "NotSafelyTight"
 
-SET_CLASSES = (CPSS, SCHAEFER_NOT_CPSS, SAFELY_TIGHT_NOT_SCHAEFER, NOT_SAFELY_TIGHT)
 SCHAEFER_ORDER = [BIJUNCTIVE, HORN, DUAL_HORN, AFFINE]
 
 
@@ -58,9 +57,6 @@ class RelationProfile:
     safely_nand_free: bool | None
     safely_componentwise_ihsb_minus: bool | None
     safely_componentwise_ihsb_plus: bool | None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def profile(rel: Relation) -> RelationProfile:
@@ -94,17 +90,6 @@ class SetClassification:
     cpss: bool
     schaefer_kinds: tuple[str, ...]  # which of the four clause classes cover the set
     cpss_kinds: tuple[str, ...]      # which rows of the CPSS definition apply
-
-    def to_json(self) -> dict:
-        return {
-            "set_class": self.set_class,
-            "tight": self.tight,
-            "safely_tight": self.safely_tight,
-            "schaefer": self.schaefer,
-            "cpss": self.cpss,
-            "schaefer_kinds": list(self.schaefer_kinds),
-            "cpss_kinds": list(self.cpss_kinds),
-        }
 
 
 def _need(p: RelationProfile, flag: str) -> bool:
@@ -184,10 +169,6 @@ class Predictions:
     conn: str
     st_conn: str
     diameter_bound: str
-
-    def to_json(self) -> dict:
-        return {"sat": self.sat, "conn": self.conn, "st_conn": self.st_conn,
-                "diameter_bound": self.diameter_bound}
 
 
 _TABLE = {

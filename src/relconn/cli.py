@@ -8,6 +8,13 @@ or to the file that `graph --dot OUT` or `reduce -o OUT` names (`-` is
 stdout); a file gets exactly what would be printed.  The text is rendered
 only when it is printed, so the `--json` path formats no text.
 
+The JSON format is decided here alone.  The library's result dataclasses
+carry no serializer: each renders as the dict of its fields, so a new field
+is a new key.  The one document shaped by hand is `conn`'s cpss detail,
+which adds "method": "cpss" and lists each projection's tuples.  A library
+caller gets the same text from `render_json(obj)`, for instance
+`render_json(solution_graph.report(phi))`.
+
 Exit codes: 0 on success, 2 on usage or input errors.  With
 --exit-status, a boolean query exits 1 on a "no" answer and 3 when `conn`
 leaves the answer undecided (too large to enumerate).
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -32,7 +40,7 @@ from . import solution_graph as sg
 from .catalog import parse_relations
 from .classify import RelationProfile, classify_set, predict, profile
 from .constructions import express_m_details, reduce_sat_to_conn
-from .cpss import decide_connectivity, search_separation_counterexample
+from .cpss import CpssReport, decide_connectivity, search_separation_counterexample
 from .errors import RelconnError
 from .formulas import ClauseSet, Formula, format_formula, parse_formula
 
@@ -69,9 +77,11 @@ def _load_horn(path: str) -> ClauseSet:
 
 
 def render_json(doc: object) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, for a
-    document of dicts with str keys, lists and tuples, str, int, bool and
-    None; the standard encoder runs in pure Python whenever it indents."""
+    """`json.dumps(doc, sort_keys=True, indent=2, default=vars)`, byte for
+    byte, for a document of dicts with str keys, lists and tuples, str, int,
+    bool, None and result dataclasses, each of which renders as the dict of
+    its fields; the standard encoder runs in pure Python whenever it
+    indents."""
     chunks: list[str] = []
     _render(doc, "\n", chunks)
     return "".join(chunks)
@@ -113,6 +123,8 @@ def _render(doc: object, indent: str, chunks: list[str]) -> None:
         else:
             chunks += ("[" + inner, body)
         chunks.append(indent + "]")
+    elif is_dataclass(doc):  # a result type: the dict of its fields
+        _render(vars(doc), indent, chunks)
     else:
         raise TypeError(f"{type(doc).__name__} is not a JSON answer type")
 
@@ -122,7 +134,7 @@ def _lines(lines: Iterable[str]) -> str:
 
 
 def _profile_line(p: RelationProfile) -> str:
-    d = p.as_dict()
+    d = vars(p)
     line = f"{p.name} (arity {p.arity}): " + ", ".join(k for k, v in d.items() if v is True)
     unknown = [k for k, v in d.items() if v is None]
     return line + "; unknown: " + ", ".join(unknown) if unknown else line
@@ -130,20 +142,33 @@ def _profile_line(p: RelationProfile) -> str:
 
 def cmd_classify_relation(args) -> Answer:
     profiles = [profile(r) for r in _load_relations(args.file).values()]
-    return Answer([p.as_dict() for p in profiles],
-                  lambda: _lines(map(_profile_line, profiles)))
+    return Answer(profiles, lambda: _lines(map(_profile_line, profiles)))
 
 
 def cmd_classify_set(args) -> Answer:
     cl = classify_set(_load_relations(args.file).values())
     pr = predict(cl)
-    return Answer({"classification": cl.to_json(), "prediction": pr.to_json()},
+    return Answer({"classification": cl, "prediction": pr},
                   lambda: f"{cl.set_class}; Conn_C: {pr.conn}; st-Conn_C: {pr.st_conn}; "
                           f"diameter: {pr.diameter_bound}\n")
 
 
+def _cpss_detail(report: CpssReport) -> dict:
+    """The cpss route's detail: the report's fields, "method": "cpss", and
+    each projection's relation as its list of tuples."""
+    projections = []
+    for p in report.projections:
+        doc = vars(p) | {"tuples": p.relation.tuples()}
+        del doc["relation"]
+        projections.append(doc)
+    return vars(report) | {"method": "cpss", "projections": projections}
+
+
 def cmd_conn(args) -> Answer:
     decision = decide_connectivity(_load_formula(args.file), method=args.method)
+    doc = vars(decision)
+    if isinstance(decision.detail, CpssReport):
+        doc = doc | {"detail": _cpss_detail(decision.detail)}
 
     def text() -> str:
         if decision.connected is None:
@@ -152,7 +177,7 @@ def cmd_conn(args) -> Answer:
         return "connected\n" if decision.connected else "disconnected\n"
 
     status = {None: 3, False: 1, True: 0}[decision.connected]
-    return Answer(decision.to_json(), text, status)
+    return Answer(doc, text, status)
 
 
 def cmd_stconn(args) -> Answer:
@@ -180,7 +205,7 @@ def cmd_graph(args) -> Answer:
 
 def cmd_report(args) -> Answer:
     rep = sg.report(_load_formula(args.file))
-    return Answer(rep.to_json(), lambda: _lines([
+    return Answer(rep, lambda: _lines([
         f"variables: {rep.n_variables}",
         f"solutions: {rep.n_solutions}",
         f"connected: {str(rep.connected).lower()}",

@@ -303,15 +303,6 @@ class Projection:
     relation: Relation
     n_components: int
 
-    def to_json(self) -> dict:
-        return {
-            "constraint": self.constraint,
-            "constraint_index": self.constraint_index,
-            "variables": list(self.variables),
-            "tuples": self.relation.tuples(),
-            "n_components": self.n_components,
-        }
-
 
 def project(phi: Formula, i: int, clause_set: ClauseSet | None = None) -> Projection:
     """Projection of the solution set onto the variables of constraint i.
@@ -347,14 +338,6 @@ class CpssReport:
     satisfiable: bool
     projections: tuple[Projection, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "connected": self.connected,
-            "satisfiable": self.satisfiable,
-            "method": "cpss",
-            "projections": [p.to_json() for p in self.projections],
-        }
-
 
 def conn_cpss(phi: Formula, check: bool = True) -> CpssReport:
     """Connectivity by projections; sound and complete on CPSS sets.
@@ -389,16 +372,7 @@ class ConnDecision:
     method: str
     set_class: str | None
     prediction: Predictions | None
-    detail: dict
-
-    def to_json(self) -> dict:
-        return {
-            "connected": self.connected,
-            "method": self.method,
-            "set_class": self.set_class,
-            "prediction": None if self.prediction is None else self.prediction.to_json(),
-            "detail": self.detail,
-        }
+    detail: CpssReport | dict  # the cpss route's report; a small dict otherwise
 
 
 def decide_connectivity(phi: Formula, method: str = "auto") -> ConnDecision:
@@ -428,7 +402,7 @@ def decide_connectivity(phi: Formula, method: str = "auto") -> ConnDecision:
     if method == "cpss" or (method == "auto" and classification.cpss):
         report = _conn_cpss(phi, _pick_class(classification, True))
         return ConnDecision(report.connected, "cpss", classification.set_class,
-                            prediction, report.to_json())
+                            prediction, report)
     try:
         connected = solution_graph.is_connected(phi)
     except VarsLimitError:

@@ -318,17 +318,6 @@ class SolutionGraphReport:
     minimums: tuple[str | None, ...]
     locally_minimal: tuple[tuple[str, ...], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "n_variables": self.n_variables,
-            "n_solutions": self.n_solutions,
-            "connected": self.connected,
-            "diameter": self.diameter,
-            "components": [list(c) for c in self.components],
-            "minimums": list(self.minimums),
-            "locally_minimal": [list(c) for c in self.locally_minimal],
-        }
-
 
 def report(phi: Formula) -> SolutionGraphReport:
     """Counts, connectivity, diameter and every component listed.  The

@@ -314,7 +314,7 @@ class TestSamplesUnchanged:
             for rel in parse_relations(path.read_text()).values():
                 out.append(relations.components(rel))
         for path in sorted(SAMPLES.glob("*.cnfs")):
-            out.append(sg.report(parse_formula(path.read_text(), CATALOG)).to_json())
+            out.append(sg.report(parse_formula(path.read_text(), CATALOG)))
         return out
 
     def test_samples(self, route, monkeypatch):

@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relconn import bitspace, cli, cpss, horn
+from relconn import solution_graph as sg
+from relconn.catalog import CATALOG, parse_relations
+from relconn.classify import classify_set, predict, profile
 from relconn.cli import build_parser, main
 from relconn.formulas import parse_formula
-from relconn.catalog import CATALOG
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SRC = SAMPLES.parent / "src"
@@ -31,14 +33,14 @@ def sample(name: str) -> str:
 @pytest.fixture(autouse=True)
 def rendered_json(monkeypatch):
     """Every --json document that main renders in these tests must be what
-    json.dumps(doc, sort_keys=True, indent=2) gives; returns the documents
-    checked."""
+    json.dumps(doc, sort_keys=True, indent=2, default=vars) gives; returns
+    the documents checked."""
     render = cli.render_json
     docs = []
 
     def checked(doc):
         text = render(doc)
-        assert text == json.dumps(doc, sort_keys=True, indent=2)
+        assert text == json.dumps(doc, sort_keys=True, indent=2, default=vars)
         docs.append(doc)
         return text
 
@@ -596,6 +598,34 @@ class TestRenderJson:
         [[["deep"]], [[]], []], {"k": ["0", "1"] * 3}, 2 ** 100])
     def test_fixtures(self, doc):
         assert cli.render_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @staticmethod
+    def results() -> dict[str, object]:
+        """One instance of each result type that a document carries whole."""
+        rels = parse_relations((SAMPLES / "rconp.rel").read_text())
+        cl = classify_set(rels.values())
+        names = [f"v{i}" for i in range(1, 27)]
+        too_large = parse_formula("var " + " ".join(names) + "\n" + "".join(
+            f"M({','.join(names[j:j + 3])})\n" for j in range(0, 24, 3)), CATALOG)
+        return {
+            "RelationProfile": profile(rels["R_coNP"]),
+            "SetClassification": cl,
+            "Predictions": predict(cl),
+            "ConnDecision brute": cpss.decide_connectivity(
+                parse_formula((SAMPLES / "conp.cnfs").read_text(), CATALOG), "brute"),
+            "ConnDecision none": cpss.decide_connectivity(too_large),
+            # OR(x,y): one component, {01, 10, 11}, whose AND is no solution
+            "SolutionGraphReport": sg.report(parse_formula("var x y\nOR(x,y)", CATALOG)),
+        }
+
+    def test_result_types_render_as_their_fields(self):
+        results = self.results()
+        assert results["ConnDecision brute"].detail == {"n_variables": 4}
+        assert results["ConnDecision none"].detail == {"reason": "too many variables"}
+        assert results["SolutionGraphReport"].minimums == (None,)
+        for name, doc in results.items():
+            assert cli.render_json(doc) == json.dumps(
+                doc, sort_keys=True, indent=2, default=vars), name
 
     @pytest.mark.parametrize("doc", [1.5, [1.5], ["a", 0.5], {1: "a"}, {"a": {2}}])
     def test_other_types_raise(self, doc):

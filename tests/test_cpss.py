@@ -445,6 +445,8 @@ class TestDecideConnectivity:
         assert d.method == "cpss"
         assert d.connected is False
         assert d.set_class == "CPSS"
+        # the route's evidence is the report itself, as conn_cpss gives it
+        assert d.detail == conn_cpss(phi)
 
     def test_auto_falls_back_to_brute(self):
         phi = parse_formula(T_TEXT, CATALOG)
@@ -479,7 +481,7 @@ class TestDecideConnectivity:
             assert time.perf_counter() - start < 2.0
             assert d.method == "brute"
             assert d.connected == (len(solution_graph.components(phi)) == 1)
-            assert "components" not in d.to_json()["detail"]
+            assert "components" not in d.detail
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_constraint_relation_per_constraint(self, monkeypatch, kind):
@@ -519,9 +521,7 @@ class TestDecideConnectivity:
             connected = n_components == 1
             assert (d.connected, d.method, d.set_class, d.prediction) == (
                 connected, "brute", None, None)
-            assert d.to_json() == {"connected": connected, "method": "brute",
-                                   "set_class": None, "prediction": None,
-                                   "detail": {"n_variables": 11}}
+            assert d.detail == {"n_variables": 11}
         assert len(solution_graph.components(phi)) == n_components
         with pytest.raises(ArityLimitError):
             decide_connectivity(phi, method="cpss")

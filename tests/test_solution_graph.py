@@ -317,7 +317,7 @@ class TestReportAndDot:
         assert rep.n_variables == 4 and rep.n_solutions == 7
         assert not rep.connected
         assert rep.minimums == ("0000", "0110")
-        assert rep.to_json()["components"][0] == ["0000", "0001", "1000"]
+        assert rep.components[0] == ("0000", "0001", "1000")
 
     def test_dot_output(self):
         text = sg.export_dot(parse(TRIANGLE))
