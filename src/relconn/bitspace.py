@@ -11,7 +11,8 @@ conjunction_space is the package's one routine that plugs a relation into
 argument slots (constants and repeated variables): it builds formula and
 Horn-view solution spaces, apply_pattern's images, constraint relations
 and to_clausal's checks.  gf2_reduce, the one GF(2) row reduction, reads
-ints as vectors.
+ints as vectors.  tuples_of, the one routine that lists a mask's members
+as bitstrings, reads them from tables of 8-bit strings where it can.
 
 Components and BFS levels have two routes.  The bitmask route works on
 the whole mask: each step shifts and ORs it along one dimension, 2^n/64
@@ -295,6 +296,31 @@ def tuple_of_index(idx: int, n: int) -> str:
     """Bitstring of an index, first coordinate as the most significant bit;
     the one assignment to no variables is the empty string."""
     return bin(idx | 1 << n)[3:]
+
+
+# _TUPLES[n][i] == tuple_of_index(i, n) for the widths n up to 8.
+_TUPLES = [[tuple_of_index(i, n) for i in range(1 << n)] for n in range(9)]
+
+
+def tuples_of(s: int, n: int) -> list[str]:
+    """Bitstrings of the members of s, ascending: tuple_of_index of each.
+
+    Up to width 8 they come from a table.  A wider listing with at least
+    2^(n-8) members joins the bitstring of the high n - 8 bits to the one
+    of the low 8, each read from a table: the high table has 2^(n-8)
+    entries, so it is never longer than the listing, and above width 16 it
+    is built per call.  A sparser listing formats each member on its own.
+    """
+    if n <= 8:
+        table = _TUPLES[n]
+        return [table[i] for i in iter_bits(s)]
+    if s.bit_count() >= 1 << (n - 8):
+        hi = (_TUPLES[n - 8] if n <= 16 else
+              [tuple_of_index(h, n - 8) for h in range(1 << (n - 8))])
+        low = _TUPLES[8]
+        return [hi[i >> 8] + low[i & 255] for i in iter_bits(s)]
+    top = 1 << n
+    return [bin(i | top)[3:] for i in iter_bits(s)]
 
 
 def conjunction_space(variables: Sequence[Hashable],

@@ -8,11 +8,21 @@ solution-graph diameter of formulas built from the set:
   SchaeferNotCPSS        conn coNP-compl.  st-conn P   sat P            diam O(n)
   SafelyTightNotSchaefer conn coNP-compl.  st-conn P   sat NP-compl.    diam O(n)
   NotSafelyTight         conn PSPACE-c.    st-conn PSPACE-c.  sat NP-c. diam 2^Omega(sqrt(n))
+
+The class depends on the relation set alone, not on the formula built from
+it, and a relation's profile on its arity and mask alone.  So `profile`
+computes a relation's facts, identification sweep included, once per
+process and keeps them in a cache of the PROFILES_KEPT relations used
+last.  The cache is keyed by the relation, which hashes and compares by
+(arity, mask), and each call returns the facts under the name of the
+relation it was given.  Every caller goes through it: classify_set, and
+through it cpss's routes and projections, and the CLI's classify-relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ArityLimitError, RelationError
@@ -27,6 +37,13 @@ SAFELY_TIGHT_NOT_SCHAEFER = "SafelyTightNotSchaefer"
 NOT_SAFELY_TIGHT = "NotSafelyTight"
 
 SCHAEFER_ORDER = [BIJUNCTIVE, HORN, DUAL_HORN, AFFINE]
+
+# Relations whose profiles stay cached for the life of the process, the
+# least recently used dropped first.  An entry holds a profile and its key
+# relation, about 0.6 KiB at arity 8 or less and 9 KiB at ARITY_MAX = 16,
+# where the key's mask alone takes 8 KiB: 256 entries hold about 0.15 MiB
+# at arity 8 and at most about 2.3 MiB.
+PROFILES_KEPT = 256
 
 
 @dataclass(frozen=True)
@@ -60,8 +77,18 @@ class RelationProfile:
 
 
 def profile(rel: Relation) -> RelationProfile:
+    """The full profile of rel under its own name, computed once per
+    process for each (arity, mask) (see PROFILES_KEPT)."""
+    p = _profile_facts(rel)
+    return p if p.name == rel.name else replace(p, name=rel.name)
+
+
+@lru_cache(maxsize=PROFILES_KEPT)
+def _profile_facts(rel: Relation) -> RelationProfile:
     """Compute the full profile: the base properties first, then the safely
-    flags they do not settle from one walk over the identifications."""
+    flags they do not settle from one walk over the identifications.  An
+    equal relation under another name hits the entry, named as the one
+    that made it; profile puts the caller's name back."""
     base = {prop: check_property(rel, prop) for prop in BASE_PROPERTIES}
     safe: dict[str, bool | None]
     if rel.arity > SAFE_CHECK_ARITY_MAX:

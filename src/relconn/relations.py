@@ -32,7 +32,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 from .bitspace import (component_masks, conjunction_space, coord_mask,
-                       full_mask, gf2_reduce, iter_bits, tuple_of_index)
+                       full_mask, gf2_reduce, iter_bits, tuples_of)
 from .errors import ArityLimitError, PatternError, RelationError
 
 ARITY_MAX = 16
@@ -117,7 +117,7 @@ class Relation:
 
     def tuples(self) -> list[str]:
         """Member tuples as bitstrings, ascending."""
-        return [tuple_of_index(i, self.arity) for i in iter_bits(self.mask)]
+        return tuples_of(self.mask, self.arity)
 
     def __contains__(self, idx: int) -> bool:
         return idx >= 0 and (self.mask >> idx) & 1 == 1

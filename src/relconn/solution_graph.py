@@ -98,8 +98,7 @@ def components(phi: Formula) -> list[list[str]]:
     n = phi.n
     comps = component_spaces(phi)
     _check_listing(sum(map(int.bit_count, comps)))
-    return [[bitspace.tuple_of_index(i, n) for i in bitspace.iter_bits(m)]
-            for m in comps]
+    return [bitspace.tuples_of(m, n) for m in comps]
 
 
 def is_connected(phi: Formula) -> bool:
@@ -304,8 +303,7 @@ def diameter(phi: Formula) -> int:
 def locally_minimal(phi: Formula) -> list[str]:
     """Solutions with no neighbouring solution of smaller Hamming weight."""
     n = phi.n
-    return [bitspace.tuple_of_index(i, n) for i in
-            bitspace.iter_bits(bitspace.locally_minimal(solution_space(phi), n))]
+    return bitspace.tuples_of(bitspace.locally_minimal(solution_space(phi), n), n)
 
 
 @dataclass(frozen=True)
@@ -332,12 +330,10 @@ def report(phi: Formula) -> SolutionGraphReport:
     minimums = []
     loc_by_comp = []
     for m in comps:
-        comp_tuples.append(tuple(bitspace.tuple_of_index(i, n)
-                                 for i in bitspace.iter_bits(m)))
+        comp_tuples.append(tuple(bitspace.tuples_of(m, n)))
         lower = bitspace.minimum(m, n)
         minimums.append(None if lower is None else bitspace.tuple_of_index(lower, n))
-        loc_by_comp.append(tuple(bitspace.tuple_of_index(i, n)
-                                 for i in bitspace.iter_bits(m & loc_min)))
+        loc_by_comp.append(tuple(bitspace.tuples_of(m & loc_min, n)))
     return SolutionGraphReport(
         n_variables=n,
         n_solutions=space.bit_count(),
@@ -359,8 +355,7 @@ def export_dot(phi: Formula) -> str:
     n = phi.n
     space = solution_space(phi)
     _check_listing(space.bit_count())
-    label = {idx: bitspace.tuple_of_index(idx, n)
-             for idx in bitspace.iter_bits(space)}
+    label = dict(zip(bitspace.iter_bits(space), bitspace.tuples_of(space, n)))
     edges = sorted((idx, pos) for pos in range(n) for idx in
                    bitspace.iter_bits(bitspace.edge_starts(space, n, pos)))
     lines = ["graph solutions {"]

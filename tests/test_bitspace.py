@@ -153,6 +153,30 @@ class TestEdgeCases:
         rng = random.Random(n)
         for idx in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(50))}:
             assert bitspace.tuple_of_index(idx, n) == (format(idx, f"0{n}b") if n else "")
+        # tuples_of against the per-index listing: empty, full, one member
+        # and random masks of four densities, which between them take each
+        # of its three branches on both sides of n = 8; listings longer
+        # than LISTING_SOLUTIONS_MAX (full or dense masks of the widest
+        # cubes) are left out
+        size = 1 << n
+        masks = [0, bitspace.full_mask(n), 1 << rng.randrange(size)]
+        masks += [bitspace.mask_of(rng.sample(range(size), round(density * size)))
+                  for density in (0.001, 0.05, 0.25, 0.9)
+                  if density * size <= sg.LISTING_SOLUTIONS_MAX]
+        for s in masks:
+            if s.bit_count() <= sg.LISTING_SOLUTIONS_MAX:
+                assert bitspace.tuples_of(s, n) == [
+                    bitspace.tuple_of_index(i, n) for i in bitspace.iter_bits(s)]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tuples_of_hypothesis(self, data):
+        n = data.draw(st.integers(0, 13))
+        s = data.draw(st.one_of(
+            st.integers(0, bitspace.full_mask(n)),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=40).map(mask)))
+        assert bitspace.tuples_of(s, n) == [
+            bitspace.tuple_of_index(i, n) for i in bitspace.iter_bits(s)]
 
 
 class TestRouteSwitch:

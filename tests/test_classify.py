@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relconn import classify
 from relconn.bitspace import coord_mask, full_mask
 from relconn.catalog import CATALOG
-from relconn.classify import (CPSS, NOT_SAFELY_TIGHT,
+from relconn.classify import (CPSS, NOT_SAFELY_TIGHT, PROFILES_KEPT,
                               SAFELY_TIGHT_NOT_SCHAEFER, SCHAEFER_NOT_CPSS,
                               classify_set, predict, profile)
+from relconn.cli import main
 from relconn.errors import ArityLimitError
 from relconn.relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE,
                                DUAL_HORN, HORN, IHSB_MINUS, IHSB_PLUS,
@@ -178,6 +181,7 @@ class TestScale:
     def test_arity_10_horn_closure_within_a_second(self):
         r = close_under(random_relation(random.Random(0), 10, 0.2), [op_and])
         assert 800 <= len(r) <= 900 and is_closed(r, "and")
+        classify._profile_facts.cache_clear()  # time the sweep, not a memo hit
         start = time.perf_counter()
         p = profile(r)
         assert time.perf_counter() - start < 1.0
@@ -187,6 +191,7 @@ class TestScale:
     def test_arity_9_bijunctive_not_horn_within_a_second(self):
         r = two_cnf_relation(random.Random(7), 9, 6)
         assert is_closed(r, "maj") and not is_closed(r, "and") and not is_closed(r, "or")
+        classify._profile_facts.cache_clear()  # time the sweep, not a memo hit
         start = time.perf_counter()
         p = profile(r)
         assert time.perf_counter() - start < 1.0
@@ -255,6 +260,65 @@ class TestSetClassification:
             assert not check_property(r, prop), prop
         with pytest.raises(ArityLimitError):
             classify_set([r])
+
+
+class TestProfileMemo:
+    """profile keeps each (arity, mask)'s facts for the life of the process,
+    within PROFILES_KEPT entries, and names them after the relation asked."""
+
+    def test_memo_equals_fresh(self):
+        rng = random.Random(25)
+        rels = [Relation(k, random_relation(rng, k, rng.choice((0.1, 0.5, 0.9))).mask,
+                         f"R{k}") for k in range(1, 11)]
+        rels += [rng.choice(rels) for _ in range(10)]  # repeats hit the memo
+        classify._profile_facts.cache_clear()
+        memo = [profile(r) for r in rels]
+        assert classify._profile_facts.cache_info().hits == 10
+        for r, p in zip(rels, memo):
+            classify._profile_facts.cache_clear()
+            assert p == profile(r) == classify._profile_facts.__wrapped__(r)
+
+    def test_equal_relation_sweeps_once(self, monkeypatch):
+        calls = []
+        sweep = classify.safely_flags
+
+        def counted(rel, base):
+            calls.append(rel.name)
+            return sweep(rel, base)
+
+        monkeypatch.setattr(classify, "safely_flags", counted)
+        classify._profile_facts.cache_clear()
+        m = CATALOG["M"]
+        profile(Relation(m.arity, m.mask, "A"))
+        profile(Relation(m.arity, m.mask, "B"))
+        assert calls == ["A"]
+
+    def test_equal_masks_keep_their_names(self, capsys, tmp_path):
+        m = CATALOG["M"]
+        a, b = Relation(m.arity, m.mask, "A"), Relation(m.arity, m.mask, "B")
+        classify._profile_facts.cache_clear()
+        pa, pb = profile(a), profile(b)
+        assert (pa.name, pb.name, profile(a).name) == ("A", "B", "A")
+        assert {**vars(pa), "name": "B"} == vars(pb)
+        path = tmp_path / "twins.rel"
+        path.write_text("rel A 3 : " + " ".join(a.tuples())
+                        + "\nrel B 3 : " + " ".join(b.tuples()) + "\n")
+        assert main(["classify-relation", str(path), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [p["name"] for p in out] == ["A", "B"]
+
+    def test_arity_error_names_the_relation_asked(self):
+        tuples = set(range(2 ** 11)) - {0, 2 ** 11 - 1}
+        profile(Relation.from_tuples(11, tuples, "TWIN"))
+        with pytest.raises(ArityLimitError, match="of BIG "):
+            classify_set([Relation.from_tuples(11, tuples, "BIG")])
+
+    def test_bounded(self):
+        assert classify._profile_facts.cache_info().maxsize == PROFILES_KEPT
+        for mask in range(1, PROFILES_KEPT + 20):
+            profile(Relation(9, mask))
+            assert classify._profile_facts.cache_info().currsize <= PROFILES_KEPT
+        assert classify._profile_facts.cache_info().currsize == PROFILES_KEPT
 
 
 class TestPredictions:

@@ -247,6 +247,7 @@ class TestGraphQueries:
             raise AssertionError("a solution was formatted")
 
         monkeypatch.setattr(bitspace, "tuple_of_index", no_formatting)
+        monkeypatch.setattr(bitspace, "tuples_of", no_formatting)
         assert run(capsys, argv[0], path, *argv[1:]) == (
             2, "", "relconn: error: 262144 solutions exceed the listing bound 131072\n")
 

@@ -341,6 +341,7 @@ class TestListingBound:
             raise AssertionError("a solution was formatted")
 
         monkeypatch.setattr(bitspace, "tuple_of_index", no_formatting)
+        monkeypatch.setattr(bitspace, "tuples_of", no_formatting)
         with pytest.raises(VarsLimitError,
                            match="262144 solutions exceed the listing bound 131072"):
             query(phi)
