@@ -305,19 +305,15 @@ _TUPLES = [[tuple_of_index(i, n) for i in range(1 << n)] for n in range(9)]
 def tuples_of(s: int, n: int) -> list[str]:
     """Bitstrings of the members of s, ascending: tuple_of_index of each.
 
-    Up to width 8 they come from a table.  A wider listing with at least
-    2^(n-8) members joins the bitstring of the high n - 8 bits to the one
-    of the low 8, each read from a table: the high table has 2^(n-8)
-    entries, so it is never longer than the listing, and above width 16 it
-    is built per call.  A sparser listing formats each member on its own.
+    Up to width 8 they come from a table; up to width 16, the bitstring
+    of an index's high n - 8 bits is joined to the one of its low 8, each
+    read from a table.  Wider members are formatted one at a time.
     """
     if n <= 8:
         table = _TUPLES[n]
         return [table[i] for i in iter_bits(s)]
-    if s.bit_count() >= 1 << (n - 8):
-        hi = (_TUPLES[n - 8] if n <= 16 else
-              [tuple_of_index(h, n - 8) for h in range(1 << (n - 8))])
-        low = _TUPLES[8]
+    if n <= 16:
+        hi, low = _TUPLES[n - 8], _TUPLES[8]
         return [hi[i >> 8] + low[i & 255] for i in iter_bits(s)]
     top = 1 << n
     return [bin(i | top)[3:] for i in iter_bits(s)]

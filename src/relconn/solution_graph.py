@@ -355,7 +355,8 @@ def export_dot(phi: Formula) -> str:
     n = phi.n
     space = solution_space(phi)
     _check_listing(space.bit_count())
-    label = dict(zip(bitspace.iter_bits(space), bitspace.tuples_of(space, n)))
+    label = {idx: bitspace.tuple_of_index(idx, n)
+             for idx in bitspace.iter_bits(space)}
     edges = sorted((idx, pos) for pos in range(n) for idx in
                    bitspace.iter_bits(bitspace.edge_starts(space, n, pos)))
     lines = ["graph solutions {"]

@@ -154,10 +154,10 @@ class TestEdgeCases:
         for idx in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(50))}:
             assert bitspace.tuple_of_index(idx, n) == (format(idx, f"0{n}b") if n else "")
         # tuples_of against the per-index listing: empty, full, one member
-        # and random masks of four densities, which between them take each
-        # of its three branches on both sides of n = 8; listings longer
-        # than LISTING_SOLUTIONS_MAX (full or dense masks of the widest
-        # cubes) are left out
+        # and random masks of four densities, at every width on both sides
+        # of its branches (n = 8/9 and 16/17); listings longer than
+        # LISTING_SOLUTIONS_MAX (full or dense masks of the widest cubes)
+        # are left out
         size = 1 << n
         masks = [0, bitspace.full_mask(n), 1 << rng.randrange(size)]
         masks += [bitspace.mask_of(rng.sample(range(size), round(density * size)))
