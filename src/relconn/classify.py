@@ -27,9 +27,9 @@ from typing import Sequence
 
 from .errors import ArityLimitError, RelationError
 from .relations import (AFFINE, BASE_PROPERTIES, BIJUNCTIVE, DUAL_HORN, HORN,
-                        IHSB_MINUS, IHSB_PLUS, SAFE_CHECK_ARITY_MAX,
-                        SAFE_PROPERTIES, Relation, check_property,
-                        componentwise, is_nand_free, is_or_free, safely_flags)
+                        IHSB_MINUS, IHSB_PLUS, SAFE_CHECK_ARITY_MAX, Relation,
+                        check_property, componentwise, is_nand_free,
+                        is_or_free, safely_flags)
 
 CPSS = "CPSS"
 SCHAEFER_NOT_CPSS = "SchaeferNotCPSS"
@@ -50,8 +50,9 @@ PROFILES_KEPT = 256
 class RelationProfile:
     """All structural facts about one relation that the classification uses.
 
-    The five safely_* fields need an identification sweep, so they are None
-    when the arity exceeds SAFE_CHECK_ARITY_MAX.
+    The three componentwise safely_* fields are None when they need the
+    identification sweep and the arity exceeds SAFE_CHECK_ARITY_MAX; the
+    other flags are known at every arity.
     """
 
     name: str | None
@@ -85,26 +86,22 @@ def profile(rel: Relation) -> RelationProfile:
 
 @lru_cache(maxsize=PROFILES_KEPT)
 def _profile_facts(rel: Relation) -> RelationProfile:
-    """Compute the full profile: the base properties first, then the safely
-    flags they do not settle from one walk over the identifications.  An
-    equal relation under another name hits the entry, named as the one
-    that made it; profile puts the caller's name back."""
+    """Compute the full profile: the base and componentwise properties
+    first, then the safely flags from them (see safely_flags).  An equal
+    relation under another name hits the entry, named as the one that made
+    it; profile puts the caller's name back."""
     base = {prop: check_property(rel, prop) for prop in BASE_PROPERTIES}
-    safe: dict[str, bool | None]
-    if rel.arity > SAFE_CHECK_ARITY_MAX:
-        safe = dict.fromkeys(SAFE_PROPERTIES)
-    else:
-        safe = dict(safely_flags(rel, base))
+    cw = {prop: componentwise(rel, prop) for prop in (BIJUNCTIVE, IHSB_MINUS, IHSB_PLUS)}
     return RelationProfile(
         name=rel.name,
         arity=rel.arity,
         **base,
         or_free=is_or_free(rel),
         nand_free=is_nand_free(rel),
-        componentwise_bijunctive=componentwise(rel, BIJUNCTIVE),
-        componentwise_ihsb_minus=componentwise(rel, IHSB_MINUS),
-        componentwise_ihsb_plus=componentwise(rel, IHSB_PLUS),
-        **safe,
+        componentwise_bijunctive=cw[BIJUNCTIVE],
+        componentwise_ihsb_minus=cw[IHSB_MINUS],
+        componentwise_ihsb_plus=cw[IHSB_PLUS],
+        **safely_flags(rel, base, cw),
     )
 
 

@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Each `cmd_*` handler computes its subcommand's result and returns it as an
-`Answer`: the JSON document, a function that renders the text form, and
-whether the answer is "no".  `main` alone chooses between JSON (`--json`,
-on every subcommand but `graph`) and text, and writes the result to stdout
-or to the file that `graph --dot OUT` or `reduce -o OUT` names (`-` is
-stdout); a file gets exactly what would be printed.  The text is rendered
-only when it is printed, so the `--json` path formats no text.
+`Answer`: a function that builds the JSON document, a function that
+renders the text form, and whether the answer is "no".  `main` alone
+chooses between JSON (`--json`, on every subcommand but `graph`) and text,
+and writes the result to stdout or to the file that `graph --dot OUT` or
+`reduce -o OUT` names (`-` is stdout); a file gets exactly what would be
+printed.  Each form is built only when it is printed, so the `--json` path
+formats no text and the text path builds no document.
 
 The JSON format is decided here alone.  The library's result dataclasses
 carry no serializer: each renders as the dict of its fields, so a new field
@@ -46,10 +47,10 @@ from .formulas import ClauseSet, Formula, format_formula, parse_formula
 
 
 class Answer(NamedTuple):
-    """A subcommand's result: its JSON document, its text form rendered on
-    demand, and the exit code --exit-status gives it (1 for "no", 3 for
-    undecided)."""
-    doc: object
+    """A subcommand's result: its JSON document and its text form, each
+    built on demand, and the exit code --exit-status gives it (1 for "no",
+    3 for undecided)."""
+    doc: Callable[[], object]
     text: Callable[[], str]
     status: int = 0
 
@@ -142,13 +143,13 @@ def _profile_line(p: RelationProfile) -> str:
 
 def cmd_classify_relation(args) -> Answer:
     profiles = [profile(r) for r in _load_relations(args.file).values()]
-    return Answer(profiles, lambda: _lines(map(_profile_line, profiles)))
+    return Answer(lambda: profiles, lambda: _lines(map(_profile_line, profiles)))
 
 
 def cmd_classify_set(args) -> Answer:
     cl = classify_set(_load_relations(args.file).values())
     pr = predict(cl)
-    return Answer({"classification": cl, "prediction": pr},
+    return Answer(lambda: {"classification": cl, "prediction": pr},
                   lambda: f"{cl.set_class}; Conn_C: {pr.conn}; st-Conn_C: {pr.st_conn}; "
                           f"diameter: {pr.diameter_bound}\n")
 
@@ -166,9 +167,11 @@ def _cpss_detail(report: CpssReport) -> dict:
 
 def cmd_conn(args) -> Answer:
     decision = decide_connectivity(_load_formula(args.file), method=args.method)
-    doc = vars(decision)
-    if isinstance(decision.detail, CpssReport):
-        doc = doc | {"detail": _cpss_detail(decision.detail)}
+
+    def doc() -> dict:
+        if isinstance(decision.detail, CpssReport):
+            return vars(decision) | {"detail": _cpss_detail(decision.detail)}
+        return vars(decision)
 
     def text() -> str:
         if decision.connected is None:
@@ -182,30 +185,30 @@ def cmd_conn(args) -> Answer:
 
 def cmd_stconn(args) -> Answer:
     ok, path = sg.st_connected(_load_formula(args.file), args.s, args.t)
-    return Answer({"connected": ok, "path": list(path) if path else None},
+    return Answer(lambda: {"connected": ok, "path": list(path) if path else None},
                   lambda: f"connected: {' '.join(path)}\n" if ok else "disconnected\n",
                   status=0 if ok else 1)
 
 
 def cmd_diameter(args) -> Answer:
     d = sg.diameter(_load_formula(args.file))
-    return Answer({"diameter": d}, lambda: f"{d}\n")
+    return Answer(lambda: {"diameter": d}, lambda: f"{d}\n")
 
 
 def cmd_components(args) -> Answer:
     comps = sg.components(_load_formula(args.file))
-    return Answer({"components": [list(c) for c in comps]},
+    return Answer(lambda: {"components": [list(c) for c in comps]},
                   lambda: _lines(" ".join(c) for c in comps) if comps else "unsatisfiable\n")
 
 
 def cmd_graph(args) -> Answer:
     dot = sg.export_dot(_load_formula(args.file))
-    return Answer(None, lambda: dot)
+    return Answer(lambda: None, lambda: dot)
 
 
 def cmd_report(args) -> Answer:
     rep = sg.report(_load_formula(args.file))
-    return Answer(rep, lambda: _lines([
+    return Answer(lambda: rep, lambda: _lines([
         f"variables: {rep.n_variables}",
         f"solutions: {rep.n_solutions}",
         f"connected: {str(rep.connected).lower()}",
@@ -219,29 +222,29 @@ def cmd_horn_imp(args) -> Answer:
     if missing:
         raise RelconnError(f"unknown variables: {', '.join(missing)}")
     result = sorted(hornmod.imp(view, args.vars))
-    return Answer({"imp": result}, lambda: " ".join(result) + "\n")
+    return Answer(lambda: {"imp": result}, lambda: " ".join(result) + "\n")
 
 
 def cmd_horn_selfimp(args) -> Answer:
     sets = [sorted(s) for s in hornmod.maximal_self_implicating_sets(_load_horn(args.file))]
-    return Answer({"maximal_self_implicating": sets},
+    return Answer(lambda: {"maximal_self_implicating": sets},
                   lambda: _lines(" ".join(s) or "(empty)" for s in sets))
 
 
 def cmd_horn_normalize(args) -> Answer:
     normal = hornmod.normalize(_load_horn(args.file))
-    return Answer({"variables": list(normal.variables),
-                   "clauses": [hornmod.format_clause(c) for c in normal.clauses]},
+    return Answer(lambda: {"variables": list(normal.variables),
+                           "clauses": [hornmod.format_clause(c) for c in normal.clauses]},
                   lambda: hornmod.format_horn(normal))
 
 
 def cmd_reduce(args) -> Answer:
     red = reduce_sat_to_conn(_load_formula(args.file))
     formula = format_formula(red.formula)
-    return Answer({"formula": formula,
-                   "input_variables": list(red.input_variables),
-                   "chain_variables": list(red.chain_variables),
-                   "gadget_variables": [list(g) for g in red.gadget_variables]},
+    return Answer(lambda: {"formula": formula,
+                           "input_variables": list(red.input_variables),
+                           "chain_variables": list(red.chain_variables),
+                           "gadget_variables": [list(g) for g in red.gadget_variables]},
                   lambda: formula)
 
 
@@ -249,7 +252,7 @@ def cmd_express_m(args) -> Answer:
     rels = _load_relations(args.file)
     out = express_m_details(next(iter(rels.values())))
     formula = format_formula(out.formula)
-    return Answer({"formula": formula, "shape": out.shape, "slots": list(out.slots)},
+    return Answer(lambda: {"formula": formula, "shape": out.shape, "slots": list(out.slots)},
                   lambda: formula)
 
 
@@ -260,7 +263,7 @@ def cmd_cpss_search(args) -> Answer:
         list(rels.values()), seed=args.seed, tries=args.tries,
         max_vars=args.max_vars)
     formula = format_formula(hit) if hit else None
-    return Answer({"found": hit is not None, "formula": formula},
+    return Answer(lambda: {"found": hit is not None, "formula": formula},
                   lambda: formula or "none found\n")
 
 
@@ -381,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         answer = args.func(args)
-        out = render_json(answer.doc) + "\n" if args.json else answer.text()
+        out = render_json(answer.doc()) + "\n" if args.json else answer.text()
         if args.output in (None, "-"):
             sys.stdout.write(out)
         else:

@@ -348,6 +348,14 @@ def _candidate_rows(k: int, shape: str) -> Iterator[_Row]:
                         tuple(subs[j] + ((signs >> (j + 1) << j) | (signs & ((1 << j) - 1)))
                               for j in range(width)))
                        for signs in range(1 << width)]
+                cells = []
+                for pos, neg, _ in run:
+                    cell = full
+                    for c in pos:
+                        cell &= zeros[c]
+                    for c in neg:
+                        cell &= ones[c]
+                    cells.append(cell)
             else:
                 # all-negative, then each single-positive choice; the head
                 # sel[h] is coordinate h - 1 of less[j] for j < h and h for
@@ -356,14 +364,22 @@ def _candidate_rows(k: int, shape: str) -> Iterator[_Row]:
                     ((sel[h],), less[h],
                      (subs[h], *[s + h for s in subs[:h]], *[s + h + 1 for s in subs[h + 1:]]))
                     for h in range(width)]
+                many, one = ones, zeros
                 if shape == DUAL_HORN:
                     run = [(neg, pos, shorter) for pos, neg, shorter in run]
-            for pos, neg, shorter in run:
-                cell = full
-                for c in pos:
-                    cell &= zeros[c]
-                for c in neg:
-                    cell &= ones[c]
+                    many, one = zeros, ones
+                # the rows share every literal of the many-literal sign but
+                # the head's: with the prefix and suffix ANDs of those, each
+                # cell takes two ANDs, not a chain of width
+                prefix = [full]
+                for c in sel:
+                    prefix.append(prefix[-1] & many[c])
+                suffix = [full]
+                for c in reversed(sel):
+                    suffix.append(suffix[-1] & many[c])
+                cells = [prefix[width]] + [prefix[h] & one[sel[h]] & suffix[width - 1 - h]
+                                           for h in range(width)]
+            for cell, (pos, neg, shorter) in zip(cells, run):
                 yield cell, pos, neg, shorter
             i += len(run)
 

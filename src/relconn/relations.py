@@ -18,10 +18,11 @@ class that hold on R, for Horn the AND-closure (built from down-closures),
 for affine the coset R spans; the dual classes flip every coordinate.
 Each costs O(k^2) big-int operations, or O(|R| k) for affine.
 `is_closed` applies the operation to every tuple of members; it is the
-test oracle.  The safely variants walk the set partitions of the
-coordinates as a prefix tree of pair merges, once over the distinct
-images, after skipping the flags a polymorphism of the relation already
-settles.
+test oracle.  Of the safely variants, OR-free and NAND-free are a test
+on each member's join and meet masks, at any arity; the componentwise
+ones walk the set partitions of the coordinates as a prefix tree of pair
+merges, once over the distinct images, after skipping the flags that a
+polymorphism of the relation or a failing component already settles.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .bitspace import (component_masks, conjunction_space, coord_mask,
 from .errors import ArityLimitError, PatternError, RelationError
 
 ARITY_MAX = 16
-# "safely" checks enumerate all set partitions of the coordinates; Bell(10) = 115975
+# the identification sweep, which the componentwise "safely" flags still
+# need, enumerates all set partitions of the coordinates; Bell(10) = 115975
 SAFE_CHECK_ARITY_MAX = 10
 
 CONST0 = "0"
@@ -526,16 +528,113 @@ def _first_failures(rel: Relation, props: Sequence[str]) -> dict[str, ArgPattern
     return found
 
 
-def safely_flags(rel: Relation, base: dict[str, bool]) -> dict[str, bool]:
-    """All five safely_* flags, given rel's base properties.
+def _join_meet_failures(rel: Relation, props: Sequence[str]) -> dict[str, ArgPattern]:
+    """A pattern carving OR (NAND) out of rel for SAFELY_OR_FREE
+    (SAFELY_NAND_FREE) in props, when it fails: OR fails when some members
+    a, b have a | b in R and a & b not, NAND when the other way round.  A
+    comparable b has {a | b, a & b} = {a, b}, inside R, so either witness
+    is an incomparable pair.
 
-    Flags that a base property settles (SAFE_SHORTCUTS) are True outright;
-    the rest share one walk over the distinct identifications.
+    One pass over the members a, with two masks each: S = {b : a | b in R},
+    R's members above a spread down along a's 1-coordinates, and
+    T = {b : a & b in R}, R's members below a spread up along its
+    0-coordinates.  Every member of the cone has the spread coordinate
+    fixed, so each spread step is one shift and one OR.  OR fails at a iff
+    R & S & ~T is nonempty, NAND iff R & T & ~S is.  Each witness's
+    pattern is applied by `apply_pattern` and must give the target (else
+    AssertionError), as the walk's witnesses are in `_first_failures`.
     """
-    settled = {prop for prop in SAFE_PROPERTIES
-               if any(base[b] for b in SAFE_SHORTCUTS[prop])}
-    failed = _first_failures(rel, [p for p in SAFE_PROPERTIES if p not in settled])
-    return {prop: prop not in failed for prop in SAFE_PROPERTIES}
+    mask, k = rel.mask, rel.arity
+    open_props = set(props)
+    found: dict[str, ArgPattern] = {}
+    if not open_props:
+        return found
+    bits = [(pos, 1 << pos) for pos in range(k)]
+    for a in iter_bits(mask):
+        up = down = 1 << a
+        ones, zeros = [], []
+        for pos, step in bits:
+            if a >> pos & 1:
+                ones.append(step)
+                down |= down >> step
+            else:
+                zeros.append(step)
+                up |= up << step
+        joins = mask & up
+        for step in ones:
+            joins |= joins >> step
+        meets = mask & down
+        for step in zeros:
+            meets |= meets << step
+        for prop, witnesses, target in ((SAFELY_OR_FREE, joins & ~meets, _OR_MASK),
+                                        (SAFELY_NAND_FREE, meets & ~joins, _NAND_MASK)):
+            if prop in open_props and mask & witnesses:
+                b = (mask & witnesses & -(mask & witnesses)).bit_length() - 1
+                found[prop] = _carving_pattern(rel, a, b, target)
+                open_props.remove(prop)
+        if not open_props:
+            break
+    return found
+
+
+def _carving_pattern(rel: Relation, a: int, b: int, target: int) -> ArgPattern:
+    """The identification with constants that carves the two-variable
+    target out of rel at members a and b: the coordinates where b is above
+    a merged into the first variable, those where a is above b into the
+    second, the rest fixed to the values a and b share."""
+    k = rel.arity
+    slots: list[int | str] = []
+    for pos in range(k - 1, -1, -1):
+        x, y = a >> pos & 1, b >> pos & 1
+        slots.append(0 if y > x else 1 if x > y else (CONST1 if x else CONST0))
+    pattern = ArgPattern(tuple(slots))
+    if apply_pattern(rel, pattern).mask != target:
+        raise AssertionError(f"member test disagrees with apply_pattern at {pattern.slots}")
+    return pattern
+
+
+# componentwise safely flag -> the property each component must have
+_COMPONENTWISE_OF = {
+    SAFELY_CW_BIJUNCTIVE: BIJUNCTIVE,
+    SAFELY_CW_IHSB_MINUS: IHSB_MINUS,
+    SAFELY_CW_IHSB_PLUS: IHSB_PLUS,
+}
+
+
+def safely_flags(rel: Relation, base: dict[str, bool],
+                 cw: dict[str, bool]) -> dict[str, bool | None]:
+    """All five safely_* flags, given rel's base properties and, in cw,
+    whether rel is componentwise BIJUNCTIVE, IHSB_MINUS and IHSB_PLUS.
+
+    Flags that a base property settles (SAFE_SHORTCUTS) are True outright.
+    Safely OR-free and NAND-free come from _join_meet_failures at any
+    arity: R is safely OR-free iff no members a, b have a | b in R and
+    a & b not in R.  An identification and constants that carve OR out of
+    classes X and Y give such a and b, at X = 0, Y = 1 and at X = 1, Y = 0;
+    such a and b carve OR out of X = {i : b_i > a_i} and Y = {i : a_i > b_i},
+    each merged into one variable, the other coordinates fixed to the
+    values a and b share.  NAND-free is the same with | and & swapped.
+    A componentwise flag is False when the relation fails it, since the
+    trivial identification is R itself.  The componentwise flags still
+    open share one walk over the distinct identifications, or are None
+    above SAFE_CHECK_ARITY_MAX.
+    """
+    flags: dict[str, bool | None] = {}
+    for prop in SAFE_PROPERTIES:
+        if any(base[b] for b in SAFE_SHORTCUTS[prop]):
+            flags[prop] = True
+        elif prop in _COMPONENTWISE_OF and not cw[_COMPONENTWISE_OF[prop]]:
+            flags[prop] = False
+    pairs = [prop for prop in (SAFELY_OR_FREE, SAFELY_NAND_FREE) if prop not in flags]
+    found = _join_meet_failures(rel, pairs)
+    flags.update((prop, prop not in found) for prop in pairs)
+    sweep = [prop for prop in SAFE_PROPERTIES if prop not in flags]
+    if sweep and rel.arity <= SAFE_CHECK_ARITY_MAX:
+        found = _first_failures(rel, sweep)
+        flags.update((prop, prop not in found) for prop in sweep)
+    else:
+        flags.update(dict.fromkeys(sweep))
+    return flags
 
 
 def first_unsafe_identification(rel: Relation, prop: str) -> ArgPattern | None:

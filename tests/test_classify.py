@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relconn import classify
-from relconn.bitspace import coord_mask, full_mask
+from relconn import classify, relations
+from relconn.bitspace import coord_mask, full_mask, iter_bits
 from relconn.catalog import CATALOG
 from relconn.classify import (CPSS, NOT_SAFELY_TIGHT, PROFILES_KEPT,
                               SAFELY_TIGHT_NOT_SCHAEFER, SCHAEFER_NOT_CPSS,
@@ -36,6 +37,20 @@ from random_inputs import random_relation
 
 def rel(arity, *tuples):
     return Relation.from_tuples(arity, tuples, "R")
+
+
+def padded(head, name, pad=8):
+    """The tuples `head` times {0,1}^pad."""
+    return Relation.from_tuples(len(head[0]) + pad, [h + format(s, f"0{pad}b") for h in head
+                                                     for s in range(2 ** pad)], name)
+
+
+NAE3 = ("001", "010", "011", "100", "101", "110")
+M_TUPLES = ("000", "001", "010", "101", "111")
+ONE_IN_THREE = ("001", "010", "100")
+# Horn, with two components that are each IHSB- while the relation is not:
+# only the identification sweep settles safely_componentwise_ihsb_minus
+HORN_TWO_PARTS = ("000", "001", "010", "111")
 
 
 class TestProfiles:
@@ -65,9 +80,13 @@ class TestProfiles:
         assert p.safely_componentwise_ihsb_minus is False
 
     def test_high_arity_safely_flags_unknown(self):
-        p = profile(Relation.from_tuples(11, [0], "BIG"))
+        # the componentwise flags that only the sweep settles stay unknown
+        p = profile(padded(HORN_TWO_PARTS, "BIG"))
         assert p.horn is True
-        assert p.safely_or_free is None
+        assert p.componentwise_ihsb_minus and not p.ihsb_minus
+        assert p.safely_componentwise_ihsb_minus is None
+        assert p.safely_componentwise_bijunctive is None
+        assert p.safely_or_free is True
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -164,6 +183,101 @@ class TestSweepAgainstOracle:
             assert first_unsafe_identification(r, prop) == first_unsafe_oracle(r, prop)
 
 
+PAIR_FLAGS = (SAFELY_OR_FREE, SAFELY_NAND_FREE)
+COMPONENTWISE_OF = {SAFELY_CW_BIJUNCTIVE: BIJUNCTIVE, SAFELY_CW_IHSB_MINUS: IHSB_MINUS,
+                    SAFELY_CW_IHSB_PLUS: IHSB_PLUS}
+
+
+def pair_loop_failures(r):
+    """The safely OR-free and NAND-free flags that fail, by the member test
+    as stated: some two members a, b with a | b in R and a & b not (OR),
+    or the other way round (NAND)."""
+    members = set(iter_bits(r.mask))
+    failed = set()
+    for a, b in combinations(members, 2):
+        if a | b in members and a & b not in members:
+            failed.add(SAFELY_OR_FREE)
+        if a & b in members and a | b not in members:
+            failed.add(SAFELY_NAND_FREE)
+    return failed
+
+
+def close_pairs(r, dual):
+    """The smallest superset of r in which a | b in R forces a & b in R
+    (with dual, a & b forces a | b): safely OR-free (NAND-free) by the
+    member test, and mostly neither Horn nor affine."""
+    members = set(iter_bits(r.mask))
+    grown = True
+    while grown:
+        grown = False
+        for a, b in combinations(sorted(members), 2):
+            have, need = (a & b, a | b) if dual else (a | b, a & b)
+            if have in members and need not in members:
+                members.add(need)
+                grown = True
+    return Relation.from_tuples(r.arity, members)
+
+
+@st.composite
+def member_test_relations(draw):
+    """A random relation of arity 5-10 and a drawn density, or its
+    close_pairs."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    k = draw(st.integers(5, 10))
+    r = random_relation(rng, k, draw(st.sampled_from((4, 16, 64, 256))) / 2 ** k
+                        if k > 6 else draw(st.sampled_from((0.1, 0.3, 0.6))))
+    closing = draw(st.sampled_from((None, False, True)))
+    return r if closing is None else close_pairs(r, closing)
+
+
+class TestMemberTest:
+    """Safely OR-free and NAND-free by relations._join_meet_failures, and
+    the componentwise flags that a failing component settles, against the
+    identification sweep (first_unsafe_identification's walk) and, above
+    its arity bound, against pair_loop_failures."""
+
+    def test_every_relation_of_arity_1_to_4(self):
+        for k in range(1, 5):
+            for mask in range(1 << (1 << k)):
+                r = Relation(k, mask)
+                cw_false = [prop for prop, base in COMPONENTWISE_OF.items()
+                            if not componentwise(r, base)]
+                # one walk for every flag checked, as first_unsafe_identification
+                # walks for one
+                walked = relations._first_failures(r, PAIR_FLAGS + tuple(cw_false))
+                assert relations._join_meet_failures(r, PAIR_FLAGS).keys() == \
+                    walked.keys() & set(PAIR_FLAGS), r
+                assert walked.keys() >= set(cw_false), r
+
+    @settings(max_examples=40, deadline=None)
+    @given(member_test_relations())
+    def test_profile_matches_the_sweep(self, r):
+        p = classify._profile_facts.__wrapped__(r)
+        cw_false = [prop for prop, base in COMPONENTWISE_OF.items()
+                    if not componentwise(r, base)]
+        for prop in PAIR_FLAGS + tuple(cw_false):
+            assert getattr(p, prop) == (first_unsafe_identification(r, prop) is None), prop
+        assert relations._join_meet_failures(r, PAIR_FLAGS).keys() == pair_loop_failures(r)
+
+    def test_above_the_sweep_bound_against_the_pair_loop(self):
+        rng = random.Random(26)
+        kinds = set()
+        for i in range(24):
+            k = 11 + i % 2
+            r = random_relation(rng, k, rng.choice((4, 16, 64, 256)) / 2 ** k)
+            if i % 3:
+                r = close_pairs(r, dual=i % 3 == 2)
+            failed = pair_loop_failures(r)
+            kinds.add(frozenset(failed))
+            assert relations._join_meet_failures(r, PAIR_FLAGS).keys() == failed, r
+            p = profile(r)
+            for prop in PAIR_FLAGS:
+                assert getattr(p, prop) == (prop not in failed), (prop, r)
+        # the seeds reach each flag failing and both holding
+        assert kinds >= {frozenset(), frozenset([SAFELY_OR_FREE]),
+                         frozenset([SAFELY_NAND_FREE])}
+
+
 def two_cnf_relation(rng, arity, clauses):
     """Solutions of random two-literal clauses: bijunctive by construction."""
     full = full_mask(arity)
@@ -198,6 +312,27 @@ class TestScale:
         assert p.bijunctive and p.safely_componentwise_bijunctive
         # settled by no shortcut, so the sweep runs over every identification
         assert p.safely_or_free and p.safely_componentwise_ihsb_minus
+
+
+    def test_arity_16_member_test_passes_every_member_within_ten_seconds(self):
+        # the down-set of 4 random tops, with two points whose meet it
+        # lacks: not Horn, so no shortcut settles safely_or_free, and the
+        # flag holds, so the member test runs over all 24,962 members
+        rng = random.Random(26)
+        k = 16
+        tops = 0
+        for _ in range(4):
+            tops |= 1 << sum(1 << pos for pos in rng.sample(range(k), 13))
+        u, v = (1 << k) - 2, (1 << k) - 1 - (1 << (k - 1))  # all ones but one
+        r = Relation(k, relations._down(tops, k) | 1 << u | 1 << v, "DOWN")
+        assert len(r) == 24962 and u & v not in r
+        classify._profile_facts.cache_clear()  # time the member test, not a memo hit
+        start = time.perf_counter()
+        cl = classify_set([r])
+        assert time.perf_counter() - start < 10.0
+        assert cl.set_class == SAFELY_TIGHT_NOT_SCHAEFER
+        p = profile(r)
+        assert not (p.horn or p.affine) and p.safely_or_free is True
 
 
 EXPECTED_CLASSES = {
@@ -253,13 +388,29 @@ class TestSetClassification:
         assert cl.safely_tight
 
     def test_high_arity_requiring_sweep_raises(self):
-        # not Schaefer and arity beyond the sweep bound: undecidable here
-        full = set(range(2 ** 11))
-        r = Relation.from_tuples(11, full - {0, 2 ** 11 - 1}, "BIG")
+        # not Schaefer, and the first safely-tight flag needs the sweep
+        # beyond its arity bound: undecidable here
+        r = padded(ONE_IN_THREE, "BIG")
         for prop in (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE):
             assert not check_property(r, prop), prop
-        with pytest.raises(ArityLimitError):
+        with pytest.raises(ArityLimitError, match="needs safely_componentwise_bijunctive "
+                                                  r"of BIG \(arity 11\)"):
             classify_set([r])
+
+    @pytest.mark.parametrize("head, expected", [(NAE3, NOT_SAFELY_TIGHT),
+                                                (M_TUPLES, SCHAEFER_NOT_CPSS)])
+    def test_high_arity_twins_classify_alike(self, head, expected):
+        # the arity-10 twin's flags come from the sweep; at arity 11 every
+        # flag needed comes from the member test or a false base flag
+        assert classify_set([padded(head, "TWIN", 7)]).set_class == expected
+        wide = padded(head, "WIDE")
+        assert classify_set([wide]).set_class == expected
+        p = profile(wide)
+        assert None not in (p.safely_or_free, p.safely_nand_free)
+        if head == NAE3:
+            assert p.safely_componentwise_bijunctive is False
+        else:
+            assert p.safely_componentwise_ihsb_minus is False
 
 
 class TestProfileMemo:
@@ -282,9 +433,9 @@ class TestProfileMemo:
         calls = []
         sweep = classify.safely_flags
 
-        def counted(rel, base):
+        def counted(rel, *facts):
             calls.append(rel.name)
-            return sweep(rel, base)
+            return sweep(rel, *facts)
 
         monkeypatch.setattr(classify, "safely_flags", counted)
         classify._profile_facts.cache_clear()
@@ -308,10 +459,9 @@ class TestProfileMemo:
         assert [p["name"] for p in out] == ["A", "B"]
 
     def test_arity_error_names_the_relation_asked(self):
-        tuples = set(range(2 ** 11)) - {0, 2 ** 11 - 1}
-        profile(Relation.from_tuples(11, tuples, "TWIN"))
+        profile(padded(ONE_IN_THREE, "TWIN"))
         with pytest.raises(ArityLimitError, match="of BIG "):
-            classify_set([Relation.from_tuples(11, tuples, "BIG")])
+            classify_set([padded(ONE_IN_THREE, "BIG")])
 
     def test_bounded(self):
         assert classify._profile_facts.cache_info().maxsize == PROFILES_KEPT

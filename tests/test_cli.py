@@ -48,15 +48,18 @@ def rendered_json(monkeypatch):
     return docs
 
 
-M_TUPLES = ("000", "001", "010", "101", "111")
 ONE_IN_THREE = ("001", "010", "100")
+# Horn, with two components that are each IHSB- while the relation is not:
+# only the identification sweep settles safely_componentwise_ihsb_minus
+HORN_TWO_PARTS = ("000", "001", "010", "111")
 
 
-def wide_formula_text(base: tuple[str, ...] = M_TUPLES) -> str:
-    """One arity-11 constraint: a ternary relation (M by default) on its
-    first three coordinates times {0,1}^8, 1,280 tuples for M.  Above the
-    identification sweep's arity bound, so the relation set has no
-    classification."""
+def wide_formula_text(base: tuple[str, ...] = HORN_TWO_PARTS) -> str:
+    """One arity-11 constraint: a ternary relation (HORN_TWO_PARTS by
+    default) on its first three coordinates times {0,1}^8, 1,024 tuples for
+    HORN_TWO_PARTS.  A componentwise safely flag that the classification
+    needs is left to the identification sweep, which stops at arity 10, so
+    the relation set has no classification."""
     tuples = [m + format(s, "08b") for m in base for s in range(256)]
     names = ",".join(f"x{i}" for i in range(1, 12))
     return f"rel R 11 : {' '.join(tuples)}\nR({names})\n"
@@ -152,10 +155,10 @@ class TestConn:
     def test_brute_route_without_classification(self, capsys, tmp_path, method):
         path = tmp_path / "wide.cnfs"
         path.write_text(wide_formula_text())
-        assert run(capsys, "conn", path, "--method", method) == (0, "connected\n", "")
+        assert run(capsys, "conn", path, "--method", method) == (0, "disconnected\n", "")
         code, out, err = run(capsys, "conn", path, "--method", method, "--json")
         assert (code, err) == (0, "")
-        assert json.loads(out) == {"connected": True, "method": "brute",
+        assert json.loads(out) == {"connected": False, "method": "brute",
                                    "set_class": None, "prediction": None,
                                    "detail": {"n_variables": 11}}
 
@@ -556,6 +559,13 @@ class TestOneOutputPath:
                              "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["variables"] == ["u", "v", "w", "y", "z"]
+
+    def test_text_path_builds_no_document(self, capsys, monkeypatch):
+        def no_doc(report):
+            raise AssertionError("cpss detail built on the text path")
+
+        monkeypatch.setattr(cli, "_cpss_detail", no_doc)
+        assert run(capsys, "conn", sample("triangle.cnfs")) == (0, "disconnected\n", "")
 
     def test_handlers_neither_print_nor_read_json(self):
         tree = ast.parse(Path(cli.__file__).read_text())

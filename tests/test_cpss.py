@@ -149,9 +149,16 @@ def clause_set(kind, *texts, variables=("x", "y")):
     return ClauseSet(kind, variables, tuple(map(clause, texts)))
 
 
+# Horn, with two components that are each IHSB- while the relation is not:
+# only the identification sweep settles safely_componentwise_ihsb_minus
+HORN_TWO_PARTS = ("000", "001", "010", "111")
+
+
 def wide_formula(head):
     """R(x1, ..., x11) where R is the 3-bit tuples `head` times {0,1}^8:
-    above the identification sweep's arity bound, so unclassifiable."""
+    above the identification sweep's arity bound, so unclassifiable when
+    the classification needs a componentwise safely flag of R that only
+    the sweep settles (HORN_TWO_PARTS and one-in-three do)."""
     rel = Relation.from_tuples(11, [h + format(s, "08b") for h in head
                                     for s in range(256)], "R")
     return make_formula([Constraint("R", tuple(f"x{i}" for i in range(1, 12)))],
@@ -505,11 +512,10 @@ class TestDecideConnectivity:
             decide_connectivity(phi, method="guess")
         # checked before the classification, which this formula lacks
         with pytest.raises(ValueError):
-            decide_connectivity(wide_formula(("000", "001", "010", "101", "111")),
-                                method="guess")
+            decide_connectivity(wide_formula(HORN_TWO_PARTS), method="guess")
 
     @pytest.mark.parametrize("head, n_components", [
-        (("000", "001", "010", "101", "111"), 1),  # M
+        (HORN_TWO_PARTS, 2),
         (("001", "010", "100"), 3),  # one-in-three
     ])
     def test_brute_route_without_classification(self, head, n_components):

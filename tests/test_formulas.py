@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relconn import formulas
-from relconn.bitspace import conjunction_space
+from relconn.bitspace import conjunction_space, coord_mask, full_mask
 from relconn.catalog import CATALOG, parse_relations
 from relconn.cpss import random_formula
 from relconn.errors import (ClauseExtractionError, FormulaError,
@@ -532,6 +532,21 @@ class TestCnfImplicates:
                     assert cell == sum(1 << t for t in range(1 << k)
                                        if all(not t >> (k - 1 - c) & 1 for c in pos)
                                        and all(t >> (k - 1 - c) & 1 for c in neg))
+
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cells_match_an_and_chain_above_the_kept_tables(self, shape):
+        # the cells made as the pass reads them equal one AND per literal
+        for k in range(9, 12):
+            full = full_mask(k)
+            ones = [coord_mask(k, k - 1 - c) for c in range(k)]
+            for cell, pos, neg, _ in formulas._candidate_rows(k, shape):
+                want = full
+                for c in pos:
+                    want &= full ^ ones[c]
+                for c in neg:
+                    want &= ones[c]
+                assert cell == want, (k, pos, neg)
 
 
 class TestCatalogFile:
