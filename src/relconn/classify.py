@@ -127,6 +127,26 @@ def _need(p: RelationProfile, flag: str) -> bool:
     return value
 
 
+def _every(profs: list[RelationProfile], flag: str) -> bool | None:
+    """Whether every profile has the safely flag, three-valued: False when
+    one is known False, None when none is False but one is unknown."""
+    values = [getattr(p, flag) for p in profs]
+    if False in values:
+        return False
+    return None if None in values else True
+
+
+def _any_every(profs: list[RelationProfile], flags: Sequence[str]) -> bool:
+    """Whether, for some flag, every profile has it.  The answer comes from
+    the known flags whenever they decide it; otherwise `_need` raises for
+    the first flag, and the first relation, whose value it depends on."""
+    values = [_every(profs, flag) for flag in flags]
+    if True in values or None not in values:
+        return True in values
+    flag = flags[values.index(None)]
+    return all(_need(p, flag) for p in profs)  # no flag is False: raises
+
+
 def classify_set(relations: Sequence[Relation]) -> SetClassification:
     """Place a finite relation set into the four-way classification, from
     the profile of each relation."""
@@ -150,17 +170,12 @@ def classify_set(relations: Sequence[Relation]) -> SetClassification:
         cpss_kinds.append(BIJUNCTIVE)
     if all(p.affine for p in profs):
         cpss_kinds.append(AFFINE)
-    for kind, flag_name in ((HORN, "safely_componentwise_ihsb_minus"),
-                            (DUAL_HORN, "safely_componentwise_ihsb_plus")):
-        if not all(getattr(p, kind) for p in profs):
-            continue
-        flags = [getattr(p, flag_name) for p in profs]
-        if any(f is None for f in flags):
-            if not cpss_kinds:  # the decision genuinely depends on the sweep
-                for p in profs:
-                    _need(p, flag_name)
-        elif all(flags):
-            cpss_kinds.append(kind)
+    rows = [(kind, flag) for kind, flag in ((HORN, "safely_componentwise_ihsb_minus"),
+                                            (DUAL_HORN, "safely_componentwise_ihsb_plus"))
+            if all(getattr(p, kind) for p in profs)]
+    cpss_kinds += [kind for kind, flag in rows if _every(profs, flag)]
+    if not cpss_kinds:  # raises if an unknown flag could still make the set CPSS
+        _any_every(profs, [flag for _, flag in rows])
     cpss_kinds.sort(key=SCHAEFER_ORDER.index)
     cpss = bool(cpss_kinds)
 
@@ -170,10 +185,8 @@ def classify_set(relations: Sequence[Relation]) -> SetClassification:
     if schaefer:
         safely_tight = True  # every Schaefer set is safely tight
     else:
-        safely_tight = (
-            all(_need(p, "safely_componentwise_bijunctive") for p in profs)
-            or all(_need(p, "safely_or_free") for p in profs)
-            or all(_need(p, "safely_nand_free") for p in profs))
+        safely_tight = _any_every(profs, ("safely_componentwise_bijunctive",
+                                          "safely_or_free", "safely_nand_free"))
 
     if cpss:
         set_class = CPSS

@@ -20,10 +20,19 @@ Exit codes: 0 on success, 2 on usage or input errors.  With
 --exit-status, a boolean query exits 1 on a "no" answer and 3 when `conn`
 leaves the answer undecided (too large to enumerate).
 
+Every command is declared once, in COMMANDS: its words, its handler, its
+help line and its arguments.  `build_parser` builds the argparse parser
+from the table, and `read_argv` reads a well-formed command line (a
+command's words, its exact option strings with valid values, and one run
+of positionals) from the same table into the namespace the parser would
+return, without argparse's per-call cost.  Any other command line,
+including -h, abbreviations and every error, goes to argparse, which
+prints every help, usage and error message as before.
+
 `main(argv)` may be called any number of times in one process. The
-argument parser is built on the first call and reused after that;
-`parse_args` returns a fresh namespace each time, so no call sees
-another's arguments. Importing the module builds nothing.
+parser and the table's per-command lookups are built on the first call
+that needs them and reused after that; each call gets a fresh namespace,
+so no call sees another's arguments. Importing the module builds nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +66,8 @@ class Answer(NamedTuple):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise RelconnError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -267,121 +277,204 @@ def cmd_cpss_search(args) -> Answer:
                   lambda: formula or "none found\n")
 
 
-def _add_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit JSON")
+def _arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One argument of a command: the args and kwargs of its add_argument."""
+    return names, kwargs
 
 
-def _add_exit_status(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exit-status", action="store_true",
-                   help="exit 1 when the answer is no, 3 when it is undecided")
+_JSON = _arg("--json", action="store_true", help="emit JSON")
+_EXIT_STATUS = _arg("--exit-status", action="store_true",
+                    help="exit 1 when the answer is no, 3 when it is undecided")
+
+
+class Command(NamedTuple):
+    """One entry of COMMANDS: a command's words, its handler (None for a
+    group of commands, such as `horn`), its help line and its arguments."""
+    words: tuple[str, ...]
+    func: Callable[[argparse.Namespace], Answer] | None
+    help: str
+    args: tuple[tuple[tuple[str, ...], dict], ...] = ()
+
+
+# Every command, in the order `relconn -h` lists them; a group precedes its
+# commands.  build_parser and read_argv both read this table.
+COMMANDS = (
+    Command(("classify-relation",), cmd_classify_relation, "closure profile per relation",
+            (_arg("file", help="relation file"), _JSON)),
+    Command(("classify-set",), cmd_classify_set, "trichotomy class and predictions",
+            (_arg("file", help="relation file"), _JSON)),
+    Command(("conn",), cmd_conn, "is the solution graph connected?",
+            (_arg("file", help="formula file"),
+             _arg("--method", choices=("auto", "brute", "cpss"), default="auto"),
+             _JSON, _EXIT_STATUS)),
+    Command(("stconn",), cmd_stconn, "are two solutions connected?",
+            (_arg("file", help="formula file"),
+             _arg("s", help="source assignment, e.g. 0101"),
+             _arg("t", help="target assignment"),
+             _JSON, _EXIT_STATUS)),
+    Command(("diameter",), cmd_diameter, "largest eccentricity within a component",
+            (_arg("file", help="formula file"), _JSON)),
+    Command(("components",), cmd_components, "list solution components",
+            (_arg("file", help="formula file"), _JSON)),
+    Command(("graph",), cmd_graph, "export the solution graph",
+            (_arg("file", help="formula file"),
+             _arg("--dot", dest="output", required=True, metavar="OUT",
+                  help="DOT output path, - for stdout"))),
+    Command(("report",), cmd_report, "full solution-graph report",
+            (_arg("file", help="formula file"), _JSON)),
+    Command(("horn",), None, "Horn clause tools"),
+    Command(("horn", "imp"), cmd_horn_imp, "variables implied by a set",
+            (_arg("file", help="Horn clause file"),
+             _arg("vars", nargs="+", help="seed variables"), _JSON)),
+    Command(("horn", "selfimp"), cmd_horn_selfimp, "maximal self-implicating sets",
+            (_arg("file", help="Horn clause file"), _JSON)),
+    Command(("horn", "normalize"), cmd_horn_normalize, "apply the normal-form rules",
+            (_arg("file", help="Horn clause file"), _JSON)),
+    Command(("reduce",), cmd_reduce, "satisfiability to disconnectivity over M",
+            (_arg("file", help="formula file over P and N"),
+             _arg("-o", "--output", metavar="OUT",
+                  help="write the output (formula or JSON) here"),
+             _JSON)),
+    Command(("express-m",), cmd_express_m, "pin a Horn relation down to the relation M",
+            (_arg("file", help="relation file; the first relation is used"), _JSON)),
+    Command(("cpss-search",), cmd_cpss_search,
+            "experimental random search for projection counterexamples (asserts nothing)",
+            (_arg("file", help="relation file for the constraint pool"),
+             _arg("--seed", type=int, default=0),
+             _arg("--tries", type=int, default=200),
+             _arg("--max-vars", type=int, default=8),
+             _JSON)),
+)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `relconn` parser, built once per process and shared by every
-    `main` call; callers must not modify it."""
+    """The `relconn` parser, built from COMMANDS once per process and
+    shared by every `main` call; callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="relconn",
         description="Connectivity of Boolean constraint solution graphs.")
-    # main reads these on every subcommand, also where the option is absent
+    # main reads these on every command, also where the option is absent;
+    # read_argv starts its namespace from the same three
     ap.set_defaults(json=False, exit_status=False, output=None)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify-relation", help="closure profile per relation")
-    p.add_argument("file", help="relation file")
-    _add_json(p)
-    p.set_defaults(func=cmd_classify_relation)
-
-    p = sub.add_parser("classify-set", help="trichotomy class and predictions")
-    p.add_argument("file", help="relation file")
-    _add_json(p)
-    p.set_defaults(func=cmd_classify_set)
-
-    p = sub.add_parser("conn", help="is the solution graph connected?")
-    p.add_argument("file", help="formula file")
-    p.add_argument("--method", choices=("auto", "brute", "cpss"), default="auto")
-    _add_json(p)
-    _add_exit_status(p)
-    p.set_defaults(func=cmd_conn)
-
-    p = sub.add_parser("stconn", help="are two solutions connected?")
-    p.add_argument("file", help="formula file")
-    p.add_argument("s", help="source assignment, e.g. 0101")
-    p.add_argument("t", help="target assignment")
-    _add_json(p)
-    _add_exit_status(p)
-    p.set_defaults(func=cmd_stconn)
-
-    p = sub.add_parser("diameter", help="largest eccentricity within a component")
-    p.add_argument("file", help="formula file")
-    _add_json(p)
-    p.set_defaults(func=cmd_diameter)
-
-    p = sub.add_parser("components", help="list solution components")
-    p.add_argument("file", help="formula file")
-    _add_json(p)
-    p.set_defaults(func=cmd_components)
-
-    p = sub.add_parser("graph", help="export the solution graph")
-    p.add_argument("file", help="formula file")
-    p.add_argument("--dot", dest="output", required=True, metavar="OUT",
-                   help="DOT output path, - for stdout")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("report", help="full solution-graph report")
-    p.add_argument("file", help="formula file")
-    _add_json(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("horn", help="Horn clause tools")
-    hsub = p.add_subparsers(dest="horn_command", required=True)
-
-    hp = hsub.add_parser("imp", help="variables implied by a set")
-    hp.add_argument("file", help="Horn clause file")
-    hp.add_argument("vars", nargs="+", help="seed variables")
-    _add_json(hp)
-    hp.set_defaults(func=cmd_horn_imp)
-
-    hp = hsub.add_parser("selfimp", help="maximal self-implicating sets")
-    hp.add_argument("file", help="Horn clause file")
-    _add_json(hp)
-    hp.set_defaults(func=cmd_horn_selfimp)
-
-    hp = hsub.add_parser("normalize", help="apply the normal-form rules")
-    hp.add_argument("file", help="Horn clause file")
-    _add_json(hp)
-    hp.set_defaults(func=cmd_horn_normalize)
-
-    p = sub.add_parser("reduce",
-                       help="satisfiability to disconnectivity over M")
-    p.add_argument("file", help="formula file over P and N")
-    p.add_argument("-o", "--output", metavar="OUT",
-                   help="write the output (formula or JSON) here")
-    _add_json(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("express-m",
-                       help="pin a Horn relation down to the relation M")
-    p.add_argument("file", help="relation file; the first relation is used")
-    _add_json(p)
-    p.set_defaults(func=cmd_express_m)
-
-    p = sub.add_parser("cpss-search",
-                       help="experimental random search for projection "
-                            "counterexamples (asserts nothing)")
-    p.add_argument("file", help="relation file for the constraint pool")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tries", type=int, default=200)
-    p.add_argument("--max-vars", type=int, default=8)
-    _add_json(p)
-    p.set_defaults(func=cmd_cpss_search)
-
+    groups = {(): ap.add_subparsers(dest="command", required=True)}
+    for cmd in COMMANDS:
+        p = groups[cmd.words[:-1]].add_parser(cmd.words[-1], help=cmd.help)
+        if cmd.func is None:
+            groups[cmd.words] = p.add_subparsers(dest=f"{cmd.words[-1]}_command",
+                                                 required=True)
+            continue
+        for names, kwargs in cmd.args:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=cmd.func)
     return ap
+
+
+@functools.cache
+def _leaves() -> dict[tuple[str, ...], tuple]:
+    """For each leaf command's words: the namespace argparse starts it from
+    (build_parser's set_defaults, then what the command's parsers set
+    before reading its tokens), its option strings, each with its
+    argument's dest and kwargs, its positionals' (dest, nargs) and the
+    dests of its required options."""
+    leaves = {}
+    for cmd in COMMANDS:
+        if cmd.func is None:
+            continue
+        words = cmd.words
+        start = {"json": False, "exit_status": False, "output": None,
+                 "command": words[0], "func": cmd.func}
+        if len(words) > 1:
+            start[f"{words[0]}_command"] = words[1]
+        options, positionals, required = {}, [], set()
+        for names, kwargs in cmd.args:
+            if not names[0].startswith("-"):
+                positionals.append((names[0], kwargs.get("nargs")))
+                continue
+            long = next((s for s in names if s.startswith("--")), names[0])
+            dest = kwargs.get("dest") or long.lstrip("-").replace("-", "_")
+            flag = kwargs.get("action") == "store_true"
+            start[dest] = kwargs.get("default", False if flag else None)
+            options.update(dict.fromkeys(names, (dest, flag, kwargs)))
+            if kwargs.get("required"):
+                required.add(dest)
+        leaves[words] = start, options, positionals, frozenset(required)
+    return leaves
+
+
+def read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read from
+    COMMANDS without argparse; None unless argv is well formed.
+
+    Well formed means: a command's words, then tokens of three kinds.  A
+    token that starts with "-", other than "-" itself, is exactly one of
+    the command's option strings (so never -h, --help, an abbreviation or
+    --opt=value).  A value option's value is the next token; it does not
+    start with "-" unless it is "-", and it passes the option's type and
+    choices.  The other tokens form one contiguous run, one token for each
+    positional, where a nargs="+" positional, the last, takes the rest of
+    the run: argparse would split separated runs differently.  Every
+    required option is present.  On None, argparse parses argv, or prints
+    its usage error, as always.
+    """
+    leaves = _leaves()
+    n = 1 if tuple(argv[:1]) in leaves else 2
+    leaf = leaves.get(tuple(argv[:n]))
+    if leaf is None:
+        return None
+    start, options, positionals, required = leaf
+    ns = dict(start)
+    seen = set()
+    run: list[str] = []
+    run_end = 0
+    i = n
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token not in options:
+            if token.startswith("-") and token != "-":
+                return None
+            if run and run_end != i - 1:
+                return None  # a second run of positionals
+            run.append(token)
+            run_end = i
+            continue
+        dest, flag, kwargs = options[token]
+        seen.add(dest)
+        if flag:
+            ns[dest] = True
+            continue
+        if i == len(argv) or argv[i].startswith("-") and argv[i] != "-":
+            return None
+        value = argv[i]
+        i += 1
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        ns[dest] = value
+    if not required <= seen:
+        return None
+    extra = len(run) - len(positionals)
+    if extra < 0 or extra and positionals[-1][1] != "+":
+        return None
+    for k, (dest, nargs) in enumerate(positionals):
+        ns[dest] = run[k:] if nargs == "+" else run[k]
+    args = argparse.Namespace()
+    vars(args).update(ns)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line; the only place that writes a result."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         answer = args.func(args)
         out = render_json(answer.doc()) + "\n" if args.json else answer.text()

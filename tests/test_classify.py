@@ -388,14 +388,41 @@ class TestSetClassification:
         assert cl.safely_tight
 
     def test_high_arity_requiring_sweep_raises(self):
-        # not Schaefer, and the first safely-tight flag needs the sweep
-        # beyond its arity bound: undecidable here
+        # not Schaefer; OR and NAND make safely OR-free and NAND-free false,
+        # so the answer rests on BIG's safely componentwise bijunctive flag,
+        # which needs the sweep beyond its arity bound: undecidable here
         r = padded(ONE_IN_THREE, "BIG")
         for prop in (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE):
             assert not check_property(r, prop), prop
         with pytest.raises(ArityLimitError, match="needs safely_componentwise_bijunctive "
                                                   r"of BIG \(arity 11\)"):
-            classify_set([r])
+            classify_set([r, CATALOG["OR"], CATALOG["NAND"]])
+
+    def test_high_arity_decided_by_known_flags(self):
+        # BIG's safely componentwise bijunctive flag stays unknown, but its
+        # known safely OR-free flag makes the set safely tight
+        r = padded(ONE_IN_THREE, "BIG")
+        p = profile(r)
+        assert p.safely_componentwise_bijunctive is None
+        assert p.safely_or_free and p.safely_nand_free
+        cl = classify_set([r])
+        assert cl.set_class == SAFELY_TIGHT_NOT_SCHAEFER and cl.safely_tight
+
+    def test_known_false_flags_settle_each_disjunct(self):
+        # M has both componentwise bijunctive and NAND-free false, OR has
+        # OR-free false: not safely tight whatever BIG's unknown flag is
+        cl = classify_set([padded(ONE_IN_THREE, "BIG"), CATALOG["M"], CATALOG["OR"]])
+        assert cl.set_class == NOT_SAFELY_TIGHT
+
+    def test_known_false_flag_settles_a_cpss_row(self):
+        # both are Horn; M's false safely componentwise IHSB- flag settles the
+        # Horn row whatever WIDE's unknown one is
+        wide = padded(HORN_TWO_PARTS, "WIDE")
+        assert profile(wide).horn and profile(wide).safely_componentwise_ihsb_minus is None
+        with pytest.raises(ArityLimitError, match="needs safely_componentwise_ihsb_minus"):
+            classify_set([wide])
+        cl = classify_set([wide, CATALOG["M"]])
+        assert cl.set_class == SCHAEFER_NOT_CPSS and cl.schaefer_kinds == ("horn",)
 
     @pytest.mark.parametrize("head, expected", [(NAE3, NOT_SAFELY_TIGHT),
                                                 (M_TUPLES, SCHAEFER_NOT_CPSS)])
@@ -461,7 +488,7 @@ class TestProfileMemo:
     def test_arity_error_names_the_relation_asked(self):
         profile(padded(ONE_IN_THREE, "TWIN"))
         with pytest.raises(ArityLimitError, match="of BIG "):
-            classify_set([padded(ONE_IN_THREE, "BIG")])
+            classify_set([padded(ONE_IN_THREE, "BIG"), CATALOG["OR"], CATALOG["NAND"]])
 
     def test_bounded(self):
         assert classify._profile_facts.cache_info().maxsize == PROFILES_KEPT

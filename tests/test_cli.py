@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import errno
+import io
 import json
 import os
 import subprocess
@@ -12,14 +15,14 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relconn import bitspace, cli, cpss, horn
 from relconn import solution_graph as sg
 from relconn.catalog import CATALOG, parse_relations
 from relconn.classify import classify_set, predict, profile
-from relconn.cli import build_parser, main
+from relconn.cli import build_parser, main, read_argv
 from relconn.formulas import parse_formula
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -170,12 +173,20 @@ class TestConn:
                    "of R (arity 11), which requires arity <= 10\n")
 
     def test_cpss_route_names_the_safely_tight_flag(self, capsys, tmp_path):
-        # not Schaefer, so the first safely-tight flag is the one needed
+        # not Schaefer; OR and NAND make safely OR-free and NAND-free false,
+        # so the safely componentwise bijunctive flag is the one needed
         path = tmp_path / "wide.cnfs"
-        path.write_text(wide_formula_text(ONE_IN_THREE))
+        path.write_text(wide_formula_text(ONE_IN_THREE) + "OR(y1,y2)\nNAND(y2,y3)\n")
         assert run(capsys, "conn", path, "--method", "cpss") == (
             2, "", "relconn: error: classification needs safely_componentwise_bijunctive "
                    "of R (arity 11), which requires arity <= 10\n")
+
+    def test_cpss_route_on_a_set_its_known_flags_decide(self, capsys, tmp_path):
+        # R's safely OR-free flag, from the member test, makes {R} safely tight
+        path = tmp_path / "wide.cnfs"
+        path.write_text(wide_formula_text(ONE_IN_THREE))
+        assert run(capsys, "conn", path, "--method", "cpss") == (
+            2, "", "relconn: error: relation set is SafelyTightNotSchaefer, not CPSS\n")
 
     def test_undecided_text(self, capsys, undecided):
         assert run(capsys, "conn", undecided) == (
@@ -431,6 +442,27 @@ class TestKeywordWhitespace:
         assert run(capsys, "conn", path) == (2, "", f"relconn: error: {message}\n")
 
 
+class TestLineEnds:
+    """A CRLF-terminated input file gives the same answers as its LF twin:
+    the file is read with universal newlines."""
+
+    @pytest.mark.parametrize("words, name, tail", [
+        (["conn"], "conp.cnfs", []), (["components"], "gr.cnfs", []),
+        (["classify-set"], "rconp.rel", []), (["classify-relation"], "or_example.rel", []),
+        (["horn", "imp"], "clauses.horn", ["u"]), (["horn", "normalize"], "clauses.horn", []),
+    ], ids=["cnfs-conn", "cnfs-components", "rel-set", "rel-relation", "horn-imp",
+            "horn-normalize"])
+    def test_crlf_twin(self, capsys, tmp_path, words, name, tail):
+        text = (SAMPLES / name).read_text()
+        assert "\r" not in text
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        for flags in ([], ["--json"]):
+            want = run(capsys, *words, sample(name), *tail, *flags)
+            assert want[0] == 0
+            assert run(capsys, *words, path, *tail, *flags) == want
+
+
 class TestConstructions:
     def test_reduce_roundtrip(self, capsys, tmp_path):
         target = tmp_path / "out.cnfs"
@@ -650,6 +682,13 @@ class TestErrors:
         assert code == 2
         assert err.startswith("relconn: error:")
 
+    @pytest.mark.parametrize("command", ["conn", "classify-set", "horn selfimp"])
+    def test_cannot_read(self, capsys, tmp_path, command):
+        missing = tmp_path / "no-such-file"
+        for path, code in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
+            assert run(capsys, *command.split(), path) == (
+                2, "", f"relconn: error: cannot read {path}: {os.strerror(code)}\n")
+
     @pytest.mark.parametrize("argv, name, text, message", [
         (["conn"], "bad.cnfs", "foo bar\n", "line 1: cannot parse 'foo bar'"),
         (["conn"], "bad.cnfs", "var y z\nN(y z)\n", "line 2: bad argument 'y z'"),
@@ -751,6 +790,11 @@ def _sequence() -> list[list[str]]:
         ["graph", triangle, "--dot", "-"],
         ["cpss-search", m, "--max-vars", "1"],
         ["cpss-search", sample("bijunctive.rel"), "--tries", "5", "--seed", "1"],
+        # argv that read_argv hands to argparse
+        ["conn", triangle, "--js"],
+        ["conn", triangle, "--method=cpss"],
+        ["horn", "imp", horn, "u", "--json", "y"],
+        ["conn", "-h"],
     ]
     for argv in (["classify-relation", m], ["classify-set", rconp],
                  ["conn", sample("t.cnfs")], ["diameter", conp],
@@ -760,6 +804,122 @@ def _sequence() -> list[list[str]]:
                  ["cpss-search", sample("bijunctive.rel"), "--tries", "5"]):
         calls += [argv, argv + ["--json"]]
     return calls
+
+
+LEAVES = [c.words for c in cli.COMMANDS if c.func is not None]
+# every option string of every command, with values good and bad for each,
+# file-like positionals, and the tokens read_argv leaves to argparse
+TOKENS = sorted({s for c in cli.COMMANDS for names, _ in c.args
+                 for s in names if s.startswith("-")}) + [
+    "auto", "brute", "cpss", "bogus", "5", "0", "-1", "1_0", " 7", "x7", "",
+    "f.cnfs", "a", "0101", "-", "--", "-h", "--help", "--js", "--ex", "--out",
+    "--method=cpss", "--seed=3", "-oout", "conn", "horn", "imp"]
+POSITIONALS = st.sampled_from(["f.cnfs", "a", "0101", "-", "", "conn", "-1"])
+
+
+def option_value(kwargs: dict):
+    if "choices" in kwargs:
+        return st.sampled_from([*kwargs["choices"], "bogus", "-h"])
+    if kwargs.get("type") is int:
+        return st.sampled_from(["0", "5", "-1", "1_0", " 7", "x7", ""])
+    return st.sampled_from(["out", "-", "", "--json", "f.cnfs"])
+
+
+@st.composite
+def command_lines(draw):
+    """A leaf command's words, then its options (each 0 to 2 times) and
+    its positionals (a quarter of the time one short) in random order, the
+    positionals half the time as one run; a quarter of the time with one
+    token of TOKENS inserted."""
+    cmd = draw(st.sampled_from([c for c in cli.COMMANDS if c.func is not None]))
+    groups, run = [], []
+    for names, kwargs in cmd.args:
+        if not names[0].startswith("-"):
+            count = draw(st.integers(1, 3)) if kwargs.get("nargs") == "+" else 1
+            count -= draw(st.integers(0, 3)) == 0
+            run += draw(st.lists(POSITIONALS, min_size=count, max_size=count))
+            continue
+        for _ in range(draw(st.integers(0, 2))):
+            name = draw(st.sampled_from(names))
+            if kwargs.get("action") == "store_true":
+                groups.append([name])
+            else:
+                groups.append([name, draw(option_value(kwargs))])
+    groups += [run] if draw(st.booleans()) else [[token] for token in run]
+    argv = [token for group in draw(st.permutations(groups)) for token in group]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS)))
+    return [*cmd.words, *argv]
+
+
+def argparse_namespace(argv: list[str]) -> dict | None:
+    """vars() of what the parser returns for argv, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestReadArgv:
+    """cli.read_argv against argparse: whenever it accepts an argv, it
+    returns the parser's namespace; whenever the parser exits, it returns
+    None."""
+
+    def test_leaves_are_the_parsers(self):
+        assert sorted(LEAVES) == sorted(subcommands(build_parser()))
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.one_of(
+        command_lines(),
+        st.builds(lambda words, rest: [*words, *rest], st.sampled_from(LEAVES),
+                  st.lists(st.sampled_from(TOKENS), max_size=8)),
+        st.lists(st.sampled_from(TOKENS + ["horn", "selfimp", "graph"]), max_size=6)))
+    @example(["horn", "imp", "f", "a", "--json", "b"])
+    @example(["horn", "imp", "f", "a", "b", "--json"])
+    @example(["horn", "imp", "--json", "f", "a", "b"])
+    @example(["stconn", "f", "--json", "0", "1"])
+    @example(["conn", "f", "--json", "--method", "cpss", "--exit-status"])
+    @example(["conn", "-h"])
+    @example(["conn", "f", "--js"])
+    @example(["conn", "f", "--method=cpss"])
+    @example(["cpss-search", "f", "--seed", "-1"])
+    @example(["cpss-search", "f", "--seed", "1_0", "--max-vars", "x"])
+    @example(["graph", "f"])
+    @example(["graph", "f", "--dot", "-"])
+    @example(["graph", "-", "--dot", "-"])
+    @example(["graph", "--dot", "-", "-"])
+    @example(["reduce", "f", "-o", "out", "--output", "other"])
+    @example(["horn"])
+    @example([])
+    def test_agrees_with_argparse(self, argv):
+        got = read_argv(argv)
+        want = argparse_namespace(argv)
+        if got is not None:
+            assert want is not None, argv
+            assert vars(got) == want, argv
+            assert isinstance(got, argparse.Namespace)
+
+    @pytest.mark.parametrize("argv", [
+        ["conn", "f", "--method", "auto", "--json"],
+        ["stconn", "f", "0", "1", "--exit-status"],
+        ["horn", "imp", "f", "a", "b"],
+        ["graph", "f", "--dot", "-"],
+        ["cpss-search", "f", "--seed", "3", "--tries", "5", "--max-vars", "4"],
+        ["reduce", "--json", "-o", "out", "f"],
+    ])
+    def test_reads_common_command_lines(self, argv):
+        assert vars(read_argv(argv)) == argparse_namespace(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["horn", "imp", "f", "a", "--json", "b"],  # argparse: unrecognized b
+        ["stconn", "f", "--json", "0", "1"],       # split run, though valid
+        ["conn", "f", "--js"], ["conn", "f", "--method=cpss"], ["conn", "-h"],
+        ["cpss-search", "f", "--seed", "-1"], ["graph", "f"], ["horn"], [],
+    ])
+    def test_hands_the_rest_to_argparse(self, argv):
+        assert read_argv(argv) is None
 
 
 class TestRepeatedCalls:

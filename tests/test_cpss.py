@@ -154,15 +154,23 @@ def clause_set(kind, *texts, variables=("x", "y")):
 HORN_TWO_PARTS = ("000", "001", "010", "111")
 
 
-def wide_formula(head):
-    """R(x1, ..., x11) where R is the 3-bit tuples `head` times {0,1}^8:
-    above the identification sweep's arity bound, so unclassifiable when
-    the classification needs a componentwise safely flag of R that only
-    the sweep settles (HORN_TWO_PARTS and one-in-three do)."""
+ONE_IN_THREE = ("001", "010", "100")
+
+
+def wide_formula(head, chain=0):
+    """R(x1, ..., x11) where R is the 3-bit tuples `head` times {0,1}^8,
+    and then OR(y0, y1), NAND(y1, y2), OR(y2, y3), ... over `chain` more
+    variables: above the identification sweep's arity bound, so
+    unclassifiable when the classification needs a componentwise safely
+    flag of R that only the sweep settles.  HORN_TWO_PARTS does alone; with
+    one-in-three, whose safely OR-free flag the member test settles, the
+    chain's OR and NAND leave only the componentwise bijunctive flag."""
     rel = Relation.from_tuples(11, [h + format(s, "08b") for h in head
                                     for s in range(256)], "R")
-    return make_formula([Constraint("R", tuple(f"x{i}" for i in range(1, 12)))],
-                        {"R": rel})
+    constraints = [Constraint("R", tuple(f"x{i}" for i in range(1, 12)))]
+    constraints += [Constraint(("OR", "NAND")[j % 2], (f"y{j}", f"y{j + 1}"))
+                    for j in range(chain - 1)]
+    return make_formula(constraints, {"R": rel, "OR": CATALOG["OR"], "NAND": CATALOG["NAND"]})
 
 
 def planted_formula(kind, seed, n, m):
@@ -516,10 +524,12 @@ class TestDecideConnectivity:
 
     @pytest.mark.parametrize("head, n_components", [
         (HORN_TWO_PARTS, 2),
-        (("001", "010", "100"), 3),  # one-in-three
+        (ONE_IN_THREE, 3),
     ])
     def test_brute_route_without_classification(self, head, n_components):
-        phi = wide_formula(head)
+        # one-in-three alone is classified by its safely OR-free flag; the
+        # OR/NAND chain, whose components are one, leaves it unclassifiable
+        phi = wide_formula(head, 4 if head == ONE_IN_THREE else 0)
         with pytest.raises(ArityLimitError):
             classify_set(phi.used_relations())
         for method in ("brute", "auto"):
@@ -527,7 +537,7 @@ class TestDecideConnectivity:
             connected = n_components == 1
             assert (d.connected, d.method, d.set_class, d.prediction) == (
                 connected, "brute", None, None)
-            assert d.detail == {"n_variables": 11}
+            assert d.detail == {"n_variables": phi.n}
         assert len(solution_graph.components(phi)) == n_components
         with pytest.raises(ArityLimitError):
             decide_connectivity(phi, method="cpss")
@@ -535,11 +545,7 @@ class TestDecideConnectivity:
     @pytest.mark.parametrize("method", ["brute", "auto"])
     def test_no_classification_above_the_enumeration_bound(self, method):
         # 25 variables: no route answers, and the classification's error stands
-        wide = wide_formula(("001", "010", "100"))
-        extra = [Constraint("M", (f"y{i}", f"y{i + 1}", f"y{i + 2}"))
-                 for i in range(12)]
-        phi = make_formula(wide.constraints + tuple(extra),
-                           {**wide.library, "M": CATALOG["M"]})
+        phi = wide_formula(ONE_IN_THREE, 14)
         assert phi.n == 25
         with pytest.raises(ArityLimitError):
             decide_connectivity(phi, method=method)
