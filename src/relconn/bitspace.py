@@ -9,8 +9,8 @@ two indices as adjacent iff they differ in exactly one bit.  Relations
 
 conjunction_space is the package's one routine that plugs a relation into
 argument slots (constants and repeated variables): it builds formula and
-Horn-view solution spaces, apply_pattern's images, constraint relations
-and to_clausal's checks.  gf2_reduce, the one GF(2) row reduction, reads
+Horn-view solution spaces, apply_pattern's images and constraint
+relations.  gf2_reduce, the one GF(2) row reduction, reads
 ints as vectors.  tuples_of, the one routine that lists a mask's members
 as bitstrings, reads them from tables of 8-bit strings where it can.
 

@@ -12,13 +12,12 @@ Text format:
     IMP(x,y)
     M(x,0,z)
 
-Constraint relations and to_clausal's checks are built by
-bitspace.conjunction_space, the one routine that plugs a relation into its
-arguments; clause_item and equation_item turn clauses and XOR equations
-into its items.  CnfClause is the package's one clause type and ClauseSet
-its one clause-set type: cnf_implicates returns clauses, to_clausal
-returns a formula's clause set in a Schaefer class, and module horn reads
-the Horn structure off the clause sets of class HORN.
+Constraint relations are built by bitspace.conjunction_space, the one
+routine that plugs a relation into its arguments; clause_item makes a
+clause one of its items.  CnfClause is the package's one clause type and
+ClauseSet its one clause-set type: cnf_implicates returns clauses,
+to_clausal returns a formula's clause set in a Schaefer class, and module
+horn reads the Horn structure off the clause sets of class HORN.
 
 cnf_implicates reads a relation's prime clauses of one shape (bijunctive,
 Horn, dual Horn) off its mask with one candidate table per (width, shape):
@@ -33,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import catalog
 from .bitspace import (conjunction_space, coord_mask, full_mask, gf2_reduce,
@@ -163,8 +162,10 @@ def parse_formula(text: str,
 
 
 def format_formula(phi: Formula) -> str:
-    """Self-contained text for a formula (relations inlined)."""
-    lines = [catalog.format_relation(rel) for rel in phi.used_relations()]
+    """Self-contained text for a formula: each relation inlined under the
+    library key its constraints use, whatever the relation's own name."""
+    names = dict.fromkeys(c.relation for c in phi.constraints)
+    lines = [catalog.format_relation(phi.library[name].renamed(name)) for name in names]
     lines.append("var " + " ".join(phi.variables))
     lines.extend(str(c) for c in phi.constraints)
     return "\n".join(lines) + "\n"
@@ -203,15 +204,6 @@ def clause_item(c: CnfClause) -> tuple[int, int, list[str]]:
     return full_mask(len(args)) ^ (1 << ((1 << len(c.neg)) - 1)), len(args), args
 
 
-def equation_item(vars_: Collection[str], rhs: int) -> tuple[int, int, list[str]]:
-    """XOR(vars_) = rhs as a conjunction_space item: the tuples of parity rhs."""
-    k = len(vars_)
-    odd = 0
-    for p in range(k):
-        odd ^= coord_mask(k, p)
-    return odd if rhs else full_mask(k) ^ odd, k, list(vars_)
-
-
 def constraint_relation(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation]:
     """Relation of constraint i over its distinct variables, in name order.
 
@@ -240,10 +232,6 @@ class CnfClause:
     def variables(self) -> frozenset[str]:
         return self.pos | self.neg
 
-    def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
-        return (any(assignment[v] for v in self.pos)
-                or any(not assignment[v] for v in self.neg))
-
     def __str__(self) -> str:
         lits = sorted(self.pos) + ["-" + v for v in sorted(self.neg)]
         return " ".join(lits) if lits else "<empty>"
@@ -254,9 +242,6 @@ class XorEquation:
     """GF(2) equation: sum of the variables equals rhs."""
     vars: frozenset[str]
     rhs: int
-
-    def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
-        return sum(1 for v in self.vars if assignment[v]) % 2 == self.rhs
 
 
 # Schaefer class -> does a clause of (positive, negative) literal counts fit it
@@ -452,14 +437,14 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
     A constraint on constants alone becomes no clause when it is true and
     the empty clause (the equation 0 = 1) when it is false.  Each other
     constraint becomes the prime clauses of the class's shape (or the XOR
-    basis) of its relation.  Those define the relation's hull in the
-    class, so they miss the relation exactly when it is outside the class,
-    and one check of each constraint's group against its relation settles
-    both.  A group that misses raises ClauseExtractionError: "constraint
-    ... is not <class>" when check_property confirms that the relation is
-    outside the class, and "clause conversion changed the solutions"
-    otherwise.
+    basis) of its relation.  Those define the relation's hull in the class
+    (Schaefer 1978), so they define the relation itself exactly when
+    check_property puts it in the class; a relation outside the class
+    raises ClauseExtractionError "constraint ... is not <class>".  An
+    unknown class raises ClauseExtractionError "no clause shape".
     """
+    if schaefer_class not in _FITS:
+        raise ClauseExtractionError(f"no clause shape for {schaefer_class!r}")
     clauses: list[CnfClause] = []
     equations: list[XorEquation] = []
     pairs = []
@@ -469,43 +454,14 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
             rel = None
         else:
             vars_, rel = constraint_relation(phi, i)
+            if not check_property(rel, schaefer_class):
+                raise ClauseExtractionError(f"constraint {c} is not {schaefer_class}")
             mask = rel.mask
         pairs.append((vars_, rel))
         if schaefer_class == AFFINE:
-            group_eqs = [XorEquation(names, rhs)
-                         for names, rhs in _xor_basis(vars_, mask)]
-            group_cls = []
+            equations.extend(XorEquation(names, rhs)
+                             for names, rhs in _xor_basis(vars_, mask))
         else:
-            group_eqs = []
-            group_cls = cnf_implicates(vars_, mask, schaefer_class)
-        asg = _first_difference(vars_, mask, group_cls, group_eqs)
-        if asg is not None:
-            if rel is not None and not check_property(rel, schaefer_class):
-                raise ClauseExtractionError(f"constraint {c} is not {schaefer_class}")
-            raise ClauseExtractionError(
-                f"clause conversion changed the solutions of {c} at {asg}")
-        clauses.extend(group_cls)
-        equations.extend(group_eqs)
+            clauses.extend(cnf_implicates(vars_, mask, schaefer_class))
     return ClauseSet(schaefer_class, phi.variables, tuple(clauses),
                      tuple(equations), tuple(pairs))
-
-
-def _first_difference(vars_: tuple[str, ...], want: int,
-                      clauses: list[CnfClause],
-                      equations: list[XorEquation]) -> dict[str, int] | None:
-    """The first assignment to vars_ on which the mask `want`, a
-    constraint's relation over its k distinct variables, and the
-    conjunction_space of its clauses or equations differ; None when they
-    agree.
-
-    The formula and the clause set are conjunctions of these per-constraint
-    groups, so agreement on every group makes them define the same
-    solutions, at any number of variables.
-    """
-    got = conjunction_space(vars_, [clause_item(cl) for cl in clauses]
-                            + [equation_item(e.vars, e.rhs) for e in equations])
-    diff = got ^ want
-    if not diff:
-        return None
-    a = (diff & -diff).bit_length() - 1
-    return {v: (a >> (len(vars_) - 1 - j)) & 1 for j, v in enumerate(vars_)}

@@ -100,13 +100,17 @@ class Relation:
                 if len(t) != arity or any(ch not in "01" for ch in t):
                     raise RelationError(f"bad tuple {t!r} for arity {arity}")
                 idx = int(t, 2)
+            elif isinstance(t, bool):
+                raise RelationError(f"bad tuple {t!r} for arity {arity}")
             elif isinstance(t, int):
                 if not 0 <= t < 1 << arity:
                     raise RelationError(f"tuple index {t} out of range for arity {arity}")
                 idx = t
             else:
                 bits = list(t)
-                if len(bits) != arity or any(b not in (0, 1) for b in bits):
+                if len(bits) != arity or any(
+                        isinstance(b, bool) or not isinstance(b, int) or b not in (0, 1)
+                        for b in bits):
                     raise RelationError(f"bad tuple {t!r} for arity {arity}")
                 idx = int("".join(map(str, bits)), 2)
             mask |= 1 << idx

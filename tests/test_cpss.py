@@ -24,6 +24,7 @@ from relconn.formulas import (ClauseSet, CnfClause, Constraint, make_formula,
                               parse_formula, to_clausal)
 from relconn.relations import AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation, hull
 
+from clausal_oracle import first_group_difference, is_model, projection_inside
 from random_inputs import random_cpss_pool, random_relation
 from solution_oracle import project_enumerate
 
@@ -46,8 +47,7 @@ def brute_models(cs, assumptions):
     for bits in itertools.product((0, 1), repeat=len(free)):
         model = dict(assumptions)
         model.update(zip(free, bits))
-        if all(c.satisfied_by(model) for c in cs.clauses) and \
-                all(e.satisfied_by(model) for e in cs.equations):
+        if is_model(cs, model):
             yield model
 
 
@@ -72,12 +72,15 @@ def project_by_sat_oracle(phi, i, cs):
 
 def assert_projections_match_oracles(phi, kind):
     """Every projection of the kind's engine against the per-tuple SAT loop
-    and against enumeration of the solution space."""
+    and against enumeration of the solution space, and inside its
+    constraint's relation; the clause translation against the relations."""
     cs = to_clausal(phi, kind)
+    assert first_group_difference(phi, kind) is None
     for i in range(len(phi.constraints)):
         got = project(phi, i, cs)
         vars_, enumerated = project_enumerate(phi, i)
         assert got.variables == vars_
+        assert projection_inside(cs, got)
         assert got.relation.mask == project_by_sat_oracle(phi, i, cs)
         assert got.relation == enumerated
         assert project(phi, i) == got  # the class conn_cpss would pick
@@ -218,6 +221,7 @@ class TestSatSchaefer:
             if ok:
                 checked += 1
                 assert all(model[v] == b for v, b in assumptions.items())
+                assert is_model(cs, model)
         assert checked > 10
 
     @settings(max_examples=300, deadline=None)
@@ -229,6 +233,7 @@ class TestSatSchaefer:
         if ok:
             assert set(model) == set(cs.variables) | set(assumptions)
             assert {v: model[v] for v in assumptions} == assumptions
+            assert is_model(cs, model)
         else:
             assert model is None
 
@@ -290,6 +295,7 @@ class TestSatSchaefer:
         cs = to_clausal(phi, BIJUNCTIVE)
         ok, model = sat_schaefer(cs, {"x": 1})
         assert ok and model["x"] == 1 and model["y"] == 1
+        assert is_model(cs, model)
         ok, model = sat_schaefer(cs, {"x": 1, "y": 0})
         assert not ok and model is None
 
@@ -334,6 +340,15 @@ class TestProject:
             with pytest.raises(FormulaError, match="no variables"):
                 project(phi, 1, cs)
 
+    @pytest.mark.parametrize("i", [-1, -2, 2, 3])
+    def test_index_outside_the_constraints_raises(self, i):
+        # negative indexes would read the constraints from the end
+        phi = parse_formula("var x y z\nIMP(x,y)\nIMP(y,z)",
+                            {"IMP": Relation.from_tuples(2, [0, 1, 3])})
+        for cs in (None, to_clausal(phi, HORN)):
+            with pytest.raises(FormulaError, match=rf"constraint index {i} outside 0\.\.1"):
+                project(phi, i, cs)
+
     def test_f_fixture_projections(self):
         phi = parse_formula(F_TEXT, CATALOG)
         vars0, proj0 = project_enumerate(phi, 0)
@@ -352,6 +367,8 @@ class TestConnCpss:
             sg = solution_graph.report(phi)
             assert report.connected == sg.connected
             assert report.satisfiable == (sg.n_solutions > 0)
+            cs = to_clausal(phi, kind)
+            assert all(projection_inside(cs, p) for p in report.projections)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_800_variables_within_two_seconds(self, kind):

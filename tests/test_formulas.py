@@ -23,6 +23,7 @@ from relconn.formulas import (CONSTANTS, ClauseSet, CnfClause, Constraint,
 from relconn.relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
                                check_property, hull)
 
+from clausal_oracle import first_group_difference
 from closure_oracle import close_under, op_and, op_maj, op_or, op_xor3
 from random_inputs import random_cpss_pool, random_relation
 
@@ -80,6 +81,15 @@ class TestParsing:
             [str(c) for c in phi.constraints]
         for c, d in zip(phi.constraints, again.constraints):
             assert phi.relation_of(c).members == again.relation_of(d).members
+        # the rel line carries the library key the constraints use, not the
+        # relation's own name, which may be missing or another one
+        for name in (None, "X"):
+            imp = Relation.from_tuples(2, [0, 1, 3], name)
+            phi = make_formula([Constraint("IMP", ("x", "y"))], {"IMP": imp})
+            text = format_formula(phi)
+            assert text == "rel IMP 2 : 00 01 11\nvar x y\nIMP(x,y)\n"
+            again = parse_formula(text, {})
+            assert again.relation_of(again.constraints[0]) == imp
 
 
 class TestEvaluate:
@@ -262,13 +272,14 @@ class TestToClausal:
                 cs = to_clausal(phi, cls)
                 assert clause_models(cs, phi.variables) == formula_models(phi)
                 assert cs.constraint_relations == ((vars_, crel),)
+                assert first_group_difference(phi, cls) is None
                 cases += 1
         assert cases > 150
 
     @pytest.mark.parametrize("kind", (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE))
     def test_whole_formula_enumeration(self, kind):
         # the enumeration oracle over all 2^n assignments of many-constraint
-        # formulas; to_clausal itself only checks one constraint at a time
+        # formulas, and the clause oracle one constraint at a time
         rng = random.Random(40 + len(kind))
         for _ in range(6):
             pool = random_cpss_pool(rng, kind, 4)
@@ -276,6 +287,26 @@ class TestToClausal:
                 phi = random_formula(rng, pool, 10, 6, const_prob=0.2)
                 cs = to_clausal(phi, kind)
                 assert clause_models(cs, phi.variables) == formula_models(phi)
+                assert first_group_difference(phi, kind) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((BIJUNCTIVE, HORN, DUAL_HORN, AFFINE)), st.data())
+    def test_hypothesis_groups_define_their_relations(self, kind, data):
+        # hulls in the class of random relations of arity 1-5, under
+        # arguments with constants and repeats, on up to 20 variables: past
+        # the enumeration oracle's reach, the groups are checked one by one
+        variables = tuple(f"v{j}" for j in range(data.draw(st.integers(1, 20))))
+        library = {}
+        constraints = []
+        for j in range(data.draw(st.integers(1, 6))):
+            k = data.draw(st.integers(1, 5))
+            rel = Relation(k, data.draw(st.integers(0, (1 << (1 << k)) - 1)))
+            library[f"R{j}"] = hull(rel, kind)
+            args = data.draw(st.lists(st.sampled_from(variables + ("0", "1")),
+                                      min_size=k, max_size=k))
+            constraints.append(Constraint(f"R{j}", tuple(args)))
+        phi = make_formula(constraints, library, variables)
+        assert first_group_difference(phi, kind) is None
 
     @pytest.mark.parametrize("n", (6, 20))
     @pytest.mark.parametrize("kind, extractor, tuples, args, corrupt", [
@@ -299,8 +330,9 @@ class TestToClausal:
                                       tuples, args, corrupt):
         # a chain R(x0,x1), ..., R(x_{n-2},x_{n-1}), with a, b in args
         # standing for x_i, x_{i+1}; each constraint has one clause or
-        # equation, so corrupting it changes the solutions.  The
-        # whole-formula enumeration this check replaced stopped at n = 16.
+        # equation, so corrupting it changes the solutions.  to_clausal
+        # trusts its extractors, so the clause oracle, which checks one
+        # constraint at a time and so at any n, must report the difference.
         rel = Relation.from_tuples(len(args), tuples, "R")
         phi = make_formula(
             [Constraint("R", tuple({"a": f"x{i}", "b": f"x{i + 1}"}.get(a, a)
@@ -308,11 +340,16 @@ class TestToClausal:
              for i in range(n - 1)], {"R": rel})
         cs = to_clausal(phi, kind)
         assert len(cs.clauses) + len(cs.equations) == n - 1
+        assert first_group_difference(phi, kind) is None
         original = getattr(formulas, extractor)
         monkeypatch.setattr(formulas, extractor,
                             lambda *a: corrupt(original(*a)))
-        with pytest.raises(ClauseExtractionError):
-            to_clausal(phi, kind)
+        corrupted = to_clausal(phi, kind)
+        assert (corrupted.clauses, corrupted.equations) != (cs.clauses, cs.equations)
+        found = first_group_difference(phi, kind)
+        assert found is not None
+        assert found[0] == phi.constraints[0]
+        assert tuple(found[1]) == constraint_relation(phi, 0)[0]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 6).flatmap(
@@ -356,9 +393,10 @@ class TestToClausal:
 
     @pytest.mark.parametrize("kind", (BIJUNCTIVE, HORN, DUAL_HORN, AFFINE))
     def test_raises_iff_outside_the_class(self, monkeypatch, kind):
-        # the group check alone decides; check_property only picks the
-        # message once it has failed.  A third of the relations are hulls in
-        # the class, so both answers come up often.
+        # one check_property call per constraint decides, on the folded
+        # relation; the clauses of a relation inside the class define it.  A
+        # third of the relations are hulls in the class, so both answers
+        # come up often.
         rng = random.Random(f"outside-{kind}")
         calls = []
         original = formulas.check_property
@@ -385,7 +423,7 @@ class TestToClausal:
             if inside:
                 assert clause_models(to_clausal(phi, kind), phi.variables) == \
                     formula_models(phi)
-                assert len(calls) == before
+                assert calls[before:] == [kind]
             else:
                 with pytest.raises(ClauseExtractionError, match=re.escape(
                         f"constraint R({','.join(args)}) is not {kind}")):

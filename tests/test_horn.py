@@ -21,6 +21,7 @@ from relconn.horn import (format_horn, has_restraint_subset, imp, is_implied,
                           maximal_self_implicating_sets, normalize, parse_horn)
 from relconn.relations import HORN
 
+from clausal_oracle import is_model
 from horn_oracle import locally_minimal_solutions, maximum_self_implicating_subset
 from random_inputs import random_horn_view
 
@@ -111,8 +112,7 @@ class TestImp:
                 start = frozenset(rng.sample(names, rng.randint(0, 3)))
                 got = imp(v, start)
                 sols = [s for s in itertools.product((0, 1), repeat=len(names))
-                        if all(c.satisfied_by(dict(zip(names, s)))
-                               for c in v.clauses)
+                        if is_model(v, dict(zip(names, s)))
                         and all(dict(zip(names, s))[x] for x in start)]
                 if sols:
                     forced = {names[i] for i in range(len(names))
@@ -259,7 +259,7 @@ class TestSolutionSpace:
         want = 0
         for idx in range(1 << n):
             asg = {x: (idx >> (n - 1 - j)) & 1 for j, x in enumerate(v.variables)}
-            if all(c.satisfied_by(asg) for c in v.clauses):
+            if is_model(v, asg):
                 want |= 1 << idx
         assert horn.solution_space(v) == want
 

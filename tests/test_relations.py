@@ -55,9 +55,12 @@ class TestRelation:
         for mask in (frozenset({4}), {1}, 1.0, "5", None, True, False, -1, 1 << 4):
             with pytest.raises(RelationError):
                 Relation(2, mask)
-        for idx in (-1, 4, 1 << 40):
+        # tuple indexes out of range or bool, as the masks are, and
+        # sequence tuples with bool or float entries
+        for t in (-1, 4, 1 << 40, True, False, (True, False), [0, True],
+                  (1.0, 0), (0, 0.0), (1, 2), (1,)):
             with pytest.raises(RelationError):
-                Relation.from_tuples(2, [idx])
+                Relation.from_tuples(2, [t])
 
     def test_name_ignored_in_equality(self):
         assert OR == OR.renamed("X")
