@@ -1,6 +1,7 @@
 """Built-in relations, the `rel` text format, and the front end that the
 `.rel`, `.cnfs` and `.horn` readers share: one line reader, one name
-pattern, one keyword test, one `var` line parser and one `rel` line parser.
+pattern, one names test, one keyword test, one `var` line parser and one
+`rel` line parser.
 
 Text format, one relation per line:
 
@@ -8,18 +9,36 @@ Text format, one relation per line:
 
 Tuples are bitstrings of length ARITY (first coordinate first); `#` starts
 a comment.  A relation may have no tuples (empty relation).
+
+The readers check a whole line or list of items in one pass of C code (a
+regex fullmatch, a set test, a string strip) and run their per-item loop
+only when that pass fails, so that the loop names the first bad item.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from .errors import FormulaParseError, RelationError
-from .relations import Relation
+from .relations import ARITY_MAX, Relation
 
 # relation and variable names; use with fullmatch
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# names joined by single blanks; use with fullmatch
+_NAMES_RE = re.compile(rf"{NAME_RE.pattern}(?: {NAME_RE.pattern})*")
+
+
+def all_names(names: Sequence[str]) -> bool:
+    """Whether every item is a name, by one _NAMES_RE fullmatch of the items
+    joined by blanks; the blank count fails an item that holds a blank."""
+    try:
+        joined = " ".join(names)
+    except TypeError:
+        return False
+    return (_NAMES_RE.fullmatch(joined) is not None
+            and joined.count(" ") == len(names) - 1)
 
 
 def _rel(name: str, arity: int, tuples: str) -> Relation:
@@ -69,9 +88,10 @@ def parse_var_line(lineno: int, line: str,
     if header is not None:
         raise FormulaParseError(f"line {lineno}: second var line")
     names = tuple(line.split()[1:])
-    for v in names:
-        if not NAME_RE.fullmatch(v):
-            raise FormulaParseError(f"line {lineno}: bad variable name {v!r}")
+    if not all_names(names):
+        for v in names:
+            if not NAME_RE.fullmatch(v):
+                raise FormulaParseError(f"line {lineno}: bad variable name {v!r}")
     if len(set(names)) != len(names):
         raise FormulaParseError(f"line {lineno}: duplicate variable in var line")
     return names
@@ -91,8 +111,16 @@ def add_relation(library: dict[str, Relation], lineno: int, line: str) -> None:
     except ValueError:
         raise FormulaParseError(
             f"line {lineno}: bad arity in relation line: {line!r}") from None
+    tuples = parts[4:]
     try:
-        rel = Relation.from_tuples(arity, parts[4:], name)
+        if (1 <= arity <= ARITY_MAX and set(map(len, tuples)) <= {arity}
+                and not "".join(tuples).strip("01")):
+            mask = 0
+            for idx in map(int, tuples, repeat(2)):
+                mask |= 1 << idx
+            rel = Relation(arity, mask, name)
+        else:  # names the fault: the arity, or the first bad tuple
+            rel = Relation.from_tuples(arity, tuples, name)
     except RelationError as exc:
         raise FormulaParseError(f"line {lineno}: bad relation line {line!r}: {exc}") from None
     if library.get(name, rel) != rel:

@@ -16,6 +16,11 @@ which adds "method": "cpss" and lists each projection's tuples.  A library
 caller gets the same text from `render_json(obj)`, for instance
 `render_json(solution_graph.report(phi))`.
 
+An input file is read whole with raw os reads (no text-mode layer) and
+decoded as UTF-8; the readers split its lines with str.splitlines, so LF,
+CRLF and CR line ends read alike.  A file that cannot be read or decoded
+is an input error.
+
 Exit codes: 0 on success, 2 on usage or input errors.  With
 --exit-status, a boolean query exits 1 on a "no" answer and 3 when `conn`
 leaves the answer undecided (too large to enumerate).
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import is_dataclass
 from json.encoder import encode_basestring_ascii
@@ -65,11 +71,20 @@ class Answer(NamedTuple):
 
 
 def _read(path: str) -> str:
+    """The file's text: raw os reads to the end, decoded as UTF-8."""
     try:
-        with open(path) as f:
-            return f.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return b"".join(chunks).decode()
     except OSError as exc:
         raise RelconnError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise RelconnError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_formula(path: str) -> Formula:

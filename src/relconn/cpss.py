@@ -33,6 +33,10 @@ clause translation, by one of two engines:
   basis; a projection is the particular solution plus the span of the
   basis restricted to the constraint's variables.
 
+A projection onto Var(C_i) lies inside C_i's folded relation, which
+to_clausal keeps in ClauseSet.constraint_relations, so each engine tests
+only that relation's members, not the whole cube of 2^|Var(C_i)| tuples.
+
 Every GF(2) reduction here, as everywhere in the package, is
 bitspace.gf2_reduce: the affine engine's system, sat_schaefer's affine
 case and the linear dependencies among a projection's columns.
@@ -48,7 +52,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .bitspace import BRUTE_VARS_MAX, component_masks, gf2_reduce
+from .bitspace import BRUTE_VARS_MAX, component_masks, gf2_reduce, iter_bits
 from .classify import SetClassification, classify_set, predict, Predictions
 from .errors import (ArityLimitError, FormulaError, NonCpssError,
                      RelconnError, VarsLimitError)
@@ -203,14 +207,16 @@ def sat_schaefer(cs: ClauseSet,
 # --- projection engines ----------------------------------------------------
 #
 # Each builds one solver state for a whole clause set and returns a function
-# from a tuple of distinct variables to the projection of the solution set
-# onto them, as a mask (bit a set iff tuple a extends to a solution; the
-# first variable is the most significant).
+# from a tuple of distinct variables and a mask of candidate tuples to the
+# projection of the solution set onto them, within the candidates, as a mask
+# (bit a set iff tuple a extends to a solution; the first variable is the
+# most significant).  The projection onto a constraint's variables lies in
+# the constraint's own relation, so those members are the only candidates.
 
-MaskOf = Callable[[tuple[str, ...]], int]
+MaskOf = Callable[[tuple[str, ...], int], int]
 
 
-def _no_solutions(vars_: tuple[str, ...]) -> int:
+def _no_solutions(vars_: tuple[str, ...], within: int) -> int:
     return 0
 
 
@@ -226,10 +232,10 @@ def _clausal_projector(cs: ClauseSet) -> MaskOf:
                cs.variables, _DEFAULT[cs.schaefer_class]) is None:
         return _no_solutions
 
-    def mask_of(vars_: tuple[str, ...]) -> int:
+    def mask_of(vars_: tuple[str, ...], within: int) -> int:
         k = len(vars_)
         out = 0
-        for a in range(1 << k):
+        for a in iter_bits(within):
             seeds = [(v, (a >> (k - 1 - j)) & 1) for j, v in enumerate(vars_)]
             if _propagate(seeds, *state) is not None:
                 out |= 1 << a
@@ -250,14 +256,14 @@ def _affine_projector(cs: ClauseSet) -> MaskOf:
     column = {v: pivots[i][0] ^ (1 << i) if i in pivots else 1 << i
               for i, v in enumerate(variables)}
 
-    def mask_of(vars_: tuple[str, ...]) -> int:
+    def mask_of(vars_: tuple[str, ...], within: int) -> int:
         k = len(vars_)
         shift = sum(x0[v] << (k - 1 - j) for j, v in enumerate(vars_))
         # k-bit tuples u: the columns picked by u sum to zero
         _, deps = gf2_reduce((column[v], 1 << (k - 1 - j))
                              for j, v in enumerate(vars_))
         out = 0
-        for a in range(1 << k):
+        for a in iter_bits(within):
             if all(((a ^ shift) & u).bit_count() % 2 == 0 for u in deps):
                 out |= 1 << a
         return out
@@ -305,15 +311,15 @@ def project(phi: Formula, i: int, clause_set: ClauseSet | None = None) -> Projec
     if clause_set is None:
         cls = _pick_class(classify_set(phi.used_relations()), True)
         clause_set = to_clausal(phi, cls)
-    vars_ = clause_set.constraint_relations[i][0]
+    vars_, own = clause_set.constraint_relations[i]
     if not vars_:
         raise FormulaError(f"{phi.constraints[i]}: constraint has no variables")
-    return _project_with(phi, i, vars_, _projector(clause_set))
+    return _project_with(phi, i, vars_, own, _projector(clause_set))
 
 
-def _project_with(phi: Formula, i: int, vars_: tuple[str, ...],
+def _project_with(phi: Formula, i: int, vars_: tuple[str, ...], own: Relation,
                   mask_of: MaskOf) -> Projection:
-    mask = mask_of(vars_)
+    mask = mask_of(vars_, own.mask)
     rel = Relation(len(vars_), mask)
     return Projection(i, str(phi.constraints[i]), vars_, rel,
                       len(component_masks(mask, rel.arity)))
@@ -344,8 +350,8 @@ def _conn_cpss(phi: Formula, cls: str) -> CpssReport:
         return CpssReport(True, False, ())
     clause_set = to_clausal(phi, cls)
     mask_of = _projector(clause_set)
-    projections = tuple(_project_with(phi, i, vars_, mask_of)
-                        for i, (vars_, _) in enumerate(clause_set.constraint_relations)
+    projections = tuple(_project_with(phi, i, vars_, own, mask_of)
+                        for i, (vars_, own) in enumerate(clause_set.constraint_relations)
                         if vars_)
     satisfiable = not any(p.relation.is_empty for p in projections)
     # no solutions: connected by convention

@@ -25,6 +25,12 @@ each row holds a clause's falsifying cell and the rows of its clauses one
 literal shorter, so a call is one pass of cell tests.  The tables of widths
 up to TABLES_KEPT_WIDTH_MAX = 8 are built once and kept (1.6 MiB for all
 three shapes); wider rows are made as a call reads them and kept nowhere.
+
+parse_formula reads a blank-free constraint line with good arguments by one
+regex fullmatch; any other line goes through the keyword tests and the
+per-argument loop, which names the fault.  Formula checks its variables by
+one catalog.all_names match and each constraint's arguments by one set
+test, and loops over the items only to name a bad one.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ from .relations import (AFFINE, BIJUNCTIVE, DUAL_HORN, HORN, Relation,
                         check_property)
 
 _CONSTRAINT_RE = re.compile(rf"({catalog.NAME_RE.pattern})\s*\(([^()]*)\)\s*\Z")
+# a blank-free constraint line with good arguments; use with fullmatch.  It
+# holds no blank, so it is no `rel` or `var` line.
+_ARG = rf"(?:{catalog.NAME_RE.pattern}|0|1)"
+_PLAIN_CONSTRAINT_RE = re.compile(rf"({catalog.NAME_RE.pattern})\(({_ARG}(?:,{_ARG})*)\)")
 
 CONSTANTS = frozenset(("0", "1"))
 
@@ -75,9 +85,11 @@ class Formula:
         declared = set(self.variables)
         if len(declared) != len(self.variables):
             raise FormulaError("duplicate variable in variable list")
-        for v in self.variables:
-            if not catalog.NAME_RE.fullmatch(v):
-                raise FormulaError(f"bad variable name {v!r}")
+        if not catalog.all_names(self.variables):
+            for v in self.variables:
+                if not catalog.NAME_RE.fullmatch(v):
+                    raise FormulaError(f"bad variable name {v!r}")
+        allowed = declared | CONSTANTS
         for c in self.constraints:
             rel = self.library.get(c.relation)
             if rel is None:
@@ -85,10 +97,10 @@ class Formula:
             if len(c.args) != rel.arity:
                 raise FormulaError(
                     f"{c}: relation {c.relation!r} has arity {rel.arity}")
+            if allowed.issuperset(c.args):
+                continue
             for a in c.args:
-                if a in ("0", "1"):
-                    continue
-                if a not in declared:
+                if a not in allowed:
                     raise FormulaError(f"{c}: variable {a!r} not declared")
 
     @property
@@ -136,6 +148,11 @@ def parse_formula(text: str,
     header: tuple[str, ...] | None = None
     constraints: list[Constraint] = []
     for lineno, line in catalog.read_lines(text):
+        m = _PLAIN_CONSTRAINT_RE.fullmatch(line)
+        if m:
+            name, argtext = m.groups()
+            constraints.append(Constraint(name, tuple(argtext.split(","))))
+            continue
         if catalog.is_keyword_line(line, "rel"):
             catalog.add_relation(library, lineno, line)
             continue

@@ -18,6 +18,7 @@ set, which is what maximal_self_implicating_sets computes and verifies.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
 from . import bitspace
@@ -28,8 +29,20 @@ from .formulas import ClauseSet, CnfClause, clause_item
 from .relations import HORN
 
 
+_N = NAME_RE.pattern
+# with good names, `x`, `x |` or `x | -y -z` (_CLAUSE_RE, groups head and
+# body) and `- y z` or `-y -z` (_RESTRAINT_RE); use with fullmatch.  Names
+# hold no `-`, so blanking out every `-` leaves the names of the body or
+# of the restraint clause.
+_CLAUSE_RE = re.compile(rf"({_N})(?:\s*\|\s*((?:-{_N}(?:\s+-{_N})*)?))?")
+_RESTRAINT_RE = re.compile(rf"-(?: \s*{_N}(?:\s+{_N})*)?|-{_N}(?:\s+-{_N})*")
+
+
 def parse_horn(text: str) -> ClauseSet:
-    """Parse the clause text format (see module docstring); `#` comments."""
+    """Parse the clause text format (see module docstring); `#` comments.
+
+    A clause line with good names is read by one regex fullmatch; any other
+    line goes through the per-token code, which names the fault."""
     header: tuple[str, ...] | None = None
     clauses: list[CnfClause] = []
     seen: dict[str, None] = {}
@@ -43,6 +56,19 @@ def parse_horn(text: str) -> ClauseSet:
     for lineno, line in read_lines(text):
         if is_keyword_line(line, "var"):
             header = parse_var_line(lineno, line, header)
+            continue
+        m = _CLAUSE_RE.fullmatch(line)
+        if m:
+            head, body = m.groups()
+            names = body.replace("-", " ").split() if body else []
+            seen.update(dict.fromkeys(names))
+            seen.setdefault(head)
+            clauses.append(CnfClause(frozenset((head,)), frozenset(names)))
+            continue
+        if _RESTRAINT_RE.fullmatch(line):
+            names = line.replace("-", " ").split()
+            seen.update(dict.fromkeys(names))
+            clauses.append(CnfClause(frozenset(), frozenset(names)))
             continue
         toks = line.split()
         if line.startswith("- ") or all(t.startswith("-") for t in toks):

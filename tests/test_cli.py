@@ -11,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -442,25 +444,37 @@ class TestKeywordWhitespace:
         assert run(capsys, "conn", path) == (2, "", f"relconn: error: {message}\n")
 
 
-class TestLineEnds:
-    """A CRLF-terminated input file gives the same answers as its LF twin:
-    the file is read with universal newlines."""
+_TWINS = pytest.mark.parametrize("words, name, tail", [
+    (["conn"], "conp.cnfs", []), (["components"], "gr.cnfs", []),
+    (["classify-set"], "rconp.rel", []), (["classify-relation"], "or_example.rel", []),
+    (["horn", "imp"], "clauses.horn", ["u"]), (["horn", "normalize"], "clauses.horn", []),
+], ids=["cnfs-conn", "cnfs-components", "rel-set", "rel-relation", "horn-imp",
+        "horn-normalize"])
 
-    @pytest.mark.parametrize("words, name, tail", [
-        (["conn"], "conp.cnfs", []), (["components"], "gr.cnfs", []),
-        (["classify-set"], "rconp.rel", []), (["classify-relation"], "or_example.rel", []),
-        (["horn", "imp"], "clauses.horn", ["u"]), (["horn", "normalize"], "clauses.horn", []),
-    ], ids=["cnfs-conn", "cnfs-components", "rel-set", "rel-relation", "horn-imp",
-            "horn-normalize"])
-    def test_crlf_twin(self, capsys, tmp_path, words, name, tail):
+
+class TestLineEnds:
+    """A CRLF- or CR-terminated input file gives the same answers as its LF
+    twin: the readers split lines with str.splitlines, which takes all
+    three line ends."""
+
+    @staticmethod
+    def check_twin(capsys, tmp_path, words, name, tail, end):
         text = (SAMPLES / name).read_text()
         assert "\r" not in text
         path = tmp_path / name
-        path.write_bytes(text.replace("\n", "\r\n").encode())
+        path.write_bytes(text.replace("\n", end).encode())
         for flags in ([], ["--json"]):
             want = run(capsys, *words, sample(name), *tail, *flags)
             assert want[0] == 0
             assert run(capsys, *words, path, *tail, *flags) == want
+
+    @_TWINS
+    def test_crlf_twin(self, capsys, tmp_path, words, name, tail):
+        self.check_twin(capsys, tmp_path, words, name, tail, "\r\n")
+
+    @_TWINS
+    def test_cr_twin(self, capsys, tmp_path, words, name, tail):
+        self.check_twin(capsys, tmp_path, words, name, tail, "\r")
 
 
 class TestConstructions:
@@ -676,6 +690,46 @@ class TestRenderJson:
             cli.render_json(doc)
 
 
+class TestRead:
+    """cli._read returns the whole file, however many reads it takes."""
+
+    def test_file_larger_than_one_chunk(self, capsys, tmp_path):
+        # after the one-byte "#", the two-byte characters start at odd
+        # offsets, so one straddles the 64 KiB chunk boundary
+        text = "#" + "\u00e9" * 40_000 + "\nvar x y\nN(x,y)\n"
+        path = tmp_path / "big.cnfs"
+        path.write_bytes(text.encode())
+        assert path.stat().st_size > 1 << 16
+        assert cli._read(str(path)) == text
+        small = tmp_path / "small.cnfs"
+        small.write_text("var x y\nN(x,y)\n")
+        for flags in ([], ["--json"]):
+            assert run(capsys, "conn", path, *flags) == run(capsys, "conn", small, *flags)
+
+    def test_fifo_fed_in_several_writes(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs here")
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        parts = [b"var x y\n", b"N(x,", b"y)\n", "# \u00e9".encode()[:3], "# \u00e9".encode()[3:]]
+
+        def feed():
+            fd = os.open(path, os.O_WRONLY)
+            try:
+                for part in parts:
+                    os.write(fd, part)
+                    time.sleep(0.02)
+            finally:
+                os.close(fd)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        text = cli._read(str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert text == b"".join(parts).decode()
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "conn", "no-such-file.cnfs")
@@ -688,6 +742,14 @@ class TestErrors:
         for path, code in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
             assert run(capsys, *command.split(), path) == (
                 2, "", f"relconn: error: cannot read {path}: {os.strerror(code)}\n")
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.cnfs"
+        path.write_bytes(b"Q(x,y)\n\xff\n")
+        code, out, err = run(capsys, "conn", path)
+        assert (code, out) == (2, "")
+        assert err == (f"relconn: error: cannot read {path}: 'utf-8' codec can't decode "
+                       "byte 0xff in position 7: invalid start byte\n")
 
     @pytest.mark.parametrize("argv, name, text, message", [
         (["conn"], "bad.cnfs", "foo bar\n", "line 1: cannot parse 'foo bar'"),

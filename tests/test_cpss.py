@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relconn import formulas, solution_graph
+from relconn.bitspace import full_mask
 from relconn.catalog import CATALOG
 from relconn.classify import classify_set
 from relconn.cpss import (_projector, conn_cpss, decide_connectivity, project,
@@ -262,8 +263,8 @@ class TestSatSchaefer:
         # x = 0 forces both y and -y, so x takes the other value
         cs = clause_set(BIJUNCTIVE, "x y", "x -y")
         assert sat_schaefer(cs) == (True, {"x": 1, "y": 0})
-        assert _projector(cs)(("x",)) == 0b10
-        assert _projector(cs)(("x", "y")) == 0b1100
+        assert _projector(cs)(("x",), full_mask(1)) == 0b10
+        assert _projector(cs)(("x", "y"), full_mask(2)) == 0b1100
 
     def test_four_two_clauses_without_units(self):
         # no unit clause, so the base state is conflict-free; extending it
@@ -272,8 +273,8 @@ class TestSatSchaefer:
         cs = clause_set(BIJUNCTIVE, "x y", "x -y", "-x y", "-x -y",
                         variables=("x", "y", "z"))
         assert sat_schaefer(cs) == (False, None)
-        assert _projector(cs)(("x", "y")) == 0
-        assert _projector(cs)(("z",)) == 0
+        assert _projector(cs)(("x", "y"), full_mask(2)) == 0
+        assert _projector(cs)(("z",), full_mask(1)) == 0
 
     @pytest.mark.parametrize("kind, text", [(BIJUNCTIVE, "x y -z"),
                                             (HORN, "x y -z"),
