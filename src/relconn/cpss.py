@@ -13,22 +13,24 @@ clause translation, by one of two engines:
 
 - Horn, dual Horn and bijunctive clauses: clause-counter unit propagation
   over literals (var, value).  The base state is the unit clauses
-  propagated once.  Satisfiability is decided by extending the base
-  state to a model: each unset variable takes the class default (0, or 1
-  for dual Horn), or the other value when the default conflicts; if both
-  conflict, there is no model.  On satisfiable clauses, a tuple belongs to
-  a projection iff its literals propagate from the base state without
+  propagated once.  On satisfiable clauses, a tuple belongs to a
+  projection iff its literals propagate from the base state without
   conflict.  That is complete for the three classes.  On Horn clauses, a
   conflict-free state extends to a model by setting every unset variable
   to 0, so unit propagation refutes every unsatisfiable Horn clause set
-  (Dowling-Gallier 1984); dual Horn is the same with 1.  On a satisfiable
-  2-CNF, a conflict-free state leaves untouched only clauses of the
-  formula whose variables are all unset, which any model of the formula
-  satisfies, so the state extends to a model (Even-Itai-Shamir 1976).
-  The default never conflicts on Horn or dual Horn clauses, so
-  sat_schaefer, which propagates the assumptions and then extends to a
-  model the same way, returns the minimal Horn model and the maximal dual
-  Horn one.
+  (Dowling-Gallier 1984); dual Horn is the same with 1.  So a
+  conflict-free base state proves Horn and dual Horn clauses satisfiable.
+  On a satisfiable 2-CNF, a conflict-free state leaves untouched only
+  clauses of the formula whose variables are all unset, which any model
+  of the formula satisfies, so the state extends to a model
+  (Even-Itai-Shamir 1976).  A 2-CNF's satisfiability is decided by
+  extending the base state over the variables that occur in some clause:
+  each unset one takes 0, or 1 when 0 conflicts; if both conflict, there
+  is no model.  sat_schaefer propagates the assumptions and then extends
+  the state over every variable the same way, with the class default (0,
+  or 1 for dual Horn).  The default never conflicts on Horn or dual Horn
+  clauses, so it returns the minimal Horn model and the maximal dual Horn
+  one.
 - affine: one GF(2) elimination, a particular solution plus a nullspace
   basis; a projection is the particular solution plus the span of the
   basis restricted to the constraint's variables.
@@ -36,6 +38,10 @@ clause translation, by one of two engines:
 A projection onto Var(C_i) lies inside C_i's folded relation, which
 to_clausal keeps in ClauseSet.constraint_relations, so each engine tests
 only that relation's members, not the whole cube of 2^|Var(C_i)| tuples.
+The unit-propagation engine reads a tuple's literals from a table per
+width up to TUPLE_BITS_WIDTH_MAX = 8, built on first use, and a
+projection's components up to arity 8 are counted once per (mask, arity)
+and kept for COMPONENT_COUNTS_KEPT = 1024 pairs.
 
 Every GF(2) reduction here, as everywhere in the package, is
 bitspace.gf2_reduce: the affine engine's system, sat_schaefer's affine
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitspace import BRUTE_VARS_MAX, component_masks, gf2_reduce, iter_bits
@@ -220,24 +227,48 @@ def _no_solutions(vars_: tuple[str, ...], within: int) -> int:
     return 0
 
 
+# Widths whose tuple-bit tables stay cached for the life of the process;
+# all of them together hold 510 tuples, about 53 KiB under CPython 3.11.
+TUPLE_BITS_WIDTH_MAX = 8
+# width k -> per k-bit tuple index, its bits, the first coordinate first
+_TUPLE_BITS: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _tuple_bits(k: int) -> tuple[tuple[int, ...], ...]:
+    """The bits of every k-bit tuple, kept in _TUPLE_BITS; callers read
+    `_TUPLE_BITS.get(k) or _tuple_bits(k)` up to TUPLE_BITS_WIDTH_MAX."""
+    table = _TUPLE_BITS[k] = tuple(tuple((a >> (k - 1 - j)) & 1 for j in range(k))
+                                   for a in range(1 << k))
+    return table
+
+
 def _clausal_projector(cs: ClauseSet) -> MaskOf:
     """Unit-propagation engine: with the clauses satisfiable, a tuple
     belongs iff its literals propagate from the base state without
-    conflict."""
+    conflict.  A conflict-free base state proves Horn and dual Horn
+    clauses satisfiable; 2-CNF ones are decided by extending it to a model
+    over the variables that occur in some clause, as any value of the
+    others meets every clause."""
     state = _clausal_state(cs)
     if state is None:
         return _no_solutions
     clauses, holding, value, left = state
-    if _extend((clauses, holding, dict(value), list(left)), (),
-               cs.variables, _DEFAULT[cs.schaefer_class]) is None:
-        return _no_solutions
+    if cs.schaefer_class == BIJUNCTIVE:
+        used = [v for v in cs.variables if (v, 0) in holding or (v, 1) in holding]
+        if _extend((clauses, holding, dict(value), list(left)), (),
+                   used, _DEFAULT[BIJUNCTIVE]) is None:
+            return _no_solutions
 
     def mask_of(vars_: tuple[str, ...], within: int) -> int:
         k = len(vars_)
+        if k <= TUPLE_BITS_WIDTH_MAX:
+            bits_of = (_TUPLE_BITS.get(k) or _tuple_bits(k)).__getitem__
+        else:
+            def bits_of(a: int) -> list[int]:
+                return [(a >> (k - 1 - j)) & 1 for j in range(k)]
         out = 0
         for a in iter_bits(within):
-            seeds = [(v, (a >> (k - 1 - j)) & 1) for j, v in enumerate(vars_)]
-            if _propagate(seeds, *state) is not None:
+            if _propagate(zip(vars_, bits_of(a)), *state) is not None:
                 out |= 1 << a
         return out
     return mask_of
@@ -317,12 +348,27 @@ def project(phi: Formula, i: int, clause_set: ClauseSet | None = None) -> Projec
     return _project_with(phi, i, vars_, own, _projector(clause_set))
 
 
+# (mask, arity) pairs whose component counts stay cached, the least
+# recently used dropped first; only projections of arity up to
+# COUNTS_KEPT_ARITY_MAX are kept, whose masks take at most 32 bytes of
+# digits.  Under CPython 3.11, sys.getsizeof puts an arity-8 entry, key,
+# mask and link, at about 0.2 KiB, so 1024 entries hold about 0.2 MiB.
+COUNTS_KEPT_ARITY_MAX = 8
+COMPONENT_COUNTS_KEPT = 1024
+
+
+@lru_cache(maxsize=COMPONENT_COUNTS_KEPT)
+def _component_count(mask: int, k: int) -> int:
+    """The number of connected components of a k-ary mask."""
+    return len(component_masks(mask, k))
+
+
 def _project_with(phi: Formula, i: int, vars_: tuple[str, ...], own: Relation,
                   mask_of: MaskOf) -> Projection:
+    k = len(vars_)
     mask = mask_of(vars_, own.mask)
-    rel = Relation(len(vars_), mask)
-    return Projection(i, str(phi.constraints[i]), vars_, rel,
-                      len(component_masks(mask, rel.arity)))
+    count = _component_count if k <= COUNTS_KEPT_ARITY_MAX else _component_count.__wrapped__
+    return Projection(i, str(phi.constraints[i]), vars_, Relation(k, mask), count(mask, k))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,20 @@ Text format:
     IMP(x,y)
     M(x,0,z)
 
-Constraint relations are built by bitspace.conjunction_space, the one
-routine that plugs a relation into its arguments; clause_item makes a
-clause one of its items.  CnfClause is the package's one clause type and
+constraint_relation folds a constraint's constants and repeats into its
+relation.  Up to source arity FOLD_TABLE_ARITY_MAX = 8 it picks each
+target tuple's source tuple through an index table kept per (arity,
+argument pattern), FOLD_TABLES_KEPT = 1024 of them; above it,
+bitspace.conjunction_space, the routine that plugs a relation into its
+arguments, builds the fold.  clause_item makes a clause one of
+conjunction_space's items.  CnfClause is the package's one clause type and
 ClauseSet its one clause-set type: cnf_implicates returns clauses,
 to_clausal returns a formula's clause set in a Schaefer class, and module
 horn reads the Horn structure off the clause sets of class HORN.
+
+to_clausal reads each folded relation's class check and its prime clauses
+(or XOR basis) over coordinates once per (relation, class), keeps them for
+TEMPLATES_KEPT = 1024 pairs up to arity 8, and renames them per constraint.
 
 cnf_implicates reads a relation's prime clauses of one shape (bijunctive,
 Horn, dual Horn) off its mask with one candidate table per (width, shape):
@@ -37,7 +45,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from . import catalog
@@ -221,19 +231,55 @@ def clause_item(c: CnfClause) -> tuple[int, int, list[str]]:
     return full_mask(len(args)) ^ (1 << ((1 << len(c.neg)) - 1)), len(args), args
 
 
+# Source arities folded through an index table, and the tables kept, the
+# least recently used dropped first.  A table of k target variables holds
+# 2^k indexes; under CPython 3.11, tracemalloc puts a table at about 2.4 KiB
+# for k = 8, the most, so 1024 tables hold at most about 2.4 MiB.
+FOLD_TABLE_ARITY_MAX = 8
+FOLD_TABLES_KEPT = 1024
+
+
+@lru_cache(maxsize=FOLD_TABLES_KEPT)
+def _fold_table(arity: int, pattern: tuple[int | str, ...]) -> tuple[int, itemgetter]:
+    """The fold of an arity-`arity` relation through an argument pattern:
+    per slot the constant "0" or "1", or the rank of its variable among the
+    k sorted distinct ones.  Returns the top bit that bin() of a source
+    mask carries past its 2^arity digits, and the getter that picks from
+    those digits, most significant first, the source tuple of each target
+    tuple 2^k - 1, ..., 0, so the picked digits read as the folded mask."""
+    k = len({a for a in pattern if a not in CONSTANTS})
+    last = (1 << arity) - 1
+    digits = []
+    for t in range((1 << k) - 1, -1, -1):
+        s = 0
+        for a in pattern:
+            s = (s << 1) | (int(a) if a in CONSTANTS else (t >> (k - 1 - a)) & 1)
+        digits.append(last - s)
+    return 1 << (1 << arity), itemgetter(*digits)
+
+
 def constraint_relation(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation]:
     """Relation of constraint i over its distinct variables, in name order.
 
     Constants and repeats in the argument list are folded in, so the result
-    ranges over the sorted distinct variables of the constraint.
+    ranges over the sorted distinct variables of the constraint.  Up to
+    source arity FOLD_TABLE_ARITY_MAX the fold picks each target tuple's
+    source tuple through the index table of the relation's arity and the
+    argument pattern (kept, FOLD_TABLES_KEPT of them); above it,
+    bitspace.conjunction_space builds the fold.
     """
     c = phi.constraints[i]
     rel = phi.relation_of(c)
-    vars_sorted = tuple(sorted(c.variables()))
+    vars_sorted = tuple(sorted(set(c.args).difference(CONSTANTS)))
     if not vars_sorted:
         raise FormulaError(f"{c}: constraint has no variables")
-    return vars_sorted, Relation(len(vars_sorted), conjunction_space(
-        vars_sorted, [(rel.mask, rel.arity, c.args)]))
+    if rel.arity > FOLD_TABLE_ARITY_MAX:
+        return vars_sorted, Relation(len(vars_sorted), conjunction_space(
+            vars_sorted, [(rel.mask, rel.arity, c.args)]))
+    rank = {v: r for r, v in enumerate(vars_sorted)}
+    top, pick = _fold_table(rel.arity, tuple(map(rank.get, c.args, c.args)))
+    return vars_sorted, Relation(len(vars_sorted),
+                                 int("".join(pick(bin(rel.mask | top)[3:])), 2))
 
 
 @dataclass(frozen=True)
@@ -448,6 +494,33 @@ def _xor_basis(vars_: tuple[str, ...],
     return out
 
 
+# (folded relation, class) pairs whose class check and clause templates stay
+# cached, the least recently used dropped first; only relations of arity up
+# to TABLES_KEPT_WIDTH_MAX are kept, as their candidate tables are.  Under
+# CPython 3.11, sys.getsizeof puts an entry at its key relation and link,
+# about 0.5 KiB, plus about 0.17 KiB per clause.  Entries of the `cpss`
+# benchmark workload have 2.6 clauses on average, so 1024 of them hold
+# about 1 MiB.  An arity-8 Horn relation can have hundreds of prime
+# clauses (280 for "at most two ones, or all ones", 49 KiB), so 1024 such
+# entries would hold about 50 MiB.
+TEMPLATES_KEPT = 1024
+
+
+@lru_cache(maxsize=TEMPLATES_KEPT)
+def _clause_templates(rel: Relation, cls: str) -> tuple[tuple, ...] | None:
+    """None when check_property puts rel outside the class; otherwise its
+    prime clauses of the class's shape, as (positive, negative) coordinate
+    tuples, or its XOR basis, as (coordinates, rhs): the translation of
+    every constraint whose folded relation is rel, over coordinates."""
+    if not check_property(rel, cls):
+        return None
+    coords = tuple(range(rel.arity))
+    if cls == AFFINE:
+        return tuple((tuple(names), rhs) for names, rhs in _xor_basis(coords, rel.mask))
+    return tuple((tuple(c.pos), tuple(c.neg))
+                 for c in cnf_implicates(coords, rel.mask, cls))
+
+
 def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
     """Rewrite every constraint as clauses/equations of the given class.
 
@@ -459,26 +532,35 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
     check_property puts it in the class; a relation outside the class
     raises ClauseExtractionError "constraint ... is not <class>".  An
     unknown class raises ClauseExtractionError "no clause shape".
+
+    The check and the clauses depend on the folded relation alone, so they
+    are read over coordinates once per (relation, class), kept in
+    _clause_templates (TEMPLATES_KEPT entries), and renamed per constraint.
     """
     if schaefer_class not in _FITS:
         raise ClauseExtractionError(f"no clause shape for {schaefer_class!r}")
+    affine = schaefer_class == AFFINE
     clauses: list[CnfClause] = []
     equations: list[XorEquation] = []
     pairs = []
     for i, c in enumerate(phi.constraints):
         if CONSTANTS.issuperset(c.args):
-            vars_, mask = (), int(holds_on_constants(phi, c))
-            rel = None
+            # nothing when it holds, else the equation 0 = 1 or the empty clause
+            vars_, rel = (), None
+            templates = () if holds_on_constants(phi, c) else (((), 1 if affine else ()),)
         else:
             vars_, rel = constraint_relation(phi, i)
-            if not check_property(rel, schaefer_class):
+            templates = (_clause_templates if rel.arity <= TABLES_KEPT_WIDTH_MAX
+                         else _clause_templates.__wrapped__)(rel, schaefer_class)
+            if templates is None:
                 raise ClauseExtractionError(f"constraint {c} is not {schaefer_class}")
-            mask = rel.mask
         pairs.append((vars_, rel))
-        if schaefer_class == AFFINE:
-            equations.extend(XorEquation(names, rhs)
-                             for names, rhs in _xor_basis(vars_, mask))
+        if affine:
+            equations.extend(XorEquation(frozenset([vars_[j] for j in coords]), rhs)
+                             for coords, rhs in templates)
         else:
-            clauses.extend(cnf_implicates(vars_, mask, schaefer_class))
+            clauses.extend(CnfClause(frozenset([vars_[j] for j in pos]),
+                                     frozenset([vars_[j] for j in neg]))
+                           for pos, neg in templates)
     return ClauseSet(schaefer_class, phi.variables, tuple(clauses),
                      tuple(equations), tuple(pairs))

@@ -1029,6 +1029,18 @@ class TestRepeatedCalls:
             "print(len(built))\n"))
         assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
+    def test_import_builds_no_table_or_cache(self):
+        # the clause translation's and the projections' tables and caches
+        # are built on first use, so the import stays as cheap as it was
+        done = python("-c", (
+            "import relconn.cli\n"
+            "from relconn import classify, cpss, formulas\n"
+            "caches = [formulas._fold_table, formulas._clause_templates,\n"
+            "          cpss._component_count, classify._profile_facts]\n"
+            "print([c.cache_info().currsize for c in caches],\n"
+            "      len(cpss._TUPLE_BITS), len(formulas._TABLES))\n"))
+        assert (done.returncode, done.stdout) == (0, "[0, 0, 0, 0] 0 0\n"), done.stderr
+
     def test_python_dash_m_reads_sys_argv(self, capsys):
         for argv in (["classify-set", sample("m.rel")],
                      ["classify-set", sample("m.rel"), "--json"]):

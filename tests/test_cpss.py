@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relconn import formulas, solution_graph
-from relconn.bitspace import full_mask
+from relconn import cpss, formulas, solution_graph
+from relconn.bitspace import component_masks, full_mask
 from relconn.catalog import CATALOG
 from relconn.classify import classify_set
 from relconn.cpss import (_projector, conn_cpss, decide_connectivity, project,
@@ -358,6 +358,116 @@ class TestProject:
         vars1, proj1 = project_enumerate(phi, 1)
         assert vars1 == ("w", "x", "y")
         assert proj1.tuples() == ["000", "001", "011", "110"]
+
+
+class TestProjectorSatisfiability:
+    """The unit-propagation engine decides satisfiability without a model
+    search for Horn and dual Horn clauses, and for 2-CNF searches only the
+    variables in some clause; every answer against brute force."""
+
+    def check_against_brute_force(self, phi, kind):
+        cs = to_clausal(phi, kind)
+        mask_of = _projector(cs)
+        for i, (vars_, own) in enumerate(cs.constraint_relations):
+            assert mask_of(vars_, own.mask) == project_enumerate(phi, i)[1].mask
+        return cs
+
+    def test_two_cnf_without_units_has_no_projection_tuples(self):
+        # (x|y)(x|-y)(-x|y)(-x|-y): no unit clause, so the base state has no
+        # conflict, yet no assignment satisfies all four.  The tuples of
+        # (z|-w) propagate without conflict, so only the model search
+        # empties their projection; v is in no clause
+        phi = parse_formula("var x y z w v\nOR(x,y)\nXNY(x,y)\nNXY(x,y)\nNAND(x,y)\n"
+                            "XNY(z,w)", {
+            "OR": Relation.from_tuples(2, ["01", "10", "11"]),
+            "XNY": Relation.from_tuples(2, ["00", "10", "11"]),
+            "NXY": Relation.from_tuples(2, ["00", "01", "11"]),
+            "NAND": Relation.from_tuples(2, ["00", "01", "10"])})
+        assert solution_graph.solution_space(phi) == 0
+        cs = self.check_against_brute_force(phi, BIJUNCTIVE)
+        assert cpss._clausal_state(cs) is not None
+        assert all(_projector(cs)(v, own.mask) == 0 for v, own in cs.constraint_relations)
+        assert not conn_cpss(phi).satisfiable
+
+    def test_horn_refuted_by_its_units_has_no_projection_tuples(self):
+        # x, -x|y, -y: propagating the units conflicts
+        phi = parse_formula("var x y\nONE(x)\nIMP(x,y)\nZERO(y)", {
+            "ONE": Relation.from_tuples(1, ["1"]), "ZERO": Relation.from_tuples(1, ["0"]),
+            "IMP": Relation.from_tuples(2, ["00", "01", "11"])})
+        assert solution_graph.solution_space(phi) == 0
+        cs = self.check_against_brute_force(phi, HORN)
+        assert cpss._clausal_state(cs) is None
+        assert not conn_cpss(phi).satisfiable
+
+    @pytest.mark.parametrize("kind", (BIJUNCTIVE, HORN, DUAL_HORN))
+    def test_seeded_formulas_with_unused_variables(self, kind):
+        # hulls of one class over 6 variables of which some are in no
+        # constraint; the satisfiable and the unsatisfiable both come up
+        rng = random.Random(f"sat-{kind}")
+        seen = set()
+        for _ in range(150):
+            rels = [hull(random_relation(rng, rng.randint(1, 3), 0.4), kind)
+                    for _ in range(3)]
+            phi = random_formula(rng, rels, 6, 5, const_prob=0.2)
+            if not all(formulas.holds_on_constants(phi, c) for c in phi.constraints
+                       if formulas.CONSTANTS.issuperset(c.args)):
+                continue
+            self.check_against_brute_force(phi, kind)
+            seen.add(solution_graph.solution_space(phi) != 0)
+        assert seen == {True, False}
+
+    def test_wide_projections(self):
+        # projections onto more variables than the tuple-bit tables cover
+        # read their bits per tuple and keep no table or count of that width
+        k = cpss.TUPLE_BITS_WIDTH_MAX + 2
+        rng = random.Random(10)
+        wide = hull(random_relation(rng, k, 0.3), HORN).renamed("W")
+        imp = Relation.from_tuples(2, ["00", "01", "11"], "IMP")
+        names = [f"x{j}" for j in range(k)]
+        phi = make_formula([Constraint("W", tuple(names)), Constraint("IMP", ("x0", "x1")),
+                            Constraint("IMP", ("x3", "x2"))], {"W": wide, "IMP": imp})
+        cpss._component_count.cache_clear()
+        self.check_against_brute_force(phi, HORN)
+        assert max(cpss._TUPLE_BITS) <= cpss.TUPLE_BITS_WIDTH_MAX
+        report = conn_cpss(phi, check=False)  # a random Horn hull need not be CPSS
+        assert report.projections[0].n_components == \
+            len(component_masks(report.projections[0].relation.mask, k))
+        assert cpss._component_count.cache_info().currsize == 2  # the two IMPs' masks
+
+
+class TestComponentCountMemo:
+    """Projections up to COUNTS_KEPT_ARITY_MAX count their components once
+    per (mask, arity), within COMPONENT_COUNTS_KEPT entries."""
+
+    def test_memo_equals_fresh(self):
+        rng = random.Random(30)
+        keys = [(rng.getrandbits(1 << k), k) for k in
+                (rng.randint(1, cpss.COUNTS_KEPT_ARITY_MAX) for _ in range(60))]
+        keys += keys[:10]
+        cpss._component_count.cache_clear()
+        memo = [cpss._component_count(*key) for key in keys]
+        assert cpss._component_count.cache_info().hits >= 10
+        assert memo == [cpss._component_count.__wrapped__(*key) for key in keys]
+        assert memo == [len(component_masks(*key)) for key in keys]
+
+    def test_bounded(self):
+        assert cpss._component_count.cache_info().maxsize == cpss.COMPONENT_COUNTS_KEPT
+        for mask in range(cpss.COMPONENT_COUNTS_KEPT + 20):
+            cpss._component_count(mask, 4)
+            assert cpss._component_count.cache_info().currsize <= cpss.COMPONENT_COUNTS_KEPT
+        assert cpss._component_count.cache_info().currsize == cpss.COMPONENT_COUNTS_KEPT
+
+    def test_equal_masks_under_other_names(self):
+        # EQ(a,b) and EQ(x,y) project to one mask under different names:
+        # one count, and each projection keeps its own variables
+        phi = parse_formula("var a b x y\nEQ(a,b)\nEQ(x,y)",
+                            {"EQ": Relation.from_tuples(2, ["00", "11"])})
+        cpss._component_count.cache_clear()
+        first, second = conn_cpss(phi).projections
+        assert (first.variables, second.variables) == (("a", "b"), ("x", "y"))
+        assert first.relation == second.relation
+        assert first.n_components == second.n_components == 2
+        assert cpss._component_count.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 class TestConnCpss:

@@ -34,6 +34,15 @@ def parse(text):
     return parse_formula(text, CATALOG)
 
 
+@pytest.fixture
+def fresh_templates():
+    """to_clausal's template cache, emptied before and after the test, so
+    that templates a patched extractor made are not kept."""
+    formulas._clause_templates.cache_clear()
+    yield
+    formulas._clause_templates.cache_clear()
+
+
 class TestParsing:
     def test_basic(self):
         phi = parse("var x y z\nM(x,y,z)\nOR(x,z)")
@@ -194,6 +203,161 @@ class TestConstraintRelation:
         assert set(rel.tuples()) == members
 
 
+def fold_by_tuples(rel, args):
+    """The fold of constraint_relation by one membership test per target
+    tuple, independent of the package's fold routines: target tuple t over
+    the sorted distinct variables picks the source tuple that puts each
+    variable's bit in its slots and each constant in its own."""
+    vars_ = sorted(set(args) - CONSTANTS)
+    k = len(vars_)
+    mask = 0
+    for t in range(1 << k):
+        bit = {v: (t >> (k - 1 - j)) & 1 for j, v in enumerate(vars_)}
+        s = int("".join(a if a in CONSTANTS else str(bit[a]) for a in args), 2)
+        mask |= ((rel.mask >> s) & 1) << t
+    return tuple(vars_), Relation(k, mask)
+
+
+def fold_case(rel, args):
+    """constraint_relation of R(args), the fold of conjunction_space, and
+    the fold by membership tests."""
+    phi = make_formula([Constraint("R", args)], {"R": rel.renamed("R")})
+    vars_ = tuple(sorted(set(args) - CONSTANTS))
+    spaced = Relation(len(vars_), conjunction_space(vars_, [(rel.mask, rel.arity, args)]))
+    return constraint_relation(phi, 0), (vars_, spaced), fold_by_tuples(rel, args)
+
+
+class TestFoldTable:
+    """Up to FOLD_TABLE_ARITY_MAX the fold goes through an index table;
+    both routes must equal conjunction_space's fold and the membership
+    loop.  The names sort apart from their order of appearance, so the
+    table's ranks are not slot order."""
+
+    def test_every_pattern_and_mask_up_to_arity_3(self):
+        for k in range(1, 4):
+            for args in itertools.product(("0", "1", "c", "a", "b"), repeat=k):
+                if CONSTANTS.issuperset(args):
+                    continue
+                for mask in range(1 << (1 << k)):
+                    got, spaced, looped = fold_case(Relation(k, mask), args)
+                    assert got == spaced == looped, (args, mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_hypothesis_up_to_the_bound_and_above(self, data):
+        k = data.draw(st.integers(1, formulas.FOLD_TABLE_ARITY_MAX + 2))
+        rel = Relation(k, data.draw(st.integers(0, (1 << (1 << k)) - 1)))
+        args = tuple(data.draw(st.lists(st.sampled_from(
+            ("0", "1", "q", "b", "z", "a", "m")), min_size=k, max_size=k)))
+        if not CONSTANTS.issuperset(args):
+            got, spaced, looped = fold_case(rel, args)
+            assert got == spaced == looped
+
+    def test_widest_table(self):
+        # all slots distinct, in reverse name order: 2^8 target tuples
+        k = formulas.FOLD_TABLE_ARITY_MAX
+        rel = Relation(k, random.Random(8).getrandbits(1 << k))
+        got, spaced, looped = fold_case(rel, tuple(f"v{k - 1 - j}" for j in range(k)))
+        assert got == spaced == looped
+
+    def test_fallback_above_the_bound_keeps_no_table(self):
+        rng = random.Random(30)
+        k = formulas.FOLD_TABLE_ARITY_MAX + 1
+        formulas._fold_table.cache_clear()
+        for _ in range(20):
+            args = tuple(rng.choice(("0", "1", "x", "y", "z", "w")) for _ in range(k))
+            if CONSTANTS.issuperset(args):
+                continue
+            got, spaced, looped = fold_case(Relation(k, rng.getrandbits(1 << k)), args)
+            assert got == spaced == looped
+        assert formulas._fold_table.cache_info().currsize == 0
+
+
+class TestCompileMemo:
+    """The fold tables and the clause templates are kept per (arity,
+    pattern) and per (folded relation, class), within their bounds, and
+    read the same as fresh ones."""
+
+    def test_fold_table_memo_equals_fresh(self):
+        rng = random.Random(30)
+        keys = []
+        for _ in range(40):
+            k = rng.randint(1, formulas.FOLD_TABLE_ARITY_MAX)
+            args = [rng.choice(("0", "1", "c", "a", "b", "d")) for _ in range(k)]
+            if not CONSTANTS.issuperset(args):
+                # the key constraint_relation gives R(args)
+                rank = {v: r for r, v in enumerate(sorted(set(args) - CONSTANTS))}
+                keys.append((k, tuple(rank.get(a, a) for a in args)))
+        keys += keys[:10]
+        formulas._fold_table.cache_clear()
+        memo = [formulas._fold_table(*key) for key in keys]
+        assert formulas._fold_table.cache_info().hits >= 10
+        for (k, pattern), (top, pick) in zip(keys, memo):
+            fresh_top, fresh_pick = formulas._fold_table.__wrapped__(k, pattern)
+            digits = bin(rng.getrandbits(1 << k) | top)[3:]
+            assert top == fresh_top and pick(digits) == fresh_pick(digits)
+
+    def test_templates_memo_equals_fresh(self):
+        rng = random.Random(31)
+        cases = []
+        for _ in range(60):
+            kind = rng.choice((BIJUNCTIVE, HORN, DUAL_HORN, AFFINE))
+            rel = random_relation(rng, rng.randint(1, 6), rng.choice((0.2, 0.5)))
+            cases.append((hull(rel, kind) if rng.random() < 0.6 else rel, kind))
+        cases += cases[:10]
+        formulas._clause_templates.cache_clear()
+        memo = [formulas._clause_templates(*case) for case in cases]
+        assert formulas._clause_templates.cache_info().hits >= 10
+        assert None in memo and any(memo)
+        for case, got in zip(cases, memo):
+            assert got == formulas._clause_templates.__wrapped__(*case)
+
+    def test_bounded(self):
+        assert formulas._fold_table.cache_info().maxsize == formulas.FOLD_TABLES_KEPT
+        assert formulas._clause_templates.cache_info().maxsize == formulas.TEMPLATES_KEPT
+        for mask in range(1, formulas.TEMPLATES_KEPT + 20):
+            formulas._clause_templates(Relation(4, mask), HORN)
+            assert formulas._clause_templates.cache_info().currsize <= formulas.TEMPLATES_KEPT
+        assert formulas._clause_templates.cache_info().currsize == formulas.TEMPLATES_KEPT
+        for perm in itertools.islice(itertools.permutations(range(8)),
+                                     formulas.FOLD_TABLES_KEPT + 20):
+            formulas._fold_table(8, perm)
+        assert formulas._fold_table.cache_info().currsize == formulas.FOLD_TABLES_KEPT
+
+    @pytest.mark.parametrize("kind", [HORN, AFFINE])
+    def test_equal_relations_under_other_names(self, kind):
+        # R(a,b,0) and S(y,x,0) over equal masks fold to the same relation
+        # over different names: one table, one template entry, and each
+        # constraint's clauses over its own names
+        rel = hull(Relation.from_tuples(3, ["000", "110"]), kind)
+        phi = make_formula([Constraint("R", ("a", "b", "0")), Constraint("S", ("x", "y", "0"))],
+                           {"R": rel.renamed("R"), "S": rel.renamed("S")})
+        formulas._fold_table.cache_clear()
+        formulas._clause_templates.cache_clear()
+        cs = to_clausal(phi, kind)
+        (va, ra), (vx, rx) = cs.constraint_relations
+        assert (va, vx) == (("a", "b"), ("x", "y")) and ra == rx
+        assert formulas._fold_table.cache_info()[:2] == (1, 1)  # hits, misses
+        assert formulas._clause_templates.cache_info()[:2] == (1, 1)
+        rename = {"a": "x", "b": "y"}
+        half = (len(cs.clauses) // 2, len(cs.equations) // 2)
+        assert max(half) > 0
+        assert [CnfClause(frozenset(map(rename.get, c.pos)), frozenset(map(rename.get, c.neg)))
+                for c in cs.clauses[:half[0]]] == list(cs.clauses[half[0]:])
+        assert [XorEquation(frozenset(map(rename.get, e.vars)), e.rhs)
+                for e in cs.equations[:half[1]]] == list(cs.equations[half[1]:])
+        assert first_group_difference(phi, kind) is None
+
+    def test_wide_relations_keep_no_templates(self):
+        k = formulas.TABLES_KEPT_WIDTH_MAX + 1
+        rel = hull(Relation(k, random.Random(9).getrandbits(1 << k)), HORN)
+        phi = make_formula([Constraint("R", tuple(f"x{j}" for j in range(k)))],
+                           {"R": rel.renamed("R")})
+        formulas._clause_templates.cache_clear()
+        assert to_clausal(phi, HORN).clauses
+        assert formulas._clause_templates.cache_info().currsize == 0
+
+
 def assignments(n):
     return itertools.product((0, 1), repeat=n)
 
@@ -326,8 +490,8 @@ class TestToClausal:
                      lambda out: [(names, rhs ^ 1) for names, rhs in out],
                      id="affine-flipped-rhs"),
     ])
-    def test_dropped_clause_is_caught(self, monkeypatch, n, kind, extractor,
-                                      tuples, args, corrupt):
+    def test_dropped_clause_is_caught(self, monkeypatch, fresh_templates, n, kind,
+                                      extractor, tuples, args, corrupt):
         # a chain R(x0,x1), ..., R(x_{n-2},x_{n-1}), with a, b in args
         # standing for x_i, x_{i+1}; each constraint has one clause or
         # equation, so corrupting it changes the solutions.  to_clausal
@@ -344,6 +508,7 @@ class TestToClausal:
         original = getattr(formulas, extractor)
         monkeypatch.setattr(formulas, extractor,
                             lambda *a: corrupt(original(*a)))
+        formulas._clause_templates.cache_clear()  # a hit skips the extractor
         corrupted = to_clausal(phi, kind)
         assert (corrupted.clauses, corrupted.equations) != (cs.clauses, cs.equations)
         found = first_group_difference(phi, kind)
@@ -420,6 +585,7 @@ class TestToClausal:
             inside = original(constraint_relation(phi, 0)[1], kind)
             seen[inside] += 1
             before = len(calls)
+            formulas._clause_templates.cache_clear()  # a hit makes no call
             if inside:
                 assert clause_models(to_clausal(phi, kind), phi.variables) == \
                     formula_models(phi)
