@@ -8,10 +8,9 @@ two indices as adjacent iff they differ in exactly one bit.  Relations
 (relations.Relation.mask) and solution spaces share this format.
 
 conjunction_space is the package's one routine that plugs a relation into
-argument slots (constants and repeated variables) over a whole cube: it
-builds formula and Horn-view solution spaces, apply_pattern's images and
-the constraint relations of source arity above 8 (formulas folds narrower
-ones through index tables).  gf2_reduce, the one GF(2) row reduction, reads
+argument slots (constants and repeated variables): it builds formula and
+Horn-view solution spaces, apply_pattern's images and constraint
+relations.  gf2_reduce, the one GF(2) row reduction, reads
 ints as vectors.  tuples_of, the one routine that lists a mask's members
 as bitstrings, reads them from tables of 8-bit strings where it can.
 

@@ -38,10 +38,6 @@ clause translation, by one of two engines:
 A projection onto Var(C_i) lies inside C_i's folded relation, which
 to_clausal keeps in ClauseSet.constraint_relations, so each engine tests
 only that relation's members, not the whole cube of 2^|Var(C_i)| tuples.
-The unit-propagation engine reads a tuple's literals from a table per
-width up to TUPLE_BITS_WIDTH_MAX = 8, built on first use, and a
-projection's components up to arity 8 are counted once per (mask, arity)
-and kept for COMPONENT_COUNTS_KEPT = 1024 pairs.
 
 Every GF(2) reduction here, as everywhere in the package, is
 bitspace.gf2_reduce: the affine engine's system, sat_schaefer's affine
@@ -56,7 +52,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitspace import BRUTE_VARS_MAX, component_masks, gf2_reduce, iter_bits
@@ -227,21 +222,6 @@ def _no_solutions(vars_: tuple[str, ...], within: int) -> int:
     return 0
 
 
-# Widths whose tuple-bit tables stay cached for the life of the process;
-# all of them together hold 510 tuples, about 53 KiB under CPython 3.11.
-TUPLE_BITS_WIDTH_MAX = 8
-# width k -> per k-bit tuple index, its bits, the first coordinate first
-_TUPLE_BITS: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-
-def _tuple_bits(k: int) -> tuple[tuple[int, ...], ...]:
-    """The bits of every k-bit tuple, kept in _TUPLE_BITS; callers read
-    `_TUPLE_BITS.get(k) or _tuple_bits(k)` up to TUPLE_BITS_WIDTH_MAX."""
-    table = _TUPLE_BITS[k] = tuple(tuple((a >> (k - 1 - j)) & 1 for j in range(k))
-                                   for a in range(1 << k))
-    return table
-
-
 def _clausal_projector(cs: ClauseSet) -> MaskOf:
     """Unit-propagation engine: with the clauses satisfiable, a tuple
     belongs iff its literals propagate from the base state without
@@ -261,14 +241,10 @@ def _clausal_projector(cs: ClauseSet) -> MaskOf:
 
     def mask_of(vars_: tuple[str, ...], within: int) -> int:
         k = len(vars_)
-        if k <= TUPLE_BITS_WIDTH_MAX:
-            bits_of = (_TUPLE_BITS.get(k) or _tuple_bits(k)).__getitem__
-        else:
-            def bits_of(a: int) -> list[int]:
-                return [(a >> (k - 1 - j)) & 1 for j in range(k)]
         out = 0
         for a in iter_bits(within):
-            if _propagate(zip(vars_, bits_of(a)), *state) is not None:
+            seeds = [(v, (a >> (k - 1 - j)) & 1) for j, v in enumerate(vars_)]
+            if _propagate(seeds, *state) is not None:
                 out |= 1 << a
         return out
     return mask_of
@@ -348,27 +324,12 @@ def project(phi: Formula, i: int, clause_set: ClauseSet | None = None) -> Projec
     return _project_with(phi, i, vars_, own, _projector(clause_set))
 
 
-# (mask, arity) pairs whose component counts stay cached, the least
-# recently used dropped first; only projections of arity up to
-# COUNTS_KEPT_ARITY_MAX are kept, whose masks take at most 32 bytes of
-# digits.  Under CPython 3.11, sys.getsizeof puts an arity-8 entry, key,
-# mask and link, at about 0.2 KiB, so 1024 entries hold about 0.2 MiB.
-COUNTS_KEPT_ARITY_MAX = 8
-COMPONENT_COUNTS_KEPT = 1024
-
-
-@lru_cache(maxsize=COMPONENT_COUNTS_KEPT)
-def _component_count(mask: int, k: int) -> int:
-    """The number of connected components of a k-ary mask."""
-    return len(component_masks(mask, k))
-
-
 def _project_with(phi: Formula, i: int, vars_: tuple[str, ...], own: Relation,
                   mask_of: MaskOf) -> Projection:
-    k = len(vars_)
     mask = mask_of(vars_, own.mask)
-    count = _component_count if k <= COUNTS_KEPT_ARITY_MAX else _component_count.__wrapped__
-    return Projection(i, str(phi.constraints[i]), vars_, Relation(k, mask), count(mask, k))
+    rel = Relation(len(vars_), mask)
+    return Projection(i, str(phi.constraints[i]), vars_, rel,
+                      len(component_masks(mask, rel.arity)))
 
 
 @dataclass(frozen=True)

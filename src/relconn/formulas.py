@@ -12,20 +12,20 @@ Text format:
     IMP(x,y)
     M(x,0,z)
 
-constraint_relation folds a constraint's constants and repeats into its
-relation.  Up to source arity FOLD_TABLE_ARITY_MAX = 8 it picks each
-target tuple's source tuple through an index table kept per (arity,
-argument pattern), FOLD_TABLES_KEPT = 1024 of them; above it,
-bitspace.conjunction_space, the routine that plugs a relation into its
-arguments, builds the fold.  clause_item makes a clause one of
-conjunction_space's items.  CnfClause is the package's one clause type and
+Constraint relations are built by bitspace.conjunction_space, the one
+routine that plugs a relation into its arguments; clause_item makes a
+clause one of its items.  CnfClause is the package's one clause type and
 ClauseSet its one clause-set type: cnf_implicates returns clauses,
 to_clausal returns a formula's clause set in a Schaefer class, and module
 horn reads the Horn structure off the clause sets of class HORN.
 
-to_clausal reads each folded relation's class check and its prime clauses
-(or XOR basis) over coordinates once per (relation, class), keeps them for
-TEMPLATES_KEPT = 1024 pairs up to arity 8, and renames them per constraint.
+The same folded relation recurs within one formula (39% of to_clausal's
+constraints on the `cpss` benchmark workload, with every cache emptied
+before each command), so to_clausal reads a folded relation's class check
+and its prime clauses (or XOR basis) over coordinates once, keeps them in
+_TEMPLATES and renames them per constraint.  _TEMPLATES holds at most
+TEMPLATES_KEPT = 1024 entries of at most TEMPLATE_CLAUSES_MAX = 8 clauses
+each, about 1.2 MiB.
 
 cnf_implicates reads a relation's prime clauses of one shape (bijunctive,
 Horn, dual Horn) off its mask with one candidate table per (width, shape):
@@ -44,10 +44,9 @@ test, and loops over the items only to name a bad one.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from . import catalog
@@ -231,55 +230,19 @@ def clause_item(c: CnfClause) -> tuple[int, int, list[str]]:
     return full_mask(len(args)) ^ (1 << ((1 << len(c.neg)) - 1)), len(args), args
 
 
-# Source arities folded through an index table, and the tables kept, the
-# least recently used dropped first.  A table of k target variables holds
-# 2^k indexes; under CPython 3.11, tracemalloc puts a table at about 2.4 KiB
-# for k = 8, the most, so 1024 tables hold at most about 2.4 MiB.
-FOLD_TABLE_ARITY_MAX = 8
-FOLD_TABLES_KEPT = 1024
-
-
-@lru_cache(maxsize=FOLD_TABLES_KEPT)
-def _fold_table(arity: int, pattern: tuple[int | str, ...]) -> tuple[int, itemgetter]:
-    """The fold of an arity-`arity` relation through an argument pattern:
-    per slot the constant "0" or "1", or the rank of its variable among the
-    k sorted distinct ones.  Returns the top bit that bin() of a source
-    mask carries past its 2^arity digits, and the getter that picks from
-    those digits, most significant first, the source tuple of each target
-    tuple 2^k - 1, ..., 0, so the picked digits read as the folded mask."""
-    k = len({a for a in pattern if a not in CONSTANTS})
-    last = (1 << arity) - 1
-    digits = []
-    for t in range((1 << k) - 1, -1, -1):
-        s = 0
-        for a in pattern:
-            s = (s << 1) | (int(a) if a in CONSTANTS else (t >> (k - 1 - a)) & 1)
-        digits.append(last - s)
-    return 1 << (1 << arity), itemgetter(*digits)
-
-
 def constraint_relation(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation]:
     """Relation of constraint i over its distinct variables, in name order.
 
     Constants and repeats in the argument list are folded in, so the result
-    ranges over the sorted distinct variables of the constraint.  Up to
-    source arity FOLD_TABLE_ARITY_MAX the fold picks each target tuple's
-    source tuple through the index table of the relation's arity and the
-    argument pattern (kept, FOLD_TABLES_KEPT of them); above it,
-    bitspace.conjunction_space builds the fold.
+    ranges over the sorted distinct variables of the constraint.
     """
     c = phi.constraints[i]
     rel = phi.relation_of(c)
-    vars_sorted = tuple(sorted(set(c.args).difference(CONSTANTS)))
+    vars_sorted = tuple(sorted(c.variables()))
     if not vars_sorted:
         raise FormulaError(f"{c}: constraint has no variables")
-    if rel.arity > FOLD_TABLE_ARITY_MAX:
-        return vars_sorted, Relation(len(vars_sorted), conjunction_space(
-            vars_sorted, [(rel.mask, rel.arity, c.args)]))
-    rank = {v: r for r, v in enumerate(vars_sorted)}
-    top, pick = _fold_table(rel.arity, tuple(map(rank.get, c.args, c.args)))
-    return vars_sorted, Relation(len(vars_sorted),
-                                 int("".join(pick(bin(rel.mask | top)[3:])), 2))
+    return vars_sorted, Relation(len(vars_sorted), conjunction_space(
+        vars_sorted, [(rel.mask, rel.arity, c.args)]))
 
 
 @dataclass(frozen=True)
@@ -462,18 +425,31 @@ def cnf_implicates(vars_: tuple[str, ...], mask: int, shape: str) -> list[CnfCla
     1.6 MiB for all three shapes) are kept in _TABLES; wider rows are made
     as the pass reads them.
     """
-    k = len(vars_)
+    return _named_clauses(vars_, _prime_rows(mask, len(vars_), shape))
+
+
+# a clause over coordinates: its positive and its negative coordinates
+_CoordClause = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _prime_rows(mask: int, k: int, shape: str) -> list[_CoordClause]:
+    """cnf_implicates over the coordinates 0..k-1."""
     valid: set[int] = set()
-    prime: list[CnfClause] = []
+    prime: list[_CoordClause] = []
     for i, (cell, pos, neg, shorter) in enumerate(
             _TABLES.get((k, shape)) or _candidate_table(k, shape)):
         if cell & mask:
             continue
         valid.add(i)
         if valid.isdisjoint(shorter):
-            prime.append(CnfClause(frozenset([vars_[c] for c in pos]),
-                                   frozenset([vars_[c] for c in neg])))
+            prime.append((pos, neg))
     return prime
+
+
+def _named_clauses(vars_: tuple[str, ...], rows: Iterable[_CoordClause]) -> list[CnfClause]:
+    """The clauses over coordinates with coordinate j renamed vars_[j]."""
+    return [CnfClause(frozenset([vars_[c] for c in pos]), frozenset([vars_[c] for c in neg]))
+            for pos, neg in rows]
 
 
 def _xor_basis(vars_: tuple[str, ...],
@@ -494,31 +470,43 @@ def _xor_basis(vars_: tuple[str, ...],
     return out
 
 
-# (folded relation, class) pairs whose class check and clause templates stay
-# cached, the least recently used dropped first; only relations of arity up
-# to TABLES_KEPT_WIDTH_MAX are kept, as their candidate tables are.  Under
-# CPython 3.11, sys.getsizeof puts an entry at its key relation and link,
-# about 0.5 KiB, plus about 0.17 KiB per clause.  Entries of the `cpss`
-# benchmark workload have 2.6 clauses on average, so 1024 of them hold
-# about 1 MiB.  An arity-8 Horn relation can have hundreds of prime
-# clauses (280 for "at most two ones, or all ones", 49 KiB), so 1024 such
-# entries would hold about 50 MiB.
+# (mask, arity, class) of a folded relation -> its templates, as
+# _clause_templates reads them; the oldest entry is dropped first.  Only
+# relations of arity up to TABLES_KEPT_WIDTH_MAX, as for the candidate
+# tables, and with at most TEMPLATE_CLAUSES_MAX clauses or equations are
+# kept: a clause shares its coordinate tuples with its candidate row, and
+# under CPython 3.11 tracemalloc puts an entry of arity 8 at about 1.1 KiB
+# with 7 or 8 equations and 0.6 KiB with 7 or 8 Horn clauses, so the
+# TEMPLATES_KEPT entries hold at most about 1.2 MiB.  A wider relation or
+# a longer translation is read again for each constraint.
 TEMPLATES_KEPT = 1024
+TEMPLATE_CLAUSES_MAX = 8
+_TEMPLATES: OrderedDict[tuple[int, int, str], list | None] = OrderedDict()
+_UNREAD = object()  # a key _TEMPLATES does not hold
 
 
-@lru_cache(maxsize=TEMPLATES_KEPT)
-def _clause_templates(rel: Relation, cls: str) -> tuple[tuple, ...] | None:
+def _clause_templates(rel: Relation, cls: str) -> list | None:
     """None when check_property puts rel outside the class; otherwise its
     prime clauses of the class's shape, as (positive, negative) coordinate
     tuples, or its XOR basis, as (coordinates, rhs): the translation of
-    every constraint whose folded relation is rel, over coordinates."""
+    every constraint whose folded relation is rel, over coordinates.  Read
+    from _TEMPLATES, or read and kept there."""
+    key = (rel.mask, rel.arity, cls)
+    templates = _TEMPLATES.get(key, _UNREAD)
+    if templates is not _UNREAD:
+        return templates
     if not check_property(rel, cls):
-        return None
-    coords = tuple(range(rel.arity))
-    if cls == AFFINE:
-        return tuple((tuple(names), rhs) for names, rhs in _xor_basis(coords, rel.mask))
-    return tuple((tuple(c.pos), tuple(c.neg))
-                 for c in cnf_implicates(coords, rel.mask, cls))
+        templates = None
+    elif cls == AFFINE:
+        templates = [(tuple(coords), rhs)
+                     for coords, rhs in _xor_basis(range(rel.arity), rel.mask)]
+    else:
+        templates = _prime_rows(rel.mask, rel.arity, cls)
+    if rel.arity <= TABLES_KEPT_WIDTH_MAX and len(templates or ()) <= TEMPLATE_CLAUSES_MAX:
+        if len(_TEMPLATES) >= TEMPLATES_KEPT:
+            _TEMPLATES.popitem(last=False)
+        _TEMPLATES[key] = templates
+    return templates
 
 
 def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
@@ -533,9 +521,9 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
     raises ClauseExtractionError "constraint ... is not <class>".  An
     unknown class raises ClauseExtractionError "no clause shape".
 
-    The check and the clauses depend on the folded relation alone, so they
-    are read over coordinates once per (relation, class), kept in
-    _clause_templates (TEMPLATES_KEPT entries), and renamed per constraint.
+    The check and the clauses depend on the folded relation alone, so
+    _clause_templates reads them over coordinates, once per relation while
+    _TEMPLATES keeps it, and they are renamed per constraint.
     """
     if schaefer_class not in _FITS:
         raise ClauseExtractionError(f"no clause shape for {schaefer_class!r}")
@@ -550,8 +538,7 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
             templates = () if holds_on_constants(phi, c) else (((), 1 if affine else ()),)
         else:
             vars_, rel = constraint_relation(phi, i)
-            templates = (_clause_templates if rel.arity <= TABLES_KEPT_WIDTH_MAX
-                         else _clause_templates.__wrapped__)(rel, schaefer_class)
+            templates = _clause_templates(rel, schaefer_class)
             if templates is None:
                 raise ClauseExtractionError(f"constraint {c} is not {schaefer_class}")
         pairs.append((vars_, rel))
@@ -559,8 +546,6 @@ def to_clausal(phi: Formula, schaefer_class: str) -> ClauseSet:
             equations.extend(XorEquation(frozenset([vars_[j] for j in coords]), rhs)
                              for coords, rhs in templates)
         else:
-            clauses.extend(CnfClause(frozenset([vars_[j] for j in pos]),
-                                     frozenset([vars_[j] for j in neg]))
-                           for pos, neg in templates)
+            clauses.extend(_named_clauses(vars_, templates))
     return ClauseSet(schaefer_class, phi.variables, tuple(clauses),
                      tuple(equations), tuple(pairs))

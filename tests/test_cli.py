@@ -1030,16 +1030,14 @@ class TestRepeatedCalls:
         assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
     def test_import_builds_no_table_or_cache(self):
-        # the clause translation's and the projections' tables and caches
-        # are built on first use, so the import stays as cheap as it was
+        # the clause translation's tables and kept translations and the
+        # profile cache are filled on first use, so the import stays cheap
         done = python("-c", (
             "import relconn.cli\n"
-            "from relconn import classify, cpss, formulas\n"
-            "caches = [formulas._fold_table, formulas._clause_templates,\n"
-            "          cpss._component_count, classify._profile_facts]\n"
-            "print([c.cache_info().currsize for c in caches],\n"
-            "      len(cpss._TUPLE_BITS), len(formulas._TABLES))\n"))
-        assert (done.returncode, done.stdout) == (0, "[0, 0, 0, 0] 0 0\n"), done.stderr
+            "from relconn import classify, formulas\n"
+            "print(classify._profile_facts.cache_info().currsize,\n"
+            "      len(formulas._TEMPLATES), len(formulas._TABLES))\n"))
+        assert (done.returncode, done.stdout) == (0, "0 0 0\n"), done.stderr
 
     def test_python_dash_m_reads_sys_argv(self, capsys):
         for argv in (["classify-set", sample("m.rel")],

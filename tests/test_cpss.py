@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relconn import cpss, formulas, solution_graph
-from relconn.bitspace import component_masks, full_mask
+from relconn.bitspace import full_mask
 from relconn.catalog import CATALOG
 from relconn.classify import classify_set
 from relconn.cpss import (_projector, conn_cpss, decide_connectivity, project,
@@ -415,59 +415,6 @@ class TestProjectorSatisfiability:
             self.check_against_brute_force(phi, kind)
             seen.add(solution_graph.solution_space(phi) != 0)
         assert seen == {True, False}
-
-    def test_wide_projections(self):
-        # projections onto more variables than the tuple-bit tables cover
-        # read their bits per tuple and keep no table or count of that width
-        k = cpss.TUPLE_BITS_WIDTH_MAX + 2
-        rng = random.Random(10)
-        wide = hull(random_relation(rng, k, 0.3), HORN).renamed("W")
-        imp = Relation.from_tuples(2, ["00", "01", "11"], "IMP")
-        names = [f"x{j}" for j in range(k)]
-        phi = make_formula([Constraint("W", tuple(names)), Constraint("IMP", ("x0", "x1")),
-                            Constraint("IMP", ("x3", "x2"))], {"W": wide, "IMP": imp})
-        cpss._component_count.cache_clear()
-        self.check_against_brute_force(phi, HORN)
-        assert max(cpss._TUPLE_BITS) <= cpss.TUPLE_BITS_WIDTH_MAX
-        report = conn_cpss(phi, check=False)  # a random Horn hull need not be CPSS
-        assert report.projections[0].n_components == \
-            len(component_masks(report.projections[0].relation.mask, k))
-        assert cpss._component_count.cache_info().currsize == 2  # the two IMPs' masks
-
-
-class TestComponentCountMemo:
-    """Projections up to COUNTS_KEPT_ARITY_MAX count their components once
-    per (mask, arity), within COMPONENT_COUNTS_KEPT entries."""
-
-    def test_memo_equals_fresh(self):
-        rng = random.Random(30)
-        keys = [(rng.getrandbits(1 << k), k) for k in
-                (rng.randint(1, cpss.COUNTS_KEPT_ARITY_MAX) for _ in range(60))]
-        keys += keys[:10]
-        cpss._component_count.cache_clear()
-        memo = [cpss._component_count(*key) for key in keys]
-        assert cpss._component_count.cache_info().hits >= 10
-        assert memo == [cpss._component_count.__wrapped__(*key) for key in keys]
-        assert memo == [len(component_masks(*key)) for key in keys]
-
-    def test_bounded(self):
-        assert cpss._component_count.cache_info().maxsize == cpss.COMPONENT_COUNTS_KEPT
-        for mask in range(cpss.COMPONENT_COUNTS_KEPT + 20):
-            cpss._component_count(mask, 4)
-            assert cpss._component_count.cache_info().currsize <= cpss.COMPONENT_COUNTS_KEPT
-        assert cpss._component_count.cache_info().currsize == cpss.COMPONENT_COUNTS_KEPT
-
-    def test_equal_masks_under_other_names(self):
-        # EQ(a,b) and EQ(x,y) project to one mask under different names:
-        # one count, and each projection keeps its own variables
-        phi = parse_formula("var a b x y\nEQ(a,b)\nEQ(x,y)",
-                            {"EQ": Relation.from_tuples(2, ["00", "11"])})
-        cpss._component_count.cache_clear()
-        first, second = conn_cpss(phi).projections
-        assert (first.variables, second.variables) == (("a", "b"), ("x", "y"))
-        assert first.relation == second.relation
-        assert first.n_components == second.n_components == 2
-        assert cpss._component_count.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 class TestConnCpss:

@@ -38,9 +38,9 @@ def parse(text):
 def fresh_templates():
     """to_clausal's template cache, emptied before and after the test, so
     that templates a patched extractor made are not kept."""
-    formulas._clause_templates.cache_clear()
+    formulas._TEMPLATES.clear()
     yield
-    formulas._clause_templates.cache_clear()
+    formulas._TEMPLATES.clear()
 
 
 class TestParsing:
@@ -218,86 +218,39 @@ def fold_by_tuples(rel, args):
     return tuple(vars_), Relation(k, mask)
 
 
-def fold_case(rel, args):
-    """constraint_relation of R(args), the fold of conjunction_space, and
-    the fold by membership tests."""
-    phi = make_formula([Constraint("R", args)], {"R": rel.renamed("R")})
-    vars_ = tuple(sorted(set(args) - CONSTANTS))
-    spaced = Relation(len(vars_), conjunction_space(vars_, [(rel.mask, rel.arity, args)]))
-    return constraint_relation(phi, 0), (vars_, spaced), fold_by_tuples(rel, args)
+class TestFoldOracle:
+    """constraint_relation's fold, by conjunction_space, against the fold by
+    membership tests.  The names sort apart from their order of
+    appearance, so the sorted variables are not slot order."""
 
-
-class TestFoldTable:
-    """Up to FOLD_TABLE_ARITY_MAX the fold goes through an index table;
-    both routes must equal conjunction_space's fold and the membership
-    loop.  The names sort apart from their order of appearance, so the
-    table's ranks are not slot order."""
+    def check(self, rel, args):
+        phi = make_formula([Constraint("R", args)], {"R": rel.renamed("R")})
+        assert constraint_relation(phi, 0) == fold_by_tuples(rel, args), (args, rel.mask)
 
     def test_every_pattern_and_mask_up_to_arity_3(self):
         for k in range(1, 4):
             for args in itertools.product(("0", "1", "c", "a", "b"), repeat=k):
-                if CONSTANTS.issuperset(args):
-                    continue
-                for mask in range(1 << (1 << k)):
-                    got, spaced, looped = fold_case(Relation(k, mask), args)
-                    assert got == spaced == looped, (args, mask)
+                if not CONSTANTS.issuperset(args):
+                    for mask in range(1 << (1 << k)):
+                        self.check(Relation(k, mask), args)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_hypothesis_up_to_the_bound_and_above(self, data):
-        k = data.draw(st.integers(1, formulas.FOLD_TABLE_ARITY_MAX + 2))
+    def test_hypothesis_up_to_arity_10(self, data):
+        k = data.draw(st.integers(1, 10))
         rel = Relation(k, data.draw(st.integers(0, (1 << (1 << k)) - 1)))
         args = tuple(data.draw(st.lists(st.sampled_from(
             ("0", "1", "q", "b", "z", "a", "m")), min_size=k, max_size=k)))
         if not CONSTANTS.issuperset(args):
-            got, spaced, looped = fold_case(rel, args)
-            assert got == spaced == looped
-
-    def test_widest_table(self):
-        # all slots distinct, in reverse name order: 2^8 target tuples
-        k = formulas.FOLD_TABLE_ARITY_MAX
-        rel = Relation(k, random.Random(8).getrandbits(1 << k))
-        got, spaced, looped = fold_case(rel, tuple(f"v{k - 1 - j}" for j in range(k)))
-        assert got == spaced == looped
-
-    def test_fallback_above_the_bound_keeps_no_table(self):
-        rng = random.Random(30)
-        k = formulas.FOLD_TABLE_ARITY_MAX + 1
-        formulas._fold_table.cache_clear()
-        for _ in range(20):
-            args = tuple(rng.choice(("0", "1", "x", "y", "z", "w")) for _ in range(k))
-            if CONSTANTS.issuperset(args):
-                continue
-            got, spaced, looped = fold_case(Relation(k, rng.getrandbits(1 << k)), args)
-            assert got == spaced == looped
-        assert formulas._fold_table.cache_info().currsize == 0
+            self.check(rel, args)
 
 
-class TestCompileMemo:
-    """The fold tables and the clause templates are kept per (arity,
-    pattern) and per (folded relation, class), within their bounds, and
-    read the same as fresh ones."""
+class TestTemplateMemo:
+    """to_clausal keeps each folded relation's translation over coordinates
+    in formulas._TEMPLATES, within TEMPLATES_KEPT entries of at most
+    TEMPLATE_CLAUSES_MAX clauses, and a kept one reads as a fresh one."""
 
-    def test_fold_table_memo_equals_fresh(self):
-        rng = random.Random(30)
-        keys = []
-        for _ in range(40):
-            k = rng.randint(1, formulas.FOLD_TABLE_ARITY_MAX)
-            args = [rng.choice(("0", "1", "c", "a", "b", "d")) for _ in range(k)]
-            if not CONSTANTS.issuperset(args):
-                # the key constraint_relation gives R(args)
-                rank = {v: r for r, v in enumerate(sorted(set(args) - CONSTANTS))}
-                keys.append((k, tuple(rank.get(a, a) for a in args)))
-        keys += keys[:10]
-        formulas._fold_table.cache_clear()
-        memo = [formulas._fold_table(*key) for key in keys]
-        assert formulas._fold_table.cache_info().hits >= 10
-        for (k, pattern), (top, pick) in zip(keys, memo):
-            fresh_top, fresh_pick = formulas._fold_table.__wrapped__(k, pattern)
-            digits = bin(rng.getrandbits(1 << k) | top)[3:]
-            assert top == fresh_top and pick(digits) == fresh_pick(digits)
-
-    def test_templates_memo_equals_fresh(self):
+    def test_memo_equals_fresh(self, fresh_templates):
         rng = random.Random(31)
         cases = []
         for _ in range(60):
@@ -305,40 +258,56 @@ class TestCompileMemo:
             rel = random_relation(rng, rng.randint(1, 6), rng.choice((0.2, 0.5)))
             cases.append((hull(rel, kind) if rng.random() < 0.6 else rel, kind))
         cases += cases[:10]
-        formulas._clause_templates.cache_clear()
         memo = [formulas._clause_templates(*case) for case in cases]
-        assert formulas._clause_templates.cache_info().hits >= 10
         assert None in memo and any(memo)
+        assert len(formulas._TEMPLATES) < len(cases)
         for case, got in zip(cases, memo):
-            assert got == formulas._clause_templates.__wrapped__(*case)
+            formulas._TEMPLATES.clear()
+            assert got == formulas._clause_templates(*case)
 
-    def test_bounded(self):
-        assert formulas._fold_table.cache_info().maxsize == formulas.FOLD_TABLES_KEPT
-        assert formulas._clause_templates.cache_info().maxsize == formulas.TEMPLATES_KEPT
+    def test_bounded(self, fresh_templates):
         for mask in range(1, formulas.TEMPLATES_KEPT + 20):
             formulas._clause_templates(Relation(4, mask), HORN)
-            assert formulas._clause_templates.cache_info().currsize <= formulas.TEMPLATES_KEPT
-        assert formulas._clause_templates.cache_info().currsize == formulas.TEMPLATES_KEPT
-        for perm in itertools.islice(itertools.permutations(range(8)),
-                                     formulas.FOLD_TABLES_KEPT + 20):
-            formulas._fold_table(8, perm)
-        assert formulas._fold_table.cache_info().currsize == formulas.FOLD_TABLES_KEPT
+            assert len(formulas._TEMPLATES) <= formulas.TEMPLATES_KEPT
+        assert len(formulas._TEMPLATES) == formulas.TEMPLATES_KEPT
+        assert (1, 4, HORN) not in formulas._TEMPLATES  # the oldest went first
+        assert (formulas.TEMPLATES_KEPT + 19, 4, HORN) in formulas._TEMPLATES
+
+    def test_long_translations_are_not_kept(self, fresh_templates):
+        # "at most two ones, or all ones" over 8 coordinates has 280 prime
+        # Horn clauses; the one tuple 00000000 has 8 equations, the most kept
+        wide = Relation.from_tuples(8, [t for t in (format(a, "08b") for a in range(256))
+                                        if t.count("1") <= 2 or t == "11111111"])
+        got = formulas._clause_templates(wide, HORN)
+        assert len(got) == 280 and not formulas._TEMPLATES
+        assert got == formulas._clause_templates(wide, HORN)
+        point = Relation.from_tuples(8, ["00000000"])
+        assert len(formulas._clause_templates(point, AFFINE)) == formulas.TEMPLATE_CLAUSES_MAX
+        assert list(formulas._TEMPLATES) == [(point.mask, 8, AFFINE)]
+
+    def test_wide_relations_are_not_kept(self, fresh_templates):
+        # "the first coordinate is 0" over 9 coordinates: one short clause,
+        # yet its mask is wider than the kept arities allow
+        k = formulas.TABLES_KEPT_WIDTH_MAX + 1
+        rel = Relation(k, (1 << (1 << (k - 1))) - 1)
+        phi = make_formula([Constraint("R", tuple(f"x{j}" for j in range(k)))],
+                           {"R": rel.renamed("R")})
+        assert to_clausal(phi, HORN).clauses == (CnfClause(frozenset(), frozenset({"x0"})),)
+        assert not formulas._TEMPLATES
+        assert first_group_difference(phi, HORN) is None
 
     @pytest.mark.parametrize("kind", [HORN, AFFINE])
-    def test_equal_relations_under_other_names(self, kind):
-        # R(a,b,0) and S(y,x,0) over equal masks fold to the same relation
-        # over different names: one table, one template entry, and each
-        # constraint's clauses over its own names
+    def test_equal_relations_under_other_names(self, fresh_templates, kind):
+        # R(a,b,0) and S(x,y,0) over equal masks fold to the same relation
+        # over different names: one kept translation, and each constraint's
+        # clauses over its own names
         rel = hull(Relation.from_tuples(3, ["000", "110"]), kind)
         phi = make_formula([Constraint("R", ("a", "b", "0")), Constraint("S", ("x", "y", "0"))],
                            {"R": rel.renamed("R"), "S": rel.renamed("S")})
-        formulas._fold_table.cache_clear()
-        formulas._clause_templates.cache_clear()
         cs = to_clausal(phi, kind)
         (va, ra), (vx, rx) = cs.constraint_relations
         assert (va, vx) == (("a", "b"), ("x", "y")) and ra == rx
-        assert formulas._fold_table.cache_info()[:2] == (1, 1)  # hits, misses
-        assert formulas._clause_templates.cache_info()[:2] == (1, 1)
+        assert list(formulas._TEMPLATES) == [(ra.mask, 2, kind)]
         rename = {"a": "x", "b": "y"}
         half = (len(cs.clauses) // 2, len(cs.equations) // 2)
         assert max(half) > 0
@@ -347,15 +316,6 @@ class TestCompileMemo:
         assert [XorEquation(frozenset(map(rename.get, e.vars)), e.rhs)
                 for e in cs.equations[:half[1]]] == list(cs.equations[half[1]:])
         assert first_group_difference(phi, kind) is None
-
-    def test_wide_relations_keep_no_templates(self):
-        k = formulas.TABLES_KEPT_WIDTH_MAX + 1
-        rel = hull(Relation(k, random.Random(9).getrandbits(1 << k)), HORN)
-        phi = make_formula([Constraint("R", tuple(f"x{j}" for j in range(k)))],
-                           {"R": rel.renamed("R")})
-        formulas._clause_templates.cache_clear()
-        assert to_clausal(phi, HORN).clauses
-        assert formulas._clause_templates.cache_info().currsize == 0
 
 
 def assignments(n):
@@ -474,13 +434,13 @@ class TestToClausal:
 
     @pytest.mark.parametrize("n", (6, 20))
     @pytest.mark.parametrize("kind, extractor, tuples, args, corrupt", [
-        pytest.param(HORN, "cnf_implicates", ["00", "01", "11"], ("a", "b"),
+        pytest.param(HORN, "_prime_rows", ["00", "01", "11"], ("a", "b"),
                      lambda out: out[1:], id="horn-cnf_implicates-tuples0"),
         pytest.param(AFFINE, "_xor_basis", ["00", "11"], ("a", "b"),
                      lambda out: out[1:], id="affine-_xor_basis-tuples1"),
         # R(a,0,a,b) is a -> b; the tuples with a 1 in the constant's slot,
         # or with the repeated slots apart, would add 10 if read wrongly
-        pytest.param(HORN, "cnf_implicates", ["0000", "0001", "1011", "1110", "1000"],
+        pytest.param(HORN, "_prime_rows", ["0000", "0001", "1011", "1110", "1000"],
                      ("a", "0", "a", "b"), lambda out: out[1:],
                      id="horn-constant-repeat"),
         # R(a,0,a,b) is a + b = 1; flipping the right-hand side keeps the
@@ -508,7 +468,7 @@ class TestToClausal:
         original = getattr(formulas, extractor)
         monkeypatch.setattr(formulas, extractor,
                             lambda *a: corrupt(original(*a)))
-        formulas._clause_templates.cache_clear()  # a hit skips the extractor
+        formulas._TEMPLATES.clear()  # a kept translation skips the extractor
         corrupted = to_clausal(phi, kind)
         assert (corrupted.clauses, corrupted.equations) != (cs.clauses, cs.equations)
         found = first_group_difference(phi, kind)
@@ -585,7 +545,7 @@ class TestToClausal:
             inside = original(constraint_relation(phi, 0)[1], kind)
             seen[inside] += 1
             before = len(calls)
-            formulas._clause_templates.cache_clear()  # a hit makes no call
+            formulas._TEMPLATES.clear()  # a kept translation makes no call
             if inside:
                 assert clause_models(to_clausal(phi, kind), phi.variables) == \
                     formula_models(phi)
