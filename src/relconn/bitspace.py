@@ -12,7 +12,11 @@ argument slots (constants and repeated variables): it builds formula and
 Horn-view solution spaces, apply_pattern's images and constraint
 relations.  gf2_reduce, the one GF(2) row reduction, reads
 ints as vectors.  tuples_of, the one routine that lists a mask's members
-as bitstrings, reads them from tables of 8-bit strings where it can.
+as bitstrings, reads them from tables of 8-bit strings where it can;
+joined_tuples writes the same list as one separated text, and on a mask
+of 9 to 16 coordinates with at least one member per
+BLOCK_INDICES_PER_MEMBER indices it builds that text per 256-index
+block, with no string object per member.
 
 Components and BFS levels have two routes.  The bitmask route works on
 the whole mask: each step shifts and ORs it along one dimension, 2^n/64
@@ -317,6 +321,41 @@ def tuples_of(s: int, n: int) -> list[str]:
         return [hi[i >> 8] + low[i & 255] for i in iter_bits(s)]
     top = 1 << n
     return [bin(i | top)[3:] for i in iter_bits(s)]
+
+
+# Sparsest mask, in indices per member up to its highest one, that
+# joined_tuples lists block by block.  The block route costs about 15-25 ns
+# per index (mostly compress reading each flag), the per-member route about
+# 300 ns per member (iter_bits and two table reads).  On uniformly random
+# masks at n = 9-16 (2-core Xeon, CPython 3.11) the block route took
+# 0.4-0.6 of the per-member route's time at 1/4 density, 0.6-0.9 at 1/16,
+# and 1.05-2.4 times as long at 1/24 to 1/32.
+BLOCK_INDICES_PER_MEMBER = 16
+# bytes.translate table: ASCII "0" and "1" to the flag bytes 0 and 1
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def joined_tuples(s: int, n: int, sep: str) -> str:
+    """`sep.join(tuples_of(s, n))`.
+
+    For 8 < n <= 16 and a mask dense enough (BLOCK_INDICES_PER_MEMBER),
+    the reversed bin() string becomes one 0/1 flag byte per index; each
+    nonzero 256-index block then selects its members' low 8-bit strings
+    with one compress over the width-8 table and joins them, each behind
+    the block's high-bits prefix, in one join.  No string is built per
+    member.  Other masks take tuples_of's per-member route.
+    """
+    if not 8 < n <= 16 or s.bit_count() * BLOCK_INDICES_PER_MEMBER < s.bit_length():
+        return sep.join(tuples_of(s, n))
+    flags = bin(s)[:1:-1].encode().translate(_FLAG_BYTES)
+    low, high = _TUPLES[8], _TUPLES[n - 8]
+    blocks = []
+    for b in range((len(flags) + 255) >> 8):
+        block = flags[b << 8:(b + 1) << 8]
+        if 1 in block:
+            prefix = high[b]
+            blocks.append(prefix + (sep + prefix).join(compress(low, block)))
+    return sep.join(blocks)
 
 
 def conjunction_space(variables: Sequence[Hashable],

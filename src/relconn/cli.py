@@ -14,7 +14,11 @@ carry no serializer: each renders as the dict of its fields, so a new field
 is a new key.  The one document shaped by hand is `conn`'s cpss detail,
 which adds "method": "cpss" and lists each projection's tuples.  A library
 caller gets the same text from `render_json(obj)`, for instance
-`render_json(solution_graph.report(phi))`.
+`render_json(solution_graph.report(phi))`.  A component listing renders
+from its mask: `components` keeps each component as a `Listing`, which
+writes as the array of its solutions' bitstrings through
+bitspace.joined_tuples, block by block on dense masks, with no string
+per solution.
 
 An input file is read whole with raw os reads (no text-mode layer) and
 decoded as UTF-8; the readers split its lines with str.splitlines, so LF,
@@ -53,6 +57,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import horn as hornmod
 from . import solution_graph as sg
+from .bitspace import joined_tuples
 from .catalog import parse_relations
 from .classify import RelationProfile, classify_set, predict, profile
 from .constructions import express_m_details, reduce_sat_to_conn
@@ -102,12 +107,24 @@ def _load_horn(path: str) -> ClauseSet:
     return hornmod.parse_horn(_read(path))
 
 
+class Listing:
+    """The solutions of a mask over n variables, kept as the mask until
+    they are written: JSON writes the array of their bitstrings,
+    bitspace.tuples_of(mask, n).  Not a list or tuple, so that json.dumps
+    hands it to its `default`."""
+    __slots__ = ("mask", "n")
+
+    def __init__(self, mask: int, n: int) -> None:
+        self.mask = mask
+        self.n = n
+
+
 def render_json(doc: object) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2, default=vars)`, byte for
     byte, for a document of dicts with str keys, lists and tuples, str, int,
     bool, None and result dataclasses, each of which renders as the dict of
-    its fields; the standard encoder runs in pure Python whenever it
-    indents."""
+    its fields, where each Listing renders as its list of bitstrings; the
+    standard encoder runs in pure Python whenever it indents."""
     chunks: list[str] = []
     _render(doc, "\n", chunks)
     return "".join(chunks)
@@ -149,6 +166,13 @@ def _render(doc: object, indent: str, chunks: list[str]) -> None:
         else:
             chunks += ("[" + inner, body)
         chunks.append(indent + "]")
+    elif isinstance(doc, Listing):
+        if not doc.mask:
+            chunks.append("[]")
+            return
+        inner = indent + "  "
+        chunks += ("[" + inner + '"', joined_tuples(doc.mask, doc.n, '",' + inner + '"'),
+                   '"' + indent + "]")
     elif is_dataclass(doc):  # a result type: the dict of its fields
         _render(vars(doc), indent, chunks)
     else:
@@ -221,9 +245,11 @@ def cmd_diameter(args) -> Answer:
 
 
 def cmd_components(args) -> Answer:
-    comps = sg.components(_load_formula(args.file))
-    return Answer(lambda: {"components": [list(c) for c in comps]},
-                  lambda: _lines(" ".join(c) for c in comps) if comps else "unsatisfiable\n")
+    phi = _load_formula(args.file)
+    comps = [Listing(m, phi.n) for m in sg.component_listing(phi)]
+    return Answer(lambda: {"components": comps},
+                  lambda: _lines(joined_tuples(c.mask, c.n, " ") for c in comps)
+                  if comps else "unsatisfiable\n")
 
 
 def cmd_graph(args) -> Answer:

@@ -234,13 +234,17 @@ def constraint_relation(phi: Formula, i: int) -> tuple[tuple[str, ...], Relation
     """Relation of constraint i over its distinct variables, in name order.
 
     Constants and repeats in the argument list are folded in, so the result
-    ranges over the sorted distinct variables of the constraint.
+    ranges over the sorted distinct variables of the constraint.  Distinct
+    variables already in name order, with no constant, fold to the
+    relation itself.
     """
     c = phi.constraints[i]
     rel = phi.relation_of(c)
     vars_sorted = tuple(sorted(c.variables()))
     if not vars_sorted:
         raise FormulaError(f"{c}: constraint has no variables")
+    if c.args == vars_sorted:
+        return vars_sorted, Relation(len(vars_sorted), rel.mask)
     return vars_sorted, Relation(len(vars_sorted), conjunction_space(
         vars_sorted, [(rel.mask, rel.arity, c.args)]))
 

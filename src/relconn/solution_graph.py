@@ -7,8 +7,9 @@ set (see horn) materialises the full assignment space once as a bitmask
 (see bitspace) with bitspace.conjunction_space and reads it here.  It is
 exact and fast up to BRUTE_VARS_MAX variables.  An unsatisfiable formula
 counts as connected and as having diameter 0.  The queries that list
-every solution (components, report, export_dot) raise VarsLimitError
-before formatting any when there are more than LISTING_SOLUTIONS_MAX.
+every solution (component_listing, components, report, export_dot) raise
+VarsLimitError before formatting any when there are more than
+LISTING_SOLUTIONS_MAX.
 
 Connectivity, components and st-paths pick one of bitspace's two routes
 per call: bitmask sweeps or BFS rounds over the whole 2^n-bit mask while
@@ -92,13 +93,21 @@ def _check_listing(count: int) -> None:
                              f"{LISTING_SOLUTIONS_MAX}")
 
 
+def component_listing(phi: Formula) -> list[int]:
+    """component_spaces, once they have passed the listing bound: more
+    than LISTING_SOLUTIONS_MAX solutions raise VarsLimitError.  A caller
+    that writes the listing as text formats each mask itself (see
+    bitspace.joined_tuples)."""
+    comps = component_spaces(phi)
+    _check_listing(sum(map(int.bit_count, comps)))
+    return comps
+
+
 def components(phi: Formula) -> list[list[str]]:
     """Each component's solutions as bitstrings; more than
     LISTING_SOLUTIONS_MAX solutions raise VarsLimitError."""
     n = phi.n
-    comps = component_spaces(phi)
-    _check_listing(sum(map(int.bit_count, comps)))
-    return [bitspace.tuples_of(m, n) for m in comps]
+    return [bitspace.tuples_of(m, n) for m in component_listing(phi)]
 
 
 def is_connected(phi: Formula) -> bool:

@@ -179,6 +179,74 @@ class TestEdgeCases:
             bitspace.tuple_of_index(i, n) for i in bitspace.iter_bits(s)]
 
 
+# the separators joined_tuples is called with: text, a plain list, and the
+# JSON array of cli at two levels of indentation
+SEPARATORS = (" ", ",", '",\n    "', '",\n      "')
+
+
+class TestJoinedTuples:
+    """joined_tuples against sep.join(tuples_of(s, n)), on both sides of
+    BLOCK_INDICES_PER_MEMBER and of the widths 8/9 and 16/17."""
+
+    @staticmethod
+    def masks(n: int) -> list[int]:
+        """Empty, one low bit, the top bit, full, and seeded random masks
+        from 0.001 to 0.9 density (the threshold is 1/16), at most
+        LISTING_SOLUTIONS_MAX members each."""
+        rng = random.Random(100 + n)
+        size = 1 << n
+        counts = [max(1, round(density * size))
+                  for density in (0.001, 0.01, 0.03, 0.05, 0.07, 0.1, 0.25, 0.5, 0.9)]
+        masks = [0, 1, 1 << (size - 1), bitspace.full_mask(n)]
+        masks += [bitspace.mask_of(rng.sample(range(size), count)) for count in counts
+                  if count <= sg.LISTING_SOLUTIONS_MAX]
+        return [s for s in masks if s.bit_count() <= sg.LISTING_SOLUTIONS_MAX]
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_matches_join_of_tuples_of(self, n):
+        for s in self.masks(n):
+            for sep in SEPARATORS:
+                assert bitspace.joined_tuples(s, n, sep) == sep.join(
+                    bitspace.tuples_of(s, n)), (n, s.bit_count(), sep)
+
+    def test_clustered_masks(self):
+        # members packed into a few blocks, leaving whole blocks empty, and
+        # a low run that ends far below the top of the cube
+        for n in (9, 12, 16):
+            rng = random.Random(n)
+            blocks = rng.sample(range(1 << (n - 8)), min(3, 1 << (n - 8)))
+            s = mask((b << 8) + rng.randrange(256) for b in blocks for _ in range(100))
+            for t in (s, (1 << 300) - 1):
+                assert bitspace.joined_tuples(t, n, ",") == ",".join(bitspace.tuples_of(t, n))
+
+    def test_sparse_masks_list_per_member(self, monkeypatch):
+        listed = []
+        tuples_of = bitspace.tuples_of
+        monkeypatch.setattr(bitspace, "tuples_of",
+                            lambda s, n: listed.append(s) or tuples_of(s, n))
+        per = bitspace.BLOCK_INDICES_PER_MEMBER
+        for n in (9, 12, 16):
+            sparse = mask(range(0, 1 << n, per + 1))
+            dense = mask(range(0, 1 << n, per))
+            listed.clear()
+            bitspace.joined_tuples(sparse, n, " ")
+            bitspace.joined_tuples(dense, n, " ")
+            assert listed == [sparse], n
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_hypothesis(self, data):
+        n = data.draw(st.integers(0, 17))
+        size = 1 << n
+        s = data.draw(st.one_of(
+            st.integers(0, bitspace.full_mask(min(n, 12))),
+            st.lists(st.integers(0, size - 1), max_size=60).map(mask),
+            st.lists(st.integers(0, size - 1), min_size=size // 16,
+                     max_size=max(size // 16, 3000)).map(mask)))
+        sep = data.draw(st.sampled_from(SEPARATORS))
+        assert bitspace.joined_tuples(s, n, sep) == sep.join(bitspace.tuples_of(s, n))
+
+
 class TestRouteSwitch:
     @staticmethod
     def routes_taken(monkeypatch, query):

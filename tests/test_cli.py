@@ -9,6 +9,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -35,17 +36,25 @@ def sample(name: str) -> str:
     return str(SAMPLES / name)
 
 
+def expanded(obj):
+    """json.dumps's `default` for an answer document: a cli.Listing is its
+    list of bitstrings, anything else (a result dataclass) its fields."""
+    if isinstance(obj, cli.Listing):
+        return bitspace.tuples_of(obj.mask, obj.n)
+    return vars(obj)
+
+
 @pytest.fixture(autouse=True)
 def rendered_json(monkeypatch):
     """Every --json document that main renders in these tests must be what
-    json.dumps(doc, sort_keys=True, indent=2, default=vars) gives; returns
-    the documents checked."""
+    json.dumps(doc, sort_keys=True, indent=2, default=expanded) gives;
+    returns the documents checked."""
     render = cli.render_json
     docs = []
 
     def checked(doc):
         text = render(doc)
-        assert text == json.dumps(doc, sort_keys=True, indent=2, default=vars)
+        assert text == json.dumps(doc, sort_keys=True, indent=2, default=expanded)
         docs.append(doc)
         return text
 
@@ -264,6 +273,7 @@ class TestGraphQueries:
 
         monkeypatch.setattr(bitspace, "tuple_of_index", no_formatting)
         monkeypatch.setattr(bitspace, "tuples_of", no_formatting)
+        monkeypatch.setattr(cli, "joined_tuples", lambda s, n, sep: no_formatting(s, n))
         assert run(capsys, argv[0], path, *argv[1:]) == (
             2, "", "relconn: error: 262144 solutions exceed the listing bound 131072\n")
 
@@ -284,6 +294,54 @@ class TestGraphQueries:
                              "--dot", target)
         assert code == 0 and piped == ""
         assert target.read_text() == out
+
+
+def seeded_m_formula(n: int, dense: bool, seed: int) -> str:
+    """Text of the first random conjunction of M constraints over x1..xn,
+    drawn from the seed, whose solutions fill 1/8 to 1/2 of the cube
+    (dense) or 1/256 to 1/32 of it (sparse)."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    low, high = (1 / 8, 1 / 2) if dense else (1 / 256, 1 / 32)
+    while True:
+        text = "var " + " ".join(names) + "\n" + "".join(
+            f"M({','.join(rng.sample(names, 3))})\n" for _ in range(rng.randint(1, 2 * n)))
+        count = sg.solution_space(parse_formula(text, CATALOG)).bit_count()
+        if low <= count / 2 ** n <= high:
+            return text
+
+
+class TestComponentListing:
+    """components writes each component from its mask: the same JSON and
+    text as formatting every solution with tuples_of and joining the
+    strings, on dense masks (block listing) and sparse ones."""
+
+    @staticmethod
+    def check(capsys, path):
+        comps = sg.components(parse_formula(path.read_text(), CATALOG))
+        want_json = json.dumps({"components": [list(c) for c in comps]},
+                               sort_keys=True, indent=2) + "\n"
+        want_text = "".join(" ".join(c) + "\n" for c in comps) or "unsatisfiable\n"
+        assert run(capsys, "components", path, "--json") == (0, want_json, "")
+        assert run(capsys, "components", path) == (0, want_text, "")
+        return comps
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 16, 17])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_same_as_tuples_of(self, capsys, tmp_path, n, dense):
+        path = tmp_path / "phi.cnfs"
+        path.write_text(seeded_m_formula(n, dense, seed=n))
+        self.check(capsys, path)
+        if dense and 8 < n <= 16:  # the block listing ran on some component
+            assert any(m.bit_count() * bitspace.BLOCK_INDICES_PER_MEMBER >= m.bit_length()
+                       for m in sg.component_spaces(parse_formula(path.read_text(), CATALOG)))
+
+    def test_no_variables_and_unsatisfiable(self, capsys, tmp_path):
+        holds, fails = tmp_path / "holds.cnfs", tmp_path / "fails.cnfs"
+        holds.write_text("rel IMP 2 : 00 01 11\nIMP(0,1)\n")
+        fails.write_text("rel ONE 1 : 1\nrel ZERO 1 : 0\nvar x\nONE(x)\nZERO(x)\n")
+        assert self.check(capsys, holds) == [[""]]
+        assert self.check(capsys, fails) == []
 
 
 class TestNoVariables:

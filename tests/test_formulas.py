@@ -244,6 +244,26 @@ class TestFoldOracle:
         if not CONSTANTS.issuperset(args):
             self.check(rel, args)
 
+    def test_identity_pattern_builds_no_space(self, monkeypatch):
+        # distinct variables in name order, no constant: the relation itself,
+        # with no conjunction_space call; any other pattern still folds
+        calls = []
+        monkeypatch.setattr(formulas, "conjunction_space",
+                            lambda *a: calls.append(a) or conjunction_space(*a))
+        rng = random.Random(7)
+        for k in range(1, 9):
+            rel = random_relation(rng, k)
+            self.check(rel, tuple(f"v{j}" for j in range(k)))
+            assert calls == [], k
+            if k == 1:
+                continue
+            for args in (tuple(f"v{j}" for j in reversed(range(k))),
+                         ("1",) + tuple(f"v{j}" for j in range(1, k)),
+                         ("v0",) * k):
+                self.check(rel, args)
+                assert len(calls) == 1, args
+                calls.clear()
+
 
 class TestTemplateMemo:
     """to_clausal keeps each folded relation's translation over coordinates

@@ -30,6 +30,7 @@ UNREFERENCED = {
     "relations.first_unsafe_identification": LIBRARY,
     "relations.hull": LIBRARY,
     "relations.is_closed": TRACER,
+    "solution_graph.components": LIBRARY,
     "solution_graph.distance": LIBRARY,
     "solution_graph.locally_minimal": LIBRARY,
     "solution_graph.solutions": LIBRARY,

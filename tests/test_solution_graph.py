@@ -331,7 +331,8 @@ class TestReportAndDot:
 
 
 class TestListingBound:
-    @pytest.mark.parametrize("query", [sg.components, sg.report, sg.export_dot])
+    @pytest.mark.parametrize("query", [sg.component_listing, sg.components, sg.report,
+                                       sg.export_dot])
     def test_raises_before_formatting(self, monkeypatch, query):
         # 262,144 solutions: twice the bound, as 9 factors, so the diameter
         # bound does not fire first in report
